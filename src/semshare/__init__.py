@@ -28,7 +28,7 @@ from .errors import (
     SemShareError,
     TrainingError,
 )
-from .flow import FlowConfig, Pyramid, build_pyramid, estimate_flow, flow_to_color, two_stage_map
+from .flow import FlowConfig, estimate_flow, flow_to_color, two_stage_map
 from .fusion import (
     FusionHead,
     FusionVariant,
@@ -44,14 +44,12 @@ from .fusion import (
 from .metrics import (
     ConfusionMatrix,
     EvalReport,
-    LossWeights,
     aepe,
     cross_entropy,
     l1_photometric,
     miou,
     smoothness,
     ssim,
-    unsupervised_loss,
 )
 from .pipeline import (
     FrameResult,
@@ -59,8 +57,7 @@ from .pipeline import (
     read_benchmark,
     run_ablation,
     run_frame,
-    share_backward,
-    share_forward,
+    share,
     write_benchmark,
 )
 from .raster import (

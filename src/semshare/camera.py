@@ -130,10 +130,6 @@ class Homography:
         h.flags.writeable = False
         self.h = h
 
-    @staticmethod
-    def identity() -> "Homography":
-        return Homography(np.eye(3))
-
     def __repr__(self):
         return f"Homography({self.h.tolist()})"
 
@@ -217,6 +213,17 @@ def invert_homography(h: Homography) -> Homography:
 # Calibration file format: one "key value..." entry per line, '#' comments.
 # Floats are written with repr() so parsing round-trips exactly.
 
+
+def read_ascii(path) -> str:
+    """Contents of a text file, which every semshare text format keeps to
+    ASCII; any other byte is a DataError."""
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not an ASCII text file: {exc}") from exc
+
+
 _CAM_KEYS = ("fx", "fy", "cx", "cy", "skew")
 
 
@@ -278,5 +285,4 @@ def write_rig(rig: CameraRig, path) -> None:
 
 
 def read_rig(path) -> CameraRig:
-    with open(path, "r", encoding="ascii") as f:
-        return rig_from_text(f.read())
+    return rig_from_text(read_ascii(path))

@@ -46,8 +46,7 @@ from .pipeline import (
     read_benchmark,
     run_ablation,
     run_frame,
-    share_backward_detailed,
-    share_forward_detailed,
+    share,
     write_benchmark,
 )
 from .pipeline import _fusion_dataset, _overlap_dataset
@@ -106,18 +105,16 @@ def cmd_share(args) -> int:
     wide_img = read_image(args.wide_image)
     narrow_img = read_image(args.narrow_image)
     scores = read_scores(args.scores)
-    cfg = _flow_config(args)
-    if args.direction == "forward":
-        propagated, mask, extras = share_forward_detailed(rig, scores, wide_img, narrow_img, cfg)
-    else:
-        propagated, mask, extras = share_backward_detailed(rig, scores, wide_img, narrow_img, cfg)
+    propagated, mask, stage1_image, flow = share(
+        rig, scores, wide_img, narrow_img, _flow_config(args), args.direction
+    )
     write_scores(propagated, args.out)
     if args.out_mask:
         write_mask(mask, args.out_mask)
     if args.dump_intermediates:
         stem, _ = os.path.splitext(args.out)
-        write_image(extras["stage1_image"], stem + "_stage1.pgm")
-        write_flo(extras["flow"], stem + "_flow.flo")
+        write_image(stage1_image, stem + "_stage1.pgm")
+        write_flo(flow, stem + "_flow.flo")
     print(f"propagated scores written to {args.out}")
     return 0
 
@@ -150,9 +147,7 @@ def cmd_run(args) -> int:
         flow=_flow_config(args),
         narrow_head_path=args.narrow_head,
         wide_head_path=args.wide_head,
-        overlap_only=args.overlap_only,
         dump_intermediates=args.dump_intermediates,
-        out_dir=args.out,
     )
     wide_img = read_image(args.wide_image)
     narrow_img = read_image(args.narrow_image)
@@ -172,7 +167,7 @@ def cmd_run(args) -> int:
     write_mask(result.wide_mask, path("wide_mask.pgm"))
     # evaluation-region choice for a later `eval --mask`: the wide-branch
     # overlap region, or the full frame
-    if cfg.overlap_only:
+    if args.overlap_only:
         write_mask(result.wide_mask, path("eval_mask.pgm"))
     else:
         write_mask(np.ones_like(result.wide_mask), path("eval_mask.pgm"))

@@ -18,6 +18,10 @@ rasters), so the default smoothness weight of 15 matches the classical
 tuning for 8-bit imagery.  The joint minimum of both images is subtracted
 up front: the data term only ever sees intensity differences, making the
 estimate invariant to a global intensity offset.
+
+All resampling here (the pyramid resize, the per-level warp and the flow
+upsampling) goes through raster.sample_bilinear, the package's single
+bilinear kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .raster import (
     compose_grids,
     grid_from_flow,
     grid_from_homography,
+    sample_bilinear,
     warp_raster,
 )
 
@@ -95,17 +100,9 @@ def _resize_bilinear(plane: np.ndarray, new_hw: tuple[int, int]) -> np.ndarray:
     nh, nw = new_hw
     if (nh, nw) == (h, w):
         return plane.copy()
-    ys = np.clip((np.arange(nh) + 0.5) * (h / nh) - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(nw) + 0.5) * (w / nw) - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    top = (1.0 - fx) * plane[np.ix_(y0, x0)] + fx * plane[np.ix_(y0, x1)]
-    bot = (1.0 - fx) * plane[np.ix_(y1, x0)] + fx * plane[np.ix_(y1, x1)]
-    return (1.0 - fy) * top + fy * bot
+    ys = (np.arange(nh) + 0.5) * (h / nh) - 0.5
+    xs = (np.arange(nw) + 0.5) * (w / nw) - 0.5
+    return sample_bilinear(plane, xs[None, :], ys[:, None])
 
 
 def _downsample(plane: np.ndarray) -> np.ndarray:
@@ -123,45 +120,6 @@ def _plane_pyramid(plane: np.ndarray, num_levels: int, min_size: int) -> list[np
             break
         levels.append(_downsample(levels[-1]))
     return levels
-
-
-@dataclass(frozen=True)
-class Pyramid:
-    """Image pyramid from finest to coarsest; level 0 equals the source."""
-
-    levels: tuple
-
-
-def build_pyramid(img: Image, cfg: FlowConfig) -> Pyramid:
-    if min(img.width, img.height) < cfg.min_level_size:
-        raise ConfigError(
-            f"image {img.size} is smaller than min_level_size {cfg.min_level_size}"
-        )
-    per_channel = [
-        _plane_pyramid(img.data[c], cfg.num_levels, cfg.min_level_size)
-        for c in range(img.channels)
-    ]
-    images = [img]
-    for level in range(1, len(per_channel[0])):
-        stacked = np.stack([chan[level] for chan in per_channel])
-        images.append(Image(np.clip(stacked, 0.0, 1.0)))
-    return Pyramid(levels=tuple(images))
-
-
-def _sample_clamped(plane: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Bilinear sampling with replicate-border clamping of coordinates."""
-    h, w = plane.shape
-    sx = np.clip(sx, 0.0, w - 1.0)
-    sy = np.clip(sy, 0.0, h - 1.0)
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
-    fx = sx - x0
-    fy = sy - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    top = (1.0 - fx) * plane[y0, x0] + fx * plane[y0, x1]
-    bot = (1.0 - fx) * plane[y1, x0] + fx * plane[y1, x1]
-    return (1.0 - fy) * top + fy * bot
 
 
 def _central_diff(plane: np.ndarray):
@@ -203,7 +161,7 @@ def _solve_level(target, source, u, v, cfg: FlowConfig, record_energy=False):
     increment."""
     h, w = target.shape
     ys, xs = np.mgrid[0:h, 0:w].astype(float)
-    warped = _sample_clamped(source, xs + u, ys + v)
+    warped = sample_bilinear(source, xs + u, ys + v)
     ix, iy = _central_diff(warped)
     it = warped - target
     alpha2 = cfg.smoothness_weight**2

@@ -8,7 +8,6 @@ runs are bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,39 +21,15 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights for the combined unsupervised loss: photometric, structural
-    similarity and flow smoothness (defaults 0.1 / 1.0 / 1.0)."""
-
-    w1: float = 0.1
-    w2: float = 1.0
-    w3: float = 1.0
-
-    def __post_init__(self):
-        if min(self.w1, self.w2, self.w3) < 0:
-            raise ConfigError("loss weights must be non-negative")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    l1: float
-    ssim: float  # structural dissimilarity term, (1 - SSIM) / 2
-    smooth: float
-    total: float
-
-
 @dataclass
 class EvalReport:
-    """Per-class IoU (None marks classes absent from both maps), the class
-    mean, and optional flow metrics."""
+    """Per-class IoU (None marks classes absent from both maps) and the
+    class mean."""
 
     per_class_iou: list = field(default_factory=list)
     mean_iou: float | None = None
     num_classes_in_mean: int = 0
     pixels: int = 0
-    aepe: float | None = None
-    losses: LossBreakdown | None = None
 
 
 def _check_mask(mask, shape):
@@ -146,22 +121,6 @@ def smoothness(flow: FlowField) -> float:
         total += float(np.mean(np.abs(plane[:, 1:] - plane[:, :-1])))
         total += float(np.mean(np.abs(plane[1:, :] - plane[:-1, :])))
     return total
-
-
-def weighted_total(w: LossWeights, l1: float, ssim_term: float, smooth: float) -> float:
-    return w.w1 * l1 + w.w2 * ssim_term + w.w3 * smooth
-
-
-def unsupervised_loss(
-    gt: Image, warped: Image, flow: FlowField, w: LossWeights, mask
-) -> LossBreakdown:
-    """Weighted photometric + structural + smoothness bundle."""
-    l1 = l1_photometric(gt, warped, mask)
-    ssim_term = ssim_loss(gt, warped)
-    smooth = smoothness(flow)
-    return LossBreakdown(
-        l1=l1, ssim=ssim_term, smooth=smooth, total=weighted_total(w, l1, ssim_term, smooth)
-    )
 
 
 def cross_entropy(scores: ScoreMap, labels: LabelMap, mask) -> float:
@@ -258,38 +217,5 @@ def report_to_text(report: EvalReport) -> str:
     if report.mean_iou is not None or report.per_class_iou:
         shown = "undefined" if report.mean_iou is None else repr(float(report.mean_iou))
         lines.append(f"miou {shown} {report.num_classes_in_mean}")
-    if report.aepe is not None:
-        lines.append(f"aepe {float(report.aepe)!r} {report.pixels}")
-    if report.losses is not None:
-        for name in ("l1", "ssim", "smooth", "total"):
-            lines.append(f"loss.{name} {float(getattr(report.losses, name))!r} {report.pixels}")
     lines.append(f"pixels {report.pixels} {report.pixels}")
     return "\n".join(lines) + "\n"
-
-
-def report_from_text(text: str) -> EvalReport:
-    report = EvalReport()
-    ious: dict[int, float | None] = {}
-    losses: dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, value, count = line.split()
-        parsed = None if value == "undefined" else float(value)
-        if name.startswith("iou."):
-            ious[int(name[4:])] = parsed
-        elif name == "miou":
-            report.mean_iou = parsed
-            report.num_classes_in_mean = int(count)
-        elif name == "aepe":
-            report.aepe = parsed
-        elif name.startswith("loss."):
-            losses[name[5:]] = parsed if parsed is not None else math.nan
-        elif name == "pixels":
-            report.pixels = int(value)
-    if ious:
-        report.per_class_iou = [ious[c] for c in sorted(ious)]
-    if losses:
-        report.losses = LossBreakdown(**losses)
-    return report

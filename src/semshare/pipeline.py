@@ -4,7 +4,8 @@ ablations.
 
 The frame loop runs: forward share (wide scores into the narrow frame),
 narrow fusion, backward share (fused narrow scores into the wide frame),
-wide fusion.  Invalid pixels always fall back to the native scores, so
+wide fusion.  Both shares are one function, `share`, run in either
+direction.  Invalid pixels always fall back to the native scores, so
 the wide branch never changes outside the overlap region.
 """
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraRig, homography_from_rig, read_rig, write_rig
-from .errors import ConfigError, PipelineStageError, SemShareError
+from .camera import CameraRig, homography_from_rig, read_ascii, read_rig, write_rig
+from .errors import ConfigError, DataError, MetricUndefinedError, PipelineStageError, SemShareError
 from .flow import FlowConfig, two_stage_map_detailed
 from .formats import read_image, write_image, write_labels
 from .fusion import FusionHead, TrainConfig, fuse_forward, identity_head, new_head, read_head, train_fusion
@@ -63,32 +64,26 @@ class PipelineConfig:
     flow: FlowConfig = field(default_factory=FlowConfig)
     narrow_head_path: str | None = None
     wide_head_path: str | None = None
-    overlap_only: bool = False
     dump_intermediates: bool = False
-    out_dir: str | None = None
 
     def load_rig(self) -> CameraRig:
         if not os.path.exists(self.rig_path):
             raise ConfigError(f"rig file {self.rig_path!r} does not exist")
         return read_rig(self.rig_path)
 
-    def _load_head(self, path, num_classes) -> FusionHead:
-        if path is None:
-            return identity_head(num_classes)
-        if not os.path.exists(path):
-            raise ConfigError(f"fusion head file {path!r} does not exist")
-        head = read_head(path)
-        if head.num_classes != num_classes:
-            raise ConfigError(
-                f"head at {path!r} has {head.num_classes} classes, inputs carry {num_classes}"
-            )
-        return head
 
-    def load_narrow_head(self, num_classes) -> FusionHead:
-        return self._load_head(self.narrow_head_path, num_classes)
-
-    def load_wide_head(self, num_classes) -> FusionHead:
-        return self._load_head(self.wide_head_path, num_classes)
+def load_head(path, num_classes) -> FusionHead:
+    """The fusion head stored at `path`, or the identity head if None."""
+    if path is None:
+        return identity_head(num_classes)
+    if not os.path.exists(path):
+        raise ConfigError(f"fusion head file {path!r} does not exist")
+    head = read_head(path)
+    if head.num_classes != num_classes:
+        raise ConfigError(
+            f"head at {path!r} has {head.num_classes} classes, inputs carry {num_classes}"
+        )
+    return head
 
 
 @dataclass
@@ -109,63 +104,33 @@ def _run_stage(stage: str, fn):
         raise PipelineStageError(stage, exc) from exc
 
 
-def share_forward(
+def share(
     rig: CameraRig,
-    wide_scores: ScoreMap,
+    scores: ScoreMap,
     wide_img: Image,
     narrow_img: Image,
     cfg: FlowConfig | None = None,
+    direction: str = "forward",
 ):
-    """Propagate wide-camera scores into the narrow frame.
+    """Propagate scores between the cameras through the two-stage map.
 
-    Returns (propagated scores, validity mask).  Extras needed for debug
-    dumps are available through share_forward_detailed.
+    direction "forward" pulls wide-camera scores into the narrow frame;
+    "backward" pulls narrow-camera scores into the wide frame by running
+    the same machinery with the camera roles swapped (inverted homography,
+    flow estimated in the opposite direction).
+
+    Returns (propagated scores, validity mask, stage-one warped image,
+    residual flow).
     """
-    propagated, mask, _ = share_forward_detailed(rig, wide_scores, wide_img, narrow_img, cfg)
-    return propagated, mask
-
-
-def share_forward_detailed(rig, wide_scores, wide_img, narrow_img, cfg=None):
-    grid, grid_stage1, warped_wide, flow = two_stage_map_detailed(
-        rig, wide_img, narrow_img, cfg
-    )
-    propagated, mask = warp_raster(wide_scores, grid)
-    extras = {
-        "grid": grid,
-        "grid_stage1": grid_stage1,
-        "stage1_image": warped_wide,
-        "flow": flow,
-    }
-    return propagated, mask, extras
-
-
-def share_backward(
-    rig: CameraRig,
-    narrow_scores: ScoreMap,
-    wide_img: Image,
-    narrow_img: Image,
-    cfg: FlowConfig | None = None,
-):
-    """Propagate narrow-camera scores back into the wide frame by running
-    the same two-stage machinery with the camera roles swapped (inverted
-    homography, flow estimated in the opposite direction)."""
-    propagated, mask, _ = share_backward_detailed(rig, narrow_scores, wide_img, narrow_img, cfg)
-    return propagated, mask
-
-
-def share_backward_detailed(rig, narrow_scores, wide_img, narrow_img, cfg=None):
-    swapped = rig.swapped()
-    grid, grid_stage1, warped_narrow, flow = two_stage_map_detailed(
-        swapped, narrow_img, wide_img, cfg
-    )
-    back, mask = warp_raster(narrow_scores, grid)
-    extras = {
-        "grid": grid,
-        "grid_stage1": grid_stage1,
-        "stage1_image": warped_narrow,
-        "flow": flow,
-    }
-    return back, mask, extras
+    if direction == "forward":
+        rig_in, source_img, target_img = rig, wide_img, narrow_img
+    elif direction == "backward":
+        rig_in, source_img, target_img = rig.swapped(), narrow_img, wide_img
+    else:
+        raise ConfigError(f"share direction must be 'forward' or 'backward', got {direction!r}")
+    grid, _, stage1_image, flow = two_stage_map_detailed(rig_in, source_img, target_img, cfg)
+    propagated, mask = warp_raster(scores, grid)
+    return propagated, mask, stage1_image, flow
 
 
 def run_frame(
@@ -178,20 +143,20 @@ def run_frame(
     """Full closed loop over one synchronized frame pair."""
     rig = _run_stage("config", cfg.load_rig)
     c = wide_scores.num_classes
-    narrow_head = _run_stage("config", lambda: cfg.load_narrow_head(c))
-    wide_head = _run_stage("config", lambda: cfg.load_wide_head(c))
+    narrow_head = _run_stage("config", lambda: load_head(cfg.narrow_head_path, c))
+    wide_head = _run_stage("config", lambda: load_head(cfg.wide_head_path, c))
 
-    propagated, narrow_mask, fwd_extras = _run_stage(
+    propagated, narrow_mask, fwd_stage1, fwd_flow = _run_stage(
         "share_forward",
-        lambda: share_forward_detailed(rig, wide_scores, wide_img, narrow_img, cfg.flow),
+        lambda: share(rig, wide_scores, wide_img, narrow_img, cfg.flow),
     )
     narrow_fused = _run_stage(
         "fuse_narrow",
         lambda: fuse_forward(narrow_head, propagated, narrow_scores, narrow_mask),
     )
-    back, wide_mask, bwd_extras = _run_stage(
+    back, wide_mask, bwd_stage1, bwd_flow = _run_stage(
         "share_backward",
-        lambda: share_backward_detailed(rig, narrow_fused, wide_img, narrow_img, cfg.flow),
+        lambda: share(rig, narrow_fused, wide_img, narrow_img, cfg.flow, "backward"),
     )
     wide_fused = _run_stage(
         "fuse_wide", lambda: fuse_forward(wide_head, back, wide_scores, wide_mask)
@@ -202,8 +167,8 @@ def run_frame(
         intermediates = {
             "propagated": propagated,
             "back_propagated": back,
-            "forward": fwd_extras,
-            "backward": bwd_extras,
+            "forward": {"stage1_image": fwd_stage1, "flow": fwd_flow},
+            "backward": {"stage1_image": bwd_stage1, "flow": bwd_flow},
         }
     return FrameResult(
         narrow_scores=narrow_fused,
@@ -242,9 +207,6 @@ class Benchmark:
 
     def nonplanar(self) -> list[BenchmarkEntry]:
         return [e for e in self.scenes if not e.planar]
-
-    def planar(self) -> list[BenchmarkEntry]:
-        return [e for e in self.scenes if e.planar]
 
 
 def write_benchmark(
@@ -304,11 +266,11 @@ def read_benchmark(root) -> Benchmark:
     scene_size = flow_size = (0, 0)
     scenes: list[BenchmarkEntry] = []
     textures: list[tuple[int, str, int]] = []
-    with open(manifest, "r", encoding="ascii") as f:
-        for raw in f:
-            parts = raw.split()
-            if not parts:
-                continue
+    for raw in read_ascii(manifest).splitlines():
+        parts = raw.split()
+        if not parts:
+            continue
+        try:
             if parts[0] == "seed":
                 seed = int(parts[1])
             elif parts[0] == "size":
@@ -321,6 +283,8 @@ def read_benchmark(root) -> Benchmark:
                 )
             elif parts[0] == "texture":
                 textures.append((int(parts[1]), parts[2], int(parts[4])))
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"malformed manifest line {raw.strip()!r}: {exc}") from exc
     if not scenes and not textures:
         raise ConfigError(f"benchmark manifest {manifest!r} lists no content")
     return Benchmark(str(root), seed, scene_size, flow_size, scenes, textures)
@@ -358,34 +322,33 @@ def _load_pair(bench: Benchmark, entry: BenchmarkEntry):
 
 
 def _pooled_report(label_pairs):
+    """IoU report over the pooled confusion of every pair; pairs with an
+    empty mask (scenes whose views share no pixels) are skipped."""
     cm = None
     for pred, gt, mask in label_pairs:
+        if not np.any(mask):
+            continue
         part = ConfusionMatrix.from_labels(pred, gt, mask, gt.num_classes)
         cm = part if cm is None else cm.add(part)
+    if cm is None:
+        raise MetricUndefinedError("every scene has an empty evaluation mask")
     return cm.iou_report()
 
 
-def _propagation_grids(scene, pair, flow_cfg):
-    grid_pt = grid_from_homography(
-        homography_from_rig(scene.rig), scene.rig.image_size_narrow, scene.rig.image_size_wide
-    )
-    grid_two, _, _, _ = two_stage_map_detailed(
-        scene.rig, pair.wide_image, pair.narrow_image, flow_cfg
-    )
-    return grid_pt, grid_two
-
-
-def ablate_flow(bench: Benchmark, flow_cfg: FlowConfig | None = None) -> AblationTable:
+def ablate_flow(bench: Benchmark) -> AblationTable:
     """Propagated-label quality with the calibrated warp alone versus the
     calibrated warp plus estimated flow, pooled over non-planar scenes."""
-    flow_cfg = flow_cfg or FlowConfig()
     entries = bench.nonplanar()
     if not entries:
         raise ConfigError("benchmark has no non-planar scenes")
     pt_pairs, two_pairs = [], []
     for entry in entries:
         scene, pair = _load_pair(bench, entry)
-        grid_pt, grid_two = _propagation_grids(scene, pair, flow_cfg)
+        rig = scene.rig
+        grid_pt = grid_from_homography(
+            homography_from_rig(rig), rig.image_size_narrow, rig.image_size_wide
+        )
+        grid_two = two_stage_map_detailed(rig, pair.wide_image, pair.narrow_image, FlowConfig())[0]
         lab_pt, m_pt = warp_labels(pair.wide_labels, grid_pt)
         lab_two, m_two = warp_labels(pair.wide_labels, grid_two)
         mask = m_pt & m_two
@@ -405,14 +368,15 @@ def _fusion_dataset(bench, entries, flow_cfg, train_seed_base):
     items = []
     for entry in entries:
         scene, pair = _load_pair(bench, entry)
-        _, grid_two = _propagation_grids(scene, pair, flow_cfg)
         wide_scores = degrade_scores(
             pair.wide_labels,
             sigma=PROPAGATED_SIGMA,
             blur=PROPAGATED_BLUR,
             seed=train_seed_base + 3 * entry.seed + 1,
         )
-        propagated, mask = warp_raster(wide_scores, grid_two)
+        propagated, mask = share(
+            scene.rig, wide_scores, pair.wide_image, pair.narrow_image, flow_cfg
+        )[:2]
         native = degrade_scores(
             pair.narrow_labels,
             sigma=NATIVE_NARROW_SIGMA,
@@ -422,20 +386,15 @@ def _fusion_dataset(bench, entries, flow_cfg, train_seed_base):
     return items
 
 
-def ablate_fusion(
-    bench: Benchmark,
-    flow_cfg: FlowConfig | None = None,
-    train_cfg: TrainConfig | None = None,
-) -> AblationTable:
+def ablate_fusion(bench: Benchmark, train_cfg: TrainConfig | None = None) -> AblationTable:
     """Head-to-head comparison of the fusion wirings against propagated
     scores alone, trained on half the scenes and evaluated on the rest."""
-    flow_cfg = flow_cfg or FlowConfig()
     train_cfg = train_cfg or FUSION_TRAIN
     entries = bench.nonplanar()
     if len(entries) < 2:
         raise ConfigError("fusion ablation needs at least two non-planar scenes")
     half = len(entries) // 2
-    items = _fusion_dataset(bench, entries, flow_cfg, train_seed_base=bench.seed)
+    items = _fusion_dataset(bench, entries, FlowConfig(), train_seed_base=bench.seed)
     train_items, eval_items = items[:half], items[half:]
 
     r_none = _pooled_report([(p.argmax_labels(), gt, m) for p, n, m, gt in eval_items])
@@ -459,14 +418,12 @@ def _overlap_dataset(bench, entries, flow_cfg):
     items = []
     for entry in entries:
         scene, pair = _load_pair(bench, entry)
-        swapped = scene.rig.swapped()
-        grid_back, _, _, _ = two_stage_map_detailed(
-            swapped, pair.narrow_image, pair.wide_image, flow_cfg
-        )
         narrow_scores = degrade_scores(
             pair.narrow_labels, sigma=BACKWARD_NARROW_SIGMA, seed=bench.seed + 5 * entry.seed + 1
         )
-        back, mask = warp_raster(narrow_scores, grid_back)
+        back, mask = share(
+            scene.rig, narrow_scores, pair.wide_image, pair.narrow_image, flow_cfg, "backward"
+        )[:2]
         native_wide = degrade_scores(
             pair.wide_labels,
             sigma=NATIVE_WIDE_SIGMA,
@@ -478,21 +435,17 @@ def _overlap_dataset(bench, entries, flow_cfg):
 
 
 def ablate_overlap(
-    bench: Benchmark,
-    flow_cfg: FlowConfig | None = None,
-    train_cfg: TrainConfig | None = None,
-    variant: str = "basic",
+    bench: Benchmark, train_cfg: TrainConfig | None = None, variant: str = "basic"
 ) -> AblationTable:
     """Wide-branch refinement in the overlap region: back-propagated narrow
     scores (generated at lower degradation) fused with the native wide
     scores, against the native wide scores alone."""
-    flow_cfg = flow_cfg or FlowConfig()
     train_cfg = train_cfg or OVERLAP_TRAIN
     entries = bench.nonplanar()
     if len(entries) < 2:
         raise ConfigError("overlap ablation needs at least two non-planar scenes")
     half = len(entries) // 2
-    items = _overlap_dataset(bench, entries, flow_cfg)
+    items = _overlap_dataset(bench, entries, FlowConfig())
     train_items, eval_items = items[:half], items[half:]
 
     r_native = _pooled_report([(n.argmax_labels(), gt, m) for b, n, m, gt in eval_items])
@@ -508,12 +461,11 @@ def ablate_overlap(
     return AblationTable("overlap", rows, deltas)
 
 
-def ablate_flowquality(bench: Benchmark, flow_cfg: FlowConfig | None = None) -> AblationTable:
+def ablate_flowquality(bench: Benchmark) -> AblationTable:
     """Estimator quality on the random-perspective samples: endpoint error
     plus the unsupervised loss terms, against the zero-flow baseline."""
     from .flow import estimate_flow
 
-    flow_cfg = flow_cfg or FlowConfig(num_levels=5)
     if not bench.textures:
         raise ConfigError("benchmark has no flow textures")
     zero_metrics = {"aepe": [], "l1": [], "ssim": [], "smooth": []}
@@ -528,7 +480,7 @@ def ablate_flowquality(bench: Benchmark, flow_cfg: FlowConfig | None = None) -> 
         crop[my : h - my, mx : w - mx] = True
         eval_mask = crop & mask
         pixels += int(eval_mask.sum())
-        est = estimate_flow(warped, img, flow_cfg)
+        est = estimate_flow(warped, img, FlowConfig(num_levels=5))
         zero = FlowField.zero(img.size)
         zero_metrics["aepe"].append(aepe(gt_flow, zero, eval_mask))
         est_metrics["aepe"].append(aepe(gt_flow, est, eval_mask))
@@ -556,13 +508,11 @@ def run_ablation(suite: str, bench_root, **kwargs) -> AblationTable:
     """Dispatch one named ablation suite against a generated benchmark."""
     bench = read_benchmark(bench_root)
     if suite == "flow":
-        return ablate_flow(bench, kwargs.get("flow_cfg"))
+        return ablate_flow(bench)
     if suite == "fusion":
-        return ablate_fusion(bench, kwargs.get("flow_cfg"), kwargs.get("train_cfg"))
+        return ablate_fusion(bench, kwargs.get("train_cfg"))
     if suite == "overlap":
-        return ablate_overlap(
-            bench, kwargs.get("flow_cfg"), kwargs.get("train_cfg"), kwargs.get("variant", "basic")
-        )
+        return ablate_overlap(bench, kwargs.get("train_cfg"), kwargs.get("variant", "basic"))
     if suite == "flowquality":
-        return ablate_flowquality(bench, kwargs.get("flow_cfg"))
+        return ablate_flowquality(bench)
     raise ConfigError(f"unknown ablation suite {suite!r}; choose from {ABLATION_SUITES}")

@@ -7,6 +7,10 @@ Warping is backward everywhere: a GridMap tells each *target* pixel which
 Validity masks are first class; a grid pixel is valid exactly when its
 source coordinate lands inside the source raster (0..W-1 x 0..H-1,
 inclusive, pixel-center convention).
+
+sample_bilinear is the package's single bilinear kernel: grid warps,
+grid composition, flow's pyramid resize and solver warp, and the
+synthetic flow samples all resample through it.
 """
 
 from __future__ import annotations
@@ -270,22 +274,28 @@ def grid_from_flow(flow: FlowField) -> GridMap:
 
 
 def _bilinear_support(sx, sy, source_size):
-    """Clipped corner indices and fractional weights for bilinear sampling."""
+    """Corner indices and fractional weights for bilinear sampling, with
+    the coordinates clamped to the source raster."""
     w, h = source_size
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    x0c = np.clip(x0, 0, w - 1)
-    x1c = np.clip(x0 + 1, 0, w - 1)
-    y0c = np.clip(y0, 0, h - 1)
-    y1c = np.clip(y0 + 1, 0, h - 1)
-    return x0c, x1c, y0c, y1c, fx, fy
+    fx = np.clip(sx, 0.0, w - 1.0)
+    fy = np.clip(sy, 0.0, h - 1.0)
+    x0 = np.floor(fx).astype(np.int64)
+    y0 = np.floor(fy).astype(np.int64)
+    # in place, so the clamped coordinates need no array of their own
+    fx -= x0
+    fy -= y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    return x0, x1, y0, y1, fx, fy
 
 
-def _bilinear_sample(plane, sx, sy):
+def sample_bilinear(plane, sx, sy):
+    """Bilinearly sample a 2D plane at (sx, sy).
+
+    Coordinates are clamped to the plane (replicate border), and sx/sy
+    broadcast against each other, so a row of xs and a column of ys
+    sample a whole lattice.
+    """
     h, w = plane.shape
     x0, x1, y0, y1, fx, fy = _bilinear_support(sx, sy, (w, h))
     top = (1.0 - fx) * plane[y0, x0] + fx * plane[y0, x1]
@@ -305,8 +315,8 @@ def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:
         raise DimensionError(
             f"outer source size {outer.source_size} != inner target size {inner.size}"
         )
-    sx = _bilinear_sample(inner.sx, outer.sx, outer.sy)
-    sy = _bilinear_sample(inner.sy, outer.sx, outer.sy)
+    sx = sample_bilinear(inner.sx, outer.sx, outer.sy)
+    sy = sample_bilinear(inner.sy, outer.sx, outer.sy)
     x0, x1, y0, y1, fx, fy = _bilinear_support(outer.sx, outer.sy, inner.size)
     zx = fx == 0.0  # fractional parts live in [0, 1): only the x1/y1
     zy = fy == 0.0  # corners can carry zero weight
@@ -326,7 +336,7 @@ def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:
 def _warp_planes(planes, grid: GridMap, fill: float):
     sampled = np.empty((planes.shape[0], grid.height, grid.width))
     for c in range(planes.shape[0]):
-        sampled[c] = _bilinear_sample(planes[c], grid.sx, grid.sy)
+        sampled[c] = sample_bilinear(planes[c], grid.sx, grid.sy)
     return np.where(grid.valid[None], sampled, fill)
 
 

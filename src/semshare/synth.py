@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraRig, Intrinsics, Rotation3, rig_from_text, rig_to_text
+from .camera import CameraRig, Intrinsics, Rotation3, read_ascii, rig_from_text, rig_to_text
 from .errors import ConfigError, DataError
-from .flow import _sample_clamped
-from .raster import FlowField, GridMap, Image, LabelMap, ScoreMap
+from .raster import FlowField, GridMap, Image, LabelMap, ScoreMap, sample_bilinear
 
 CLASS_NAMES = ("background", "road", "person", "car", "barrier", "cycle")
 NUM_CLASSES = len(CLASS_NAMES)
@@ -124,7 +123,7 @@ def flow_sample_from_params(img: Image, focal_factor, tx, ty, theta_deg):
     sy = (b[1, 0] * xs + b[1, 1] * ys + b[1, 2]) / denom
     flow = FlowField(np.stack([sx - xs, sy - ys]))
     mask = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
-    warped = np.stack([_sample_clamped(img.data[c], sx, sy) for c in range(img.channels)])
+    warped = np.stack([sample_bilinear(img.data[c], sx, sy) for c in range(img.channels)])
     return Image(np.clip(warped, 0.0, 1.0)), flow, mask
 
 
@@ -213,14 +212,6 @@ class ScenePair:
     narrow_labels: LabelMap
     grid_to_narrow: GridMap
     grid_to_wide: GridMap
-
-    @property
-    def overlap_narrow(self) -> np.ndarray:
-        return self.grid_to_narrow.valid
-
-    @property
-    def overlap_wide(self) -> np.ndarray:
-        return self.grid_to_wide.valid
 
 
 def _view_rays(cam: Intrinsics, size, rotation: np.ndarray):
@@ -423,7 +414,7 @@ def scene_to_text(scene: SynthScene) -> str:
 def scene_from_text(text: str) -> SynthScene:
     rig_lines = []
     own: dict[str, list[str]] = {}
-    boxes = []
+    box_lines = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -435,16 +426,7 @@ def scene_from_text(text: str) -> SynthScene:
             parts = line.split()
             if len(parts) != 7:
                 raise DataError(f"malformed box line: {line!r}")
-            boxes.append(
-                Box(
-                    depth=float(parts[1]),
-                    x_center=float(parts[2]),
-                    width=float(parts[3]),
-                    height=float(parts[4]),
-                    class_id=int(parts[5]),
-                    texture_seed=int(parts[6]),
-                )
-            )
+            box_lines.append(parts)
         else:
             own[key] = line.split()[1:]
 
@@ -454,6 +436,17 @@ def scene_from_text(text: str) -> SynthScene:
         return own.pop(key)
 
     try:
+        boxes = [
+            Box(
+                depth=float(parts[1]),
+                x_center=float(parts[2]),
+                width=float(parts[3]),
+                height=float(parts[4]),
+                class_id=int(parts[5]),
+                texture_seed=int(parts[6]),
+            )
+            for parts in box_lines
+        ]
         baseline = tuple(float(v) for v in take("baseline", 3))
         height = float(take("ground.height", 1)[0])
         cell = float(take("ground.cell", 1)[0])
@@ -480,8 +473,7 @@ def write_scene(scene: SynthScene, path) -> None:
 
 
 def read_scene(path) -> SynthScene:
-    with open(path, "r", encoding="ascii") as f:
-        return scene_from_text(f.read())
+    return scene_from_text(read_ascii(path))
 
 
 def default_rig(size=(192, 192), yaw_deg: float = 1.5) -> CameraRig:

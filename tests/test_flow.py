@@ -5,7 +5,7 @@ from semshare.camera import CameraRig, Intrinsics, Rotation3
 from semshare.errors import ConfigError, DimensionError
 from semshare.flow import (
     FlowConfig,
-    build_pyramid,
+    _plane_pyramid,
     estimate_flow,
     estimate_flow_detailed,
     flow_to_color,
@@ -57,33 +57,37 @@ class TestConfig:
             FlowConfig(downscale_factor=0.25)
 
 
+def level_sizes(img, cfg):
+    """Pyramid level sizes, finest first, as the flow estimator reports them."""
+    return estimate_flow_detailed(img, img, cfg)[1].level_sizes
+
+
 class TestPyramid:
     def test_level_zero_is_source(self):
         img = Image(value_noise((64, 48), 0)[None])
-        pyr = build_pyramid(img, FlowConfig())
-        assert pyr.levels[0] is img
+        assert level_sizes(img, FlowConfig(iterations_per_level=1))[0] == img.size
 
     def test_sizes_halve_with_rounding(self):
         img = Image(value_noise((100, 70), 1)[None])
-        pyr = build_pyramid(img, FlowConfig(num_levels=3))
-        assert [lvl.size for lvl in pyr.levels] == [(100, 70), (50, 35), (25, 18)]
+        sizes = level_sizes(img, FlowConfig(num_levels=3, iterations_per_level=1))
+        assert sizes == [(100, 70), (50, 35), (25, 18)]
 
     def test_respects_min_level_size(self):
         img = Image(value_noise((64, 64), 2)[None])
-        pyr = build_pyramid(img, FlowConfig(num_levels=8))
-        assert len(pyr.levels) == 3  # 64, 32, 16: next would drop below 16
-        assert min(pyr.levels[-1].size) >= 16
+        sizes = level_sizes(img, FlowConfig(num_levels=8, iterations_per_level=1))
+        assert len(sizes) == 3  # 64, 32, 16: next would drop below 16
+        assert min(sizes[-1]) >= 16
 
     def test_small_input_rejected(self):
         img = Image(np.zeros((1, 8, 8)))
         with pytest.raises(ConfigError):
-            build_pyramid(img, FlowConfig())
+            estimate_flow_detailed(img, img, FlowConfig())
 
     def test_constant_image_stays_constant(self):
-        img = Image(np.full((1, 64, 64), 0.5))
-        pyr = build_pyramid(img, FlowConfig())
-        for lvl in pyr.levels:
-            assert np.allclose(lvl.data, 0.5, atol=1e-12)
+        levels = _plane_pyramid(np.full((64, 64), 0.5), 4, 16)
+        assert len(levels) == 3
+        for lvl in levels:
+            assert np.allclose(lvl, 0.5, atol=1e-12)
 
 
 class TestEstimateFlow:

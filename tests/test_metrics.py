@@ -7,19 +7,15 @@ from semshare.errors import ConfigError, MetricUndefinedError
 from semshare.metrics import (
     ConfusionMatrix,
     EvalReport,
-    LossBreakdown,
-    LossWeights,
     SSIM_C1,
     aepe,
     cross_entropy,
     l1_photometric,
     miou,
-    report_from_text,
     report_to_text,
     smoothness,
     ssim,
-    unsupervised_loss,
-    weighted_total,
+    ssim_loss,
 )
 from semshare.raster import FlowField, Image, LabelMap, ScoreMap
 
@@ -156,29 +152,15 @@ class TestSmoothness:
 
 
 class TestUnsupervisedLoss:
-    def test_default_weights(self):
-        w = LossWeights()
-        assert (w.w1, w.w2, w.w3) == (0.1, 1.0, 1.0)
+    """The photometric, structural and smoothness terms the flowquality
+    ablation reports."""
 
     def test_identical_and_zero_flow(self):
         rng = np.random.default_rng(5)
         img = Image(rng.random((1, 16, 16)))
-        out = unsupervised_loss(img, img, flow_of(0, 0, (16, 16)), LossWeights(), full((16, 16)))
-        assert out.l1 == 0.0 and out.smooth == 0.0
-        assert abs(out.ssim) < 1e-9
-        assert abs(out.total) < 1e-9
-
-    def test_hand_weighted_sum(self):
-        w = LossWeights(0.1, 1.0, 1.0)
-        assert weighted_total(w, 0.3, 0.2, 0.05) == pytest.approx(0.28, abs=1e-12)
-
-    def test_zero_weights_zero_total(self):
-        rng = np.random.default_rng(6)
-        a = Image(rng.random((1, 16, 16)))
-        b = Image(rng.random((1, 16, 16)))
-        f = FlowField(rng.standard_normal((2, 16, 16)))
-        out = unsupervised_loss(a, b, f, LossWeights(0.0, 0.0, 0.0), full((16, 16)))
-        assert out.total == 0.0
+        assert l1_photometric(img, img, full((16, 16))) == 0.0
+        assert smoothness(flow_of(0, 0, (16, 16))) == 0.0
+        assert abs(ssim_loss(img, img)) < 1e-9
 
 
 class TestCrossEntropy:
@@ -276,18 +258,14 @@ class TestConfusionMatrix:
 
 
 class TestReportText:
-    def test_roundtrip(self):
+    def test_golden_text(self):
         report = EvalReport(
-            per_class_iou=[0.5, None, 1.0],
-            mean_iou=0.75,
-            num_classes_in_mean=2,
-            pixels=100,
-            aepe=0.42,
-            losses=LossBreakdown(l1=0.1, ssim=0.2, smooth=0.05, total=0.26),
+            per_class_iou=[0.5, None, 1.0], mean_iou=0.75, num_classes_in_mean=2, pixels=100
         )
-        back = report_from_text(report_to_text(report))
-        assert back.per_class_iou == report.per_class_iou
-        assert back.mean_iou == report.mean_iou
-        assert back.aepe == report.aepe
-        assert back.losses == report.losses
-        assert back.pixels == 100
+        assert report_to_text(report) == (
+            "iou.0 0.5 100\n"
+            "iou.1 undefined 100\n"
+            "iou.2 1.0 100\n"
+            "miou 0.75 2\n"
+            "pixels 100 100\n"
+        )

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from semshare.camera import CameraRig, Rotation3, homography_from_rig, write_rig
-from semshare.errors import ConfigError, PipelineStageError
+from semshare.errors import ConfigError, MetricUndefinedError, PipelineStageError
 from semshare.flow import FlowConfig, two_stage_map
 from semshare.fusion import identity_head, write_head
 from semshare.metrics import miou
@@ -12,12 +14,18 @@ from semshare.pipeline import (
     read_benchmark,
     run_ablation,
     run_frame,
-    share_backward,
-    share_forward,
+    share,
     write_benchmark,
 )
 from semshare.raster import ScoreMap, grid_from_homography, warp_labels
-from semshare.synth import degrade_scores, default_rig, make_scene, render_scene
+from semshare.synth import (
+    default_rig,
+    degrade_scores,
+    make_scene,
+    read_scene,
+    render_scene,
+    write_scene,
+)
 
 FAST_FLOW = FlowConfig()
 
@@ -49,27 +57,30 @@ class TestShareForward:
     def test_degenerate_rig_preserves_scores(self):
         scene, pair = degenerate_scene()
         gt_scores = degrade_scores(pair.wide_labels, sigma=0.0)
-        propagated, mask = share_forward(
+        propagated, mask, _, _ = share(
             scene.rig, gt_scores, pair.wide_image, pair.narrow_image, FAST_FLOW
         )
         report = miou(propagated.argmax_labels(), pair.narrow_labels, mask, 6)
         assert report.mean_iou > 0.99
+        with pytest.raises(ConfigError):
+            share(scene.rig, gt_scores, pair.wide_image, pair.narrow_image, FAST_FLOW, "sideways")
 
     def test_planar_scene_high_quality(self):
         scene = make_scene(801, planar=True)
         pair = render_scene(scene)
         gt_scores = degrade_scores(pair.wide_labels, sigma=0.0)
-        propagated, mask = share_forward(
+        propagated, mask, _, _ = share(
             scene.rig, gt_scores, pair.wide_image, pair.narrow_image, FAST_FLOW
         )
-        report = miou(propagated.argmax_labels(), pair.narrow_labels, mask & pair.overlap_narrow, 6)
+        overlap = mask & pair.grid_to_narrow.valid
+        report = miou(propagated.argmax_labels(), pair.narrow_labels, overlap, 6)
         assert report.mean_iou >= 0.95
 
     def test_planar_two_stage_matches_gt_grid(self):
         scene = make_scene(802, planar=True)
         pair = render_scene(scene)
         grid = two_stage_map(scene.rig, pair.wide_image, pair.narrow_image, FAST_FLOW)
-        both = grid.valid & pair.overlap_narrow
+        both = grid.valid & pair.grid_to_narrow.valid
         err = np.hypot(
             grid.sx - pair.grid_to_narrow.sx, grid.sy - pair.grid_to_narrow.sy
         )[both]
@@ -96,8 +107,8 @@ class TestShareBackward:
     def test_roundtrip_on_degenerate_rig(self):
         scene, pair = degenerate_scene(seed=12)
         gt_scores = degrade_scores(pair.narrow_labels, sigma=0.0)
-        back, mask = share_backward(
-            scene.rig, gt_scores, pair.wide_image, pair.narrow_image, FAST_FLOW
+        back, mask, _, _ = share(
+            scene.rig, gt_scores, pair.wide_image, pair.narrow_image, FAST_FLOW, "backward"
         )
         agree = (back.argmax_labels().data == pair.wide_labels.data)[mask]
         assert agree.mean() >= 0.98
@@ -107,8 +118,8 @@ class TestShareBackward:
         pair = render_scene(scene)
         narrow_scores = degrade_scores(pair.narrow_labels, sigma=0.2, seed=1)
         native_wide = degrade_scores(pair.wide_labels, sigma=0.2, seed=2)
-        back, mask = share_backward(
-            scene.rig, narrow_scores, pair.wide_image, pair.narrow_image, FAST_FLOW
+        back, mask, _, _ = share(
+            scene.rig, narrow_scores, pair.wide_image, pair.narrow_image, FAST_FLOW, "backward"
         )
         fused = __import__("semshare.fusion", fromlist=["fuse_forward"]).fuse_forward(
             identity_head(6), back, native_wide, mask
@@ -121,10 +132,10 @@ class TestShareBackward:
         scene = make_scene(821, planar=True)
         pair = render_scene(scene)
         gt_scores = degrade_scores(pair.narrow_labels, sigma=0.0)
-        back, mask = share_backward(
-            scene.rig, gt_scores, pair.wide_image, pair.narrow_image, FAST_FLOW
+        back, mask, _, _ = share(
+            scene.rig, gt_scores, pair.wide_image, pair.narrow_image, FAST_FLOW, "backward"
         )
-        report = miou(back.argmax_labels(), pair.wide_labels, mask & pair.overlap_wide, 6)
+        report = miou(back.argmax_labels(), pair.wide_labels, mask & pair.grid_to_wide.valid, 6)
         assert report.mean_iou >= 0.95
 
     def test_backward_mask_confined_to_narrow_footprint(self):
@@ -136,8 +147,8 @@ class TestShareBackward:
         scene = make_scene(822, planar=False)
         pair = render_scene(scene)
         narrow_scores = degrade_scores(pair.narrow_labels, sigma=0.2, seed=1)
-        _, mask = share_backward(
-            scene.rig, narrow_scores, pair.wide_image, pair.narrow_image, FAST_FLOW
+        _, mask, _, _ = share(
+            scene.rig, narrow_scores, pair.wide_image, pair.narrow_image, FAST_FLOW, "backward"
         )
         h_inv = invert_homography(homography_from_rig(scene.rig))
         footprint = grid_from_homography(
@@ -248,6 +259,32 @@ def tiny_benchmark(tmp_path_factory):
         flow_size=(96, 96),
     )
     return root
+
+
+def blind_benchmark(root, num_scenes):
+    """A benchmark whose last scene yaws the narrow camera by 80 degrees,
+    so the two views of that scene share no pixels."""
+    bench = write_benchmark(
+        root, seed=6, num_scenes=num_scenes, num_planar=0, num_flow_samples=0,
+        scene_size=(64, 64), flow_size=(64, 64),
+    )
+    path = bench.scene_path(bench.scenes[-1])
+    scene = read_scene(path)
+    write_scene(dataclasses.replace(scene, rig=default_rig((64, 64), yaw_deg=80.0)), path)
+    return bench
+
+
+class TestEmptyMaskScenes:
+    def test_scene_without_overlap_is_skipped(self, tmp_path):
+        bench = blind_benchmark(tmp_path, num_scenes=2)
+        table = ablate_flow(bench)
+        alone = ablate_flow(dataclasses.replace(bench, scenes=bench.scenes[:1]))
+        assert table.to_text() == alone.to_text()
+
+    def test_all_scenes_without_overlap_raise(self, tmp_path):
+        bench = blind_benchmark(tmp_path, num_scenes=1)
+        with pytest.raises(MetricUndefinedError):
+            ablate_flow(bench)
 
 
 class TestBenchmarkAndAblations:

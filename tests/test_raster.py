@@ -13,6 +13,7 @@ from semshare.raster import (
     grid_from_flow,
     grid_from_homography,
     identity_grid,
+    sample_bilinear,
     warp_labels,
     warp_raster,
 )
@@ -82,7 +83,7 @@ class TestTypes:
 
 class TestGridFromHomography:
     def test_identity_equal_sizes(self):
-        g = grid_from_homography(Homography.identity(), (5, 4), (5, 4))
+        g = grid_from_homography(Homography(np.eye(3)), (5, 4), (5, 4))
         xs, ys = np.meshgrid(np.arange(5.0), np.arange(4.0))
         assert np.array_equal(g.sx, xs)
         assert np.array_equal(g.sy, ys)
@@ -196,6 +197,24 @@ class TestWarpRaster:
                 assert out.data[0, y, x] == pytest.approx(
                     bilinear_oracle(plane, sx[y, x], sy[y, x]), abs=1e-12
                 )
+        # out-of-range coordinates clamp to the border, like the oracle's
+        # replicated corners
+        far_x = rng.uniform(-3, 10, size=(4, 4))
+        far_y = rng.uniform(-3, 9, size=(4, 4))
+        out = sample_bilinear(plane, far_x, far_y)
+        for y in range(4):
+            for x in range(4):
+                assert out[y, x] == pytest.approx(
+                    bilinear_oracle(plane, far_x[y, x], far_y[y, x]), abs=1e-12
+                )
+        # a row of xs against a column of ys samples the whole lattice
+        xs = np.array([-0.5, 0.0, 2.25, 6.0, 7.5])
+        ys = np.array([-1.0, 1.5, 5.0])
+        out = sample_bilinear(plane, xs[None, :], ys[:, None])
+        assert out.shape == (3, 5)
+        for y in range(3):
+            for x in range(5):
+                assert out[y, x] == pytest.approx(bilinear_oracle(plane, xs[x], ys[y]), abs=1e-12)
 
     def test_invalid_pixels_hold_fill_exactly(self):
         rng = np.random.default_rng(1)

@@ -98,7 +98,7 @@ class TestSceneRendering:
             texture_seed=9,
         )
         pair = render_scene(scene)
-        assert pair.overlap_narrow.all()
+        assert pair.grid_to_narrow.valid.all()
         xs, ys = np.meshgrid(np.arange(96.0), np.arange(96.0))
         assert np.allclose(pair.grid_to_narrow.sx, xs, atol=1e-9)
         assert np.allclose(pair.grid_to_narrow.sy, ys, atol=1e-9)
@@ -131,7 +131,7 @@ class TestSceneRendering:
         pair = render_scene(scene)
         h = homography_from_rig(scene.rig)
         grid_pt = grid_from_homography(h, scene.rig.image_size_narrow, scene.rig.image_size_wide)
-        both = pair.overlap_narrow & grid_pt.valid
+        both = pair.grid_to_narrow.valid & grid_pt.valid
         residual = np.hypot(
             pair.grid_to_narrow.sx - grid_pt.sx, pair.grid_to_narrow.sy - grid_pt.sy
         )
