@@ -126,15 +126,14 @@ def cmd_train_fusion(args) -> int:
         iterations=args.train_iterations,
         batch_fraction=args.batch_fraction,
         seed=args.seed,
-        init_scale=args.init_scale,
     )
+    head = new_head(args.variant, 6, seed=args.seed, init_scale=args.init_scale)
     flow_cfg = _flow_config(args)
     entries = bench.nonplanar()
     if args.branch == "narrow":
         items = _fusion_dataset(bench, entries, flow_cfg, train_seed_base=bench.seed)
     else:
         items = _overlap_dataset(bench, entries, flow_cfg)
-    head = new_head(args.variant, 6, seed=args.seed, init_scale=args.init_scale)
     trained, losses = train_fusion(head, items, cfg)
     write_head(trained, args.out)
     print(f"trained {args.variant} head written to {args.out} (final loss {losses[-1]:.6f})")

@@ -123,6 +123,8 @@ def new_head(
 ) -> FusionHead:
     """Seeded uniform initialization: weights in [-s, s] with
     s = init_scale / sqrt(fan_in); biases start at zero."""
+    if not 0.0 < init_scale < math.inf:
+        raise ConfigError(f"init scale must be positive and finite, got {init_scale}")
     variant = FusionVariant.resolve(kind, num_classes, hidden)
     rng = np.random.default_rng(seed)
     params = {}
@@ -146,80 +148,108 @@ def identity_head(num_classes: int) -> FusionHead:
 
 # ---------------------------------------------------------------------------
 # Forward / backward on (channels, pixels) matrices
+#
+# The kernels take the input as a (2C, N) matrix of any strides (training
+# passes the transpose of a C-contiguous (N, 2C) row gather) and write every
+# (width, N) intermediate with out= into a workspace dict keyed by name.
+# A caller that reuses one workspace for equal-sized inputs allocates no
+# array after the first call; fresh temporaries of this size cost more in
+# first-touch page faults than the arithmetic they hold.  ReLUs run in
+# place, so ws["z1"], ws["zd"] and ws["r"] (bottleneck) hold post-ReLU
+# values, which are positive exactly where the pre-activations were.
+# Gathers call np.take(..., out=, mode="clip"): with the default "raise"
+# numpy writes through a temporary copy of out.  Every index is in range.
 
 
-def _forward_mat(head: FusionHead, x: np.ndarray):
-    """Forward over a (2C, N) input matrix; returns (output, cache)."""
-    p = head.params
-    if head.variant.kind == "basic":
-        y = p["w"] @ x + p["b"][:, None]
-        return y, {"x": x}
-    if head.variant.kind == "residual":
-        a1 = p["w1"] @ x + p["b1"][:, None]
-        z1 = np.maximum(a1, 0.0)
-        a2 = p["w2"] @ z1 + p["b2"][:, None]
-        s = p["ws"] @ x + p["bs"][:, None]
-        r = a2 + s
-        y = p["wc"] @ r + p["bc"][:, None]
-        return y, {"x": x, "a1": a1, "z1": z1, "r": r}
-    c = head.num_classes
-    prop, nat = x[:c], x[c:]
-    ap = p["wp"] @ prop + p["bp"][:, None]
-    an = p["wn"] @ nat + p["bn"][:, None]
-    s = ap + an
-    d = p["wd"] @ s + p["bd"][:, None]
-    zd = np.maximum(d, 0.0)
-    u = p["wu"] @ zd + p["bu"][:, None]
-    t = s + u
-    r = np.maximum(t, 0.0)
-    y = p["wc"] @ r + p["bc"][:, None]
-    return y, {"x": x, "s": s, "d": d, "zd": zd, "t": t, "r": r}
+def _buf(ws: dict, name: str, shape, dtype=float) -> np.ndarray:
+    """ws[name], created with the given shape on first use."""
+    arr = ws.get(name)
+    if arr is None:
+        arr = ws[name] = np.empty(shape, dtype)
+    return arr
 
 
-def _backward_mat(head: FusionHead, cache: dict, gy: np.ndarray):
-    """Exact gradients of _forward_mat; ReLU subgradient at 0 is 0.
+def _product(a, b, ws: dict, name: str) -> np.ndarray:
+    """ws[name] = a @ b."""
+    return np.matmul(a, b, out=_buf(ws, name, (a.shape[0], b.shape[1])))
 
-    Returns (parameter gradients, input gradient of shape (2C, N)).
-    """
-    p = head.params
-    x = cache["x"]
-    if head.variant.kind == "basic":
-        grads = {"w": gy @ x.T, "b": gy.sum(axis=1)}
-        return grads, p["w"].T @ gy
-    if head.variant.kind == "residual":
-        grads = {}
-        grads["wc"] = gy @ cache["r"].T
-        grads["bc"] = gy.sum(axis=1)
-        gr = p["wc"].T @ gy
-        grads["w2"] = gr @ cache["z1"].T
-        grads["b2"] = gr.sum(axis=1)
-        gz1 = p["w2"].T @ gr
-        ga1 = gz1 * (cache["a1"] > 0.0)
-        grads["w1"] = ga1 @ x.T
-        grads["b1"] = ga1.sum(axis=1)
-        grads["ws"] = gr @ x.T
-        grads["bs"] = gr.sum(axis=1)
-        gx = p["w1"].T @ ga1 + p["ws"].T @ gr
-        return grads, gx
-    c = head.num_classes
-    grads = {}
-    grads["wc"] = gy @ cache["r"].T
-    grads["bc"] = gy.sum(axis=1)
-    gr = p["wc"].T @ gy
-    gt = gr * (cache["t"] > 0.0)
-    grads["wu"] = gt @ cache["zd"].T
-    grads["bu"] = gt.sum(axis=1)
-    gzd = p["wu"].T @ gt
-    gd = gzd * (cache["d"] > 0.0)
-    grads["wd"] = gd @ cache["s"].T
-    grads["bd"] = gd.sum(axis=1)
-    gs = gt + p["wd"].T @ gd
-    grads["wp"] = gs @ x[:c].T
-    grads["bp"] = gs.sum(axis=1)
-    grads["wn"] = gs @ x[c:].T
-    grads["bn"] = gs.sum(axis=1)
-    gx = np.concatenate([p["wp"].T @ gs, p["wn"].T @ gs], axis=0)
-    return grads, gx
+
+def _affine(w, b, x, ws: dict, name: str) -> np.ndarray:
+    """ws[name] = w @ x + b[:, None]."""
+    out = _product(w, x, ws, name)
+    out += b[:, None]
+    return out
+
+
+def _forward_mat(kind: str, p: dict, x: np.ndarray, ws: dict) -> np.ndarray:
+    """Forward of a `kind` head with parameters p over a (2C, N) input;
+    returns the (C, N) output, which lives in ws["y"]."""
+    if kind == "basic":
+        return _affine(p["w"], p["b"], x, ws, "y")
+    if kind == "residual":
+        z1 = _affine(p["w1"], p["b1"], x, ws, "z1")
+        np.maximum(z1, 0.0, out=z1)
+        r = _affine(p["w2"], p["b2"], z1, ws, "r")
+        r += _affine(p["ws"], p["bs"], x, ws, "s")
+        return _affine(p["wc"], p["bc"], r, ws, "y")
+    c = x.shape[0] // 2
+    s = _affine(p["wp"], p["bp"], x[:c], ws, "s")
+    s += _affine(p["wn"], p["bn"], x[c:], ws, "an")
+    zd = _affine(p["wd"], p["bd"], s, ws, "zd")
+    np.maximum(zd, 0.0, out=zd)
+    r = _affine(p["wu"], p["bu"], zd, ws, "r")
+    r += s
+    np.maximum(r, 0.0, out=r)
+    return _affine(p["wc"], p["bc"], r, ws, "y")
+
+
+def _affine_grad(g, x, gw, gb):
+    """Weight and bias gradients of out = w @ x + b given g = d(loss)/d(out)."""
+    np.matmul(g, x.T, out=gw)
+    np.sum(g, axis=1, out=gb)
+
+
+def _relu_grad(g, z, ws: dict, name: str):
+    """g *= (z > 0), the ReLU subgradient at 0 being 0."""
+    on = np.greater(z, 0.0, out=_buf(ws, name, z.shape, bool))
+    np.multiply(g, on, out=g)
+
+
+def _backward_mat(kind: str, p: dict, x: np.ndarray, ws: dict, gy: np.ndarray, grads: dict):
+    """Exact parameter gradients of _forward_mat, written into grads (one
+    array per parameter) from the activations _forward_mat left in ws."""
+    if kind == "basic":
+        _affine_grad(gy, x, grads["w"], grads["b"])
+        return
+    _affine_grad(gy, ws["r"], grads["wc"], grads["bc"])
+    if kind == "residual":
+        gr = _product(p["wc"].T, gy, ws, "gr")
+        _affine_grad(gr, ws["z1"], grads["w2"], grads["b2"])
+        ga1 = _product(p["w2"].T, gr, ws, "ga1")
+        _relu_grad(ga1, ws["z1"], ws, "z1_on")
+        _affine_grad(ga1, x, grads["w1"], grads["b1"])
+        _affine_grad(gr, x, grads["ws"], grads["bs"])
+        return
+    c = x.shape[0] // 2
+    gt = _product(p["wc"].T, gy, ws, "gt")
+    _relu_grad(gt, ws["r"], ws, "r_on")
+    _affine_grad(gt, ws["zd"], grads["wu"], grads["bu"])
+    gd = _product(p["wu"].T, gt, ws, "gd")
+    _relu_grad(gd, ws["zd"], ws, "zd_on")
+    _affine_grad(gd, ws["s"], grads["wd"], grads["bd"])
+    gs = _product(p["wd"].T, gd, ws, "gs")
+    gs += gt
+    _affine_grad(gs, x[:c], grads["wp"], grads["bp"])
+    _affine_grad(gs, x[c:], grads["wn"], grads["bn"])
+
+
+def _input_grad(kind: str, p: dict, ws: dict, gy: np.ndarray) -> np.ndarray:
+    """(2C, N) input gradient from the gradients _backward_mat left in ws."""
+    if kind == "basic":
+        return p["w"].T @ gy
+    if kind == "residual":
+        return p["w1"].T @ ws["ga1"] + p["ws"].T @ ws["gr"]
+    return np.concatenate([p["wp"].T @ ws["gs"], p["wn"].T @ ws["gs"]], axis=0)
 
 
 def _check_inputs(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask):
@@ -235,14 +265,18 @@ def _check_inputs(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask
     return mask
 
 
+def _stacked(propagated: ScoreMap, native: ScoreMap) -> np.ndarray:
+    """The two score maps as one C-contiguous (2C, H*W) matrix."""
+    c, h, w = propagated.data.shape
+    return np.concatenate([propagated.data, native.data], axis=0).reshape(2 * c, h * w)
+
+
 def fuse_forward(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask) -> ScoreMap:
     """Apply the head per pixel; invalid pixels return the native scores
     unchanged."""
     mask = _check_inputs(head, propagated, native, mask)
-    c, h, w = propagated.data.shape
-    x = np.concatenate([propagated.data, native.data], axis=0).reshape(2 * c, h * w)
-    y, _ = _forward_mat(head, x)
-    fused = y.reshape(c, h, w)
+    y = _forward_mat(head.variant.kind, head.params, _stacked(propagated, native), {})
+    fused = y.reshape(propagated.data.shape)
     return ScoreMap(np.where(mask[None], fused, native.data))
 
 
@@ -258,11 +292,14 @@ def fuse_backward(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask
     if grad_out.shape != propagated.data.shape:
         raise DimensionError("grad_out must match the score map shape")
     c, h, w = propagated.data.shape
-    x = np.concatenate([propagated.data, native.data], axis=0).reshape(2 * c, h * w)
-    _, cache = _forward_mat(head, x)
+    kind, p = head.variant.kind, head.params
+    x = _stacked(propagated, native)
+    ws = {}
+    _forward_mat(kind, p, x, ws)
     gy = (grad_out * mask[None]).reshape(c, h * w)
-    grads, gx = _backward_mat(head, cache, gy)
-    gx = gx.reshape(2 * c, h, w)
+    grads = {name: np.empty_like(arr) for name, arr in p.items()}
+    _backward_mat(kind, p, x, ws, gy, grads)
+    gx = _input_grad(kind, p, ws, gy).reshape(2 * c, h, w)
     return grads, (gx[:c], gx[c:])
 
 
@@ -276,7 +313,6 @@ class TrainConfig:
     iterations: int = 2000
     batch_fraction: float = 0.25
     seed: int = 0
-    init_scale: float = 0.1
 
     def __post_init__(self):
         if not self.learning_rate >= 0.0:
@@ -285,42 +321,62 @@ class TrainConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.batch_fraction <= 1.0:
             raise ConfigError(f"batch fraction must be in (0, 1], got {self.batch_fraction}")
-        if not self.init_scale > 0.0:
-            raise ConfigError(f"init scale must be positive, got {self.init_scale}")
 
 
 def _flatten_dataset(head: FusionHead, dataset):
-    xs, ys = [], []
+    """Valid pixels of every item as one C-contiguous (N, 2C) matrix, in
+    item then raster order, plus their labels."""
     c = head.num_classes
+    valid = []
     for propagated, native, mask, gt in dataset:
         mask = _check_inputs(head, propagated, native, mask)
         if not isinstance(gt, LabelMap) or gt.size != propagated.size:
             raise DimensionError("ground-truth labels must match the score maps")
         if gt.num_classes != c:
             raise DimensionError("ground-truth labels disagree on the class count")
-        flat_mask = mask.reshape(-1)
-        x = np.concatenate([propagated.data, native.data], axis=0).reshape(2 * c, -1)
-        xs.append(x[:, flat_mask])
-        ys.append(gt.data.reshape(-1)[flat_mask])
-    x = np.concatenate(xs, axis=1)
-    y = np.concatenate(ys)
-    if x.shape[1] == 0:
+        valid.append(np.flatnonzero(mask))
+    n = sum(len(pixels) for pixels in valid)
+    if n == 0:
         raise ConfigError("training dataset has no valid pixels")
+    x = np.empty((n, 2 * c))
+    y = np.empty(n, np.intp)
+    rows = np.empty((max(gt.data.size for *_, gt in dataset), 2 * c))
+    start = 0
+    for (propagated, native, _, gt), pixels in zip(dataset, valid):
+        item = rows[: gt.data.size]
+        item[:, :c] = propagated.data.reshape(c, -1).T
+        item[:, c:] = native.data.reshape(c, -1).T
+        stop = start + len(pixels)
+        np.take(item, pixels, axis=0, out=x[start:stop], mode="clip")
+        y[start:stop] = gt.data.reshape(-1)[pixels]
+        start = stop
     return x, y
 
 
-def _softmax_ce(scores: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over columns plus its gradient wrt the scores."""
-    m = scores.max(axis=0)
-    exp = np.exp(scores - m[None])
-    norm = exp.sum(axis=0)
-    probs = exp / norm[None]
-    n = scores.shape[1]
-    picked = scores[labels, np.arange(n)]
-    loss = float(np.sum(np.log(norm) + m - picked) / n)
-    grad = probs
-    grad[labels, np.arange(n)] -= 1.0
-    return loss, grad / n
+def _softmax_ce(y: np.ndarray, labels: np.ndarray, ws: dict) -> float:
+    """Mean cross-entropy over the columns of the (C, N) scores y; y is
+    overwritten with the gradient of the loss wrt the scores."""
+    n = y.shape[1]
+    if "columns" not in ws:
+        ws["columns"] = np.arange(n)
+    at = np.multiply(labels, n, out=_buf(ws, "label_at", (n,), np.intp))
+    at += ws["columns"]
+    flat = y.reshape(-1)
+    picked = np.take(flat, at, out=_buf(ws, "picked", (n,)), mode="clip")
+    m = np.max(y, axis=0, out=_buf(ws, "max", (n,)))
+    np.subtract(y, m, out=y)
+    np.exp(y, out=y)
+    norm = np.sum(y, axis=0, out=_buf(ws, "norm", (n,)))
+    np.divide(y, norm, out=y)
+    nll = np.log(norm, out=norm)
+    nll += m
+    nll -= picked
+    loss = float(np.sum(nll) / n)
+    np.take(flat, at, out=picked, mode="clip")
+    picked -= 1.0
+    np.put(flat, at, picked)
+    np.divide(y, n, out=y)
+    return loss
 
 
 def train_fusion(head: FusionHead, dataset, cfg: TrainConfig):
@@ -328,31 +384,44 @@ def train_fusion(head: FusionHead, dataset, cfg: TrainConfig):
 
     dataset is a list of (propagated ScoreMap, native ScoreMap, mask,
     ground-truth LabelMap).  Returns (trained head, per-iteration loss).
+    The parameters, their gradients and every per-pixel intermediate live
+    in buffers made for this call, so steps after the first allocate
+    nothing of batch size but the generator's index draw.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
     x_all, y_all = _flatten_dataset(head, dataset)
-    n = x_all.shape[1]
+    n = len(y_all)
     batch = max(1, int(round(cfg.batch_fraction * n)))
     rng = np.random.default_rng(cfg.seed)
+    kind = head.variant.kind
     params = {name: arr.copy() for name, arr in head.params.items()}
-    work = head.replace_params(params)
+    grads = {name: np.empty_like(arr) for name, arr in params.items()}
+    ws = {}
+    if batch < n:
+        xb, yb = np.empty((batch, x_all.shape[1])), np.empty(batch, y_all.dtype)
+    else:
+        xb, yb = x_all, y_all
+    x = xb.T
     losses = []
     for _ in range(cfg.iterations):
-        idx = rng.integers(0, n, size=batch) if batch < n else np.arange(n)
-        xb, yb = x_all[:, idx], y_all[idx]
-        out, cache = _forward_mat(work, xb)
-        loss, grad_out = _softmax_ce(out, yb)
+        if batch < n:
+            idx = rng.integers(0, n, size=batch)
+            np.take(x_all, idx, axis=0, out=xb, mode="clip")
+            np.take(y_all, idx, out=yb, mode="clip")
+        y = _forward_mat(kind, params, x, ws)
+        loss = _softmax_ce(y, yb, ws)
         if not math.isfinite(loss):
             raise TrainingError(f"training diverged: loss became {loss}")
         losses.append(loss)
-        grads, _ = _backward_mat(work, cache, grad_out)
-        params = {name: params[name] - cfg.learning_rate * grads[name] for name in params}
-        for arr in params.values():
+        _backward_mat(kind, params, x, ws, y, grads)
+        for name, arr in params.items():
+            step = grads[name]
+            step *= cfg.learning_rate
+            arr -= step
             if not np.all(np.isfinite(arr)):
                 raise TrainingError("training diverged: parameters became non-finite")
-        work = head.replace_params(params)
-    return work, losses
+    return head.replace_params(params), losses
 
 
 # ---------------------------------------------------------------------------

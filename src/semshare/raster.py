@@ -253,14 +253,24 @@ def grid_from_homography(h: Homography, target_size, source_size) -> GridMap:
     """Backward grid for warping by a source->target homography.
 
     Each target pixel looks up h^-1(p); pixels whose source coordinate
-    leaves the source raster (or hits the plane at infinity) are invalid.
+    leaves the source raster, hits the plane at infinity or lies behind
+    the source camera are invalid.
+
+    A rig's homography K_target R inv(K_source) has a positive determinant
+    (positive focals, proper rotation).  Scaled to a positive determinant,
+    the inverse is a positive multiple of K_source R^T inv(K_target), so
+    its projective denominator at p is the source-camera depth of the
+    target pixel's ray times a positive factor.  The h[2,2] normalization
+    may negate the stored matrix, but that negates its determinant too.
     """
     if target_size[0] < 1 or target_size[1] < 1 or source_size[0] < 1 or source_size[1] < 1:
         raise DimensionError("grid sizes must be positive")
     h_inv = invert_homography(h)
     xs, ys = _lattice(target_size)
     sx, sy, finite = apply_homography_arrays(h_inv, xs, ys)
-    valid = finite & _in_bounds(sx, sy, source_size)
+    m = h_inv.h
+    depth = (m[2, 0] * xs + m[2, 1] * ys + m[2, 2]) * np.sign(np.linalg.det(m))
+    valid = finite & (depth > 0.0) & _in_bounds(sx, sy, source_size)
     return GridMap(sx, sy, valid, source_size)
 
 

@@ -189,6 +189,18 @@ class TestTrainAndRun:
         assert code == 0
         assert "miou" in report_path.read_text()
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "inf"])
+    def test_bad_init_scale_is_config_error(self, bench_dir, tmp_path, scale):
+        head_path = tmp_path / "head.bin"
+        code = main(
+            [
+                "train-fusion", "--bench", str(bench_dir), "--out", str(head_path),
+                "--init-scale", scale,
+            ]
+        )
+        assert code == 2
+        assert not head_path.exists()
+
     def test_run_rerun_byte_identical(self, bench_dir, scene_files, tmp_path):
         trees = []
         for name in ("r1", "r2"):

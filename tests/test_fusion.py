@@ -46,11 +46,12 @@ def run_fd_check(kind, seed, c=3, size=4, per_param=6, eps=1e-4, tol=1e-4):
     grads, _ = fuse_backward(head, propagated, native, mask, grad_out)
     x = np.concatenate([propagated.data, native.data], axis=0).reshape(2 * c, -1)
 
+    relu_outputs = {"basic": (), "residual": ("z1",), "bottleneck": ("zd", "r")}[kind]
+
     def evaluate(h):
-        out, cache = _forward_mat(h, x)
-        pattern = tuple(
-            (cache[key] > 0.0).tobytes() for key in ("a1", "d", "t") if key in cache
-        )
+        ws = {}
+        out = _forward_mat(kind, h.params, x, ws)
+        pattern = tuple((ws[key] > 0.0).tobytes() for key in relu_outputs)
         value = float(np.sum(out.reshape(c, size, size) * grad_out * mask[None]))
         return value, pattern
 
@@ -92,6 +93,85 @@ def forward_oracle(head, prop_vec, nat_vec):
     zd = np.maximum(p["wd"] @ s + p["bd"], 0.0)
     t = s + (p["wu"] @ zd + p["bu"])
     return p["wc"] @ np.maximum(t, 0.0) + p["bc"]
+
+
+# Reference trainer: the allocate-everything channel-major SGD loop that the
+# workspace trainer replaced.  train_fusion must reproduce it bit for bit.
+
+
+def reference_forward(head, x):
+    p = head.params
+    if head.variant.kind == "basic":
+        return p["w"] @ x + p["b"][:, None], {"x": x}
+    if head.variant.kind == "residual":
+        a1 = p["w1"] @ x + p["b1"][:, None]
+        z1 = np.maximum(a1, 0.0)
+        a2 = p["w2"] @ z1 + p["b2"][:, None]
+        s = p["ws"] @ x + p["bs"][:, None]
+        r = a2 + s
+        return p["wc"] @ r + p["bc"][:, None], {"x": x, "a1": a1, "z1": z1, "r": r}
+    c = head.num_classes
+    s = (p["wp"] @ x[:c] + p["bp"][:, None]) + (p["wn"] @ x[c:] + p["bn"][:, None])
+    d = p["wd"] @ s + p["bd"][:, None]
+    zd = np.maximum(d, 0.0)
+    t = s + (p["wu"] @ zd + p["bu"][:, None])
+    r = np.maximum(t, 0.0)
+    y = p["wc"] @ r + p["bc"][:, None]
+    return y, {"x": x, "s": s, "d": d, "zd": zd, "t": t, "r": r}
+
+
+def reference_backward(head, cache, gy):
+    p = head.params
+    x = cache["x"]
+    if head.variant.kind == "basic":
+        return {"w": gy @ x.T, "b": gy.sum(axis=1)}
+    g = {"wc": gy @ cache["r"].T, "bc": gy.sum(axis=1)}
+    if head.variant.kind == "residual":
+        gr = p["wc"].T @ gy
+        g["w2"], g["b2"] = gr @ cache["z1"].T, gr.sum(axis=1)
+        ga1 = (p["w2"].T @ gr) * (cache["a1"] > 0.0)
+        g["w1"], g["b1"] = ga1 @ x.T, ga1.sum(axis=1)
+        g["ws"], g["bs"] = gr @ x.T, gr.sum(axis=1)
+        return g
+    c = head.num_classes
+    gt = (p["wc"].T @ gy) * (cache["t"] > 0.0)
+    g["wu"], g["bu"] = gt @ cache["zd"].T, gt.sum(axis=1)
+    gd = (p["wu"].T @ gt) * (cache["d"] > 0.0)
+    g["wd"], g["bd"] = gd @ cache["s"].T, gd.sum(axis=1)
+    gs = gt + p["wd"].T @ gd
+    g["wp"], g["bp"] = gs @ x[:c].T, gs.sum(axis=1)
+    g["wn"], g["bn"] = gs @ x[c:].T, gs.sum(axis=1)
+    return g
+
+
+def reference_train(head, dataset, cfg):
+    c = head.num_classes
+    xs, ys = [], []
+    for propagated, native, mask, gt in dataset:
+        x = np.concatenate([propagated.data, native.data], axis=0).reshape(2 * c, -1)
+        xs.append(x[:, mask.reshape(-1)])
+        ys.append(gt.data.reshape(-1)[mask.reshape(-1)])
+    x_all, y_all = np.concatenate(xs, axis=1), np.concatenate(ys)
+    n = x_all.shape[1]
+    batch = max(1, int(round(cfg.batch_fraction * n)))
+    rng = np.random.default_rng(cfg.seed)
+    params = {name: arr.copy() for name, arr in head.params.items()}
+    work, losses = head, []
+    for _ in range(cfg.iterations):
+        idx = rng.integers(0, n, size=batch) if batch < n else np.arange(n)
+        xb, yb = x_all[:, idx], y_all[idx]
+        out, cache = reference_forward(work, xb)
+        m = out.max(axis=0)
+        exp = np.exp(out - m[None])
+        norm = exp.sum(axis=0)
+        probs = exp / norm[None]
+        cols = np.arange(xb.shape[1])
+        losses.append(float(np.sum(np.log(norm) + m - out[yb, cols]) / xb.shape[1]))
+        probs[yb, cols] -= 1.0
+        grads = reference_backward(work, cache, probs / xb.shape[1])
+        params = {name: params[name] - cfg.learning_rate * grads[name] for name in params}
+        work = head.replace_params(params)
+    return work, losses
 
 
 class TestForward:
@@ -276,6 +356,64 @@ class TestTraining:
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
 
+    @pytest.mark.parametrize("kind", VARIANTS)
+    @pytest.mark.parametrize("batch_fraction", [0.3, 1.0])
+    def test_matches_reference_trainer_bit_for_bit(self, kind, batch_fraction):
+        rng = np.random.default_rng(54)
+        dataset = []
+        for h, w in ((9, 7), (6, 11)):
+            gt = LabelMap(rng.integers(0, 3, (h, w)), 3)
+            native = ScoreMap(gt.one_hot(2.0).data + rng.standard_normal((3, h, w)))
+            propagated = ScoreMap(rng.standard_normal((3, h, w)))
+            dataset.append((propagated, native, rng.random((h, w)) < 0.6, gt))
+        head = new_head(kind, 3, seed=55, init_scale=0.5)
+        cfg = TrainConfig(learning_rate=0.3, iterations=25, batch_fraction=batch_fraction, seed=56)
+        trained, losses = train_fusion(head, dataset, cfg)
+        expected, expected_losses = reference_train(head, dataset, cfg)
+        assert np.array_equal(losses, expected_losses)
+        for name in head.params:
+            assert np.array_equal(trained.params[name], expected.params[name]), name
+
+    @pytest.mark.parametrize("kind", VARIANTS)
+    def test_results_share_no_memory_with_workspaces(self, kind, monkeypatch):
+        from semshare import fusion
+
+        # every parameter dict and workspace the kernel sees
+        buffers = []
+        kernel = fusion._forward_mat
+
+        def recording(kind_, p, x, ws):
+            out = kernel(kind_, p, x, ws)
+            buffers.extend(ws.values())
+            if p is not trained_params:
+                buffers.extend(p.values())
+            return out
+
+        monkeypatch.setattr(fusion, "_forward_mat", recording)
+        trained_params = None
+        cfg = TrainConfig(learning_rate=0.05, iterations=5, batch_fraction=0.5, seed=57)
+        trained, losses = train_fusion(new_head(kind, 3, seed=58), self.make_dataset(59), cfg)
+        trained_params = trained.params
+        propagated, native, mask, _ = self.make_dataset(60)[0]
+        fused = fuse_forward(trained, propagated, native, mask)
+        assert len(buffers) > len(trained.params)
+        for result in (*trained.params.values(), fused.data):
+            assert not any(np.shares_memory(result, buf) for buf in buffers)
+
+        kept = {name: arr.copy() for name, arr in trained.params.items()}
+        kept_fused = fused.data.copy()
+        other_propagated, other_native, _, _ = self.make_dataset(61)[0]
+        fuse_forward(trained, other_propagated, other_native, mask)
+        again, again_losses = train_fusion(
+            new_head(kind, 3, seed=58), self.make_dataset(59), cfg
+        )
+        train_fusion(new_head(kind, 3, seed=62), self.make_dataset(63), cfg)
+        assert np.array_equal(fused.data, kept_fused)
+        assert again_losses == losses
+        for name, arr in kept.items():
+            assert np.array_equal(trained.params[name], arr)
+            assert np.array_equal(again.params[name], arr)
+
     def test_zero_learning_rate_keeps_params(self):
         dataset = self.make_dataset(48)
         head = new_head("residual", 3, seed=49)
@@ -283,6 +421,11 @@ class TestTraining:
         trained, _ = train_fusion(head, dataset, cfg)
         for name in head.params:
             assert np.array_equal(trained.params[name], head.params[name])
+
+    @pytest.mark.parametrize("scale", [0.0, -0.1, float("nan"), float("inf")])
+    def test_new_head_rejects_bad_init_scale(self, scale):
+        with pytest.raises(ConfigError):
+            new_head("basic", 3, init_scale=scale)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):

@@ -102,6 +102,50 @@ class TestGridFromHomography:
         g = grid_from_homography(Homography(m), (w, 6), (w, 6))
         assert not g.valid.any()
 
+    @staticmethod
+    def yawed_rig(yaw_deg):
+        import dataclasses
+        import math
+
+        from semshare.camera import Rotation3
+        from semshare.synth import make_scene
+
+        rig = make_scene(3, size=(96, 96)).rig
+        rotation = Rotation3.axis_angle((0.0, 1.0, 0.0), math.radians(yaw_deg))
+        return dataclasses.replace(rig, rotation_wide_to_narrow=rotation)
+
+    @staticmethod
+    def rig_grid(rig):
+        from semshare.camera import homography_from_rig
+
+        return grid_from_homography(
+            homography_from_rig(rig), rig.image_size_narrow, rig.image_size_wide
+        )
+
+    @pytest.mark.parametrize("yaw_deg", [120.0, 150.0, 180.0])
+    def test_rays_behind_the_source_camera_are_invalid(self, yaw_deg):
+        # at these yaws every narrow ray points away from the wide camera
+        assert not self.rig_grid(self.yawed_rig(yaw_deg)).valid.any()
+
+    @pytest.mark.parametrize("yaw_deg", [0.0, 40.0, 80.0, 100.0, 120.0, 150.0, -135.0])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_validity_is_in_front_and_in_bounds(self, yaw_deg, swap):
+        rig = self.yawed_rig(yaw_deg)
+        rig = rig.swapped() if swap else rig
+        g = self.rig_grid(rig)
+        w, h = rig.image_size_narrow
+        ys, xs = np.mgrid[0:h, 0:w]
+        rays = np.stack([xs, ys, np.ones_like(xs)]).reshape(3, -1).astype(float)
+        in_source = (
+            rig.rotation_wide_to_narrow.r.T @ rig.cam_narrow.inverse_matrix() @ rays
+        )
+        px = rig.cam_wide.matrix() @ in_source
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sx, sy = px[0] / px[2], px[1] / px[2]
+        sw, sh = rig.image_size_wide
+        expected = (in_source[2] > 0) & (sx >= 0) & (sx <= sw - 1) & (sy >= 0) & (sy <= sh - 1)
+        assert np.array_equal(g.valid.reshape(-1), expected)
+
 
 class TestGridFromFlow:
     def test_zero_flow_identity(self):
