@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,6 +43,8 @@ from .fusion import TrainConfig, new_head, train_fusion, write_head
 from .metrics import miou, report_to_text
 from .pipeline import (
     ABLATION_SUITES,
+    FUSION_TRAIN,
+    OVERLAP_TRAIN,
     PipelineConfig,
     read_benchmark,
     run_ablation,
@@ -146,7 +149,6 @@ def cmd_run(args) -> int:
         flow=_flow_config(args),
         narrow_head_path=args.narrow_head,
         wide_head_path=args.wide_head,
-        dump_intermediates=args.dump_intermediates,
     )
     wide_img = read_image(args.wide_image)
     narrow_img = read_image(args.narrow_image)
@@ -170,7 +172,7 @@ def cmd_run(args) -> int:
         write_mask(result.wide_mask, path("eval_mask.pgm"))
     else:
         write_mask(np.ones_like(result.wide_mask), path("eval_mask.pgm"))
-    if result.intermediates is not None:
+    if args.dump_intermediates:
         write_image(result.intermediates["forward"]["stage1_image"], path("stage1_forward.pgm"))
         write_image(result.intermediates["backward"]["stage1_image"], path("stage1_backward.pgm"))
         write_flo(result.intermediates["forward"]["flow"], path("flow_forward.flo"))
@@ -183,12 +185,16 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     kwargs = {}
-    if args.suite in ("fusion", "overlap") and args.train_iterations is not None:
-        kwargs["train_cfg"] = TrainConfig(
-            learning_rate=args.lr,
-            iterations=args.train_iterations,
-            batch_fraction=args.batch_fraction,
-            seed=args.seed,
+    if args.suite in ("fusion", "overlap"):
+        flags = {
+            "learning_rate": args.lr,
+            "iterations": args.train_iterations,
+            "batch_fraction": args.batch_fraction,
+            "seed": args.seed,
+        }
+        preset = FUSION_TRAIN if args.suite == "fusion" else OVERLAP_TRAIN
+        kwargs["train_cfg"] = replace(
+            preset, **{name: value for name, value in flags.items() if value is not None}
         )
     if args.suite == "overlap":
         kwargs["variant"] = args.variant
@@ -290,11 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=ABLATION_SUITES)
     p.add_argument("--bench", required=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--variant", choices=("basic", "residual", "bottleneck"), default="basic")
-    p.add_argument("--lr", type=float, default=0.25)
-    p.add_argument("--train-iterations", type=int, default=None)
-    p.add_argument("--batch-fraction", type=float, default=0.1)
+    # training flags of the fusion and overlap suites; unset ones keep the preset
+    p.add_argument("--seed", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--train-iterations", type=int)
+    p.add_argument("--batch-fraction", type=float)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="mIoU of predicted labels against ground truth")
@@ -307,34 +314,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_status(exc) -> tuple[int, str]:
+    """Exit code and message prefix for an error a command raised; a
+    pipeline stage error exits with the code of its cause."""
+    if isinstance(exc, PipelineStageError):
+        return _exit_status(exc.cause)[0], "pipeline error"
+    if isinstance(exc, (ConfigError, CalibrationError)):
+        return 2, "config error"
+    if isinstance(exc, (DataError, DimensionError, OSError)):
+        return 3, "data error"
+    if isinstance(exc, (PointAtInfinityError, MetricUndefinedError, TrainingError)):
+        return 4, "numeric error"
+    return 4, "error"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, CalibrationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except (DataError, DimensionError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except PipelineStageError as exc:
-        print(f"pipeline error: {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, (ConfigError, CalibrationError)):
-            return 2
-        if isinstance(cause, (DataError, DimensionError)):
-            return 3
-        return 4
-    except (PointAtInfinityError, MetricUndefinedError, TrainingError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
-    except SemShareError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except (SemShareError, OSError) as exc:
+        code, prefix = _exit_status(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ class FlowConfig:
     num_levels: int = 4
     iterations_per_level: int = 50
     smoothness_weight: float = 15.0
-    downscale_factor: float = 0.5
     min_level_size: int = 16
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class FlowConfig:
             raise ConfigError(f"iterations_per_level must be >= 1, got {self.iterations_per_level}")
         if not self.smoothness_weight > 0.0:
             raise ConfigError(f"smoothness_weight must be positive, got {self.smoothness_weight}")
-        if self.downscale_factor != 0.5:
-            raise ConfigError("downscale_factor is fixed at 0.5")
         if self.min_level_size < 2:
             raise ConfigError(f"min_level_size must be >= 2, got {self.min_level_size}")
 
@@ -111,7 +108,8 @@ def _downsample(plane: np.ndarray) -> np.ndarray:
 
 
 def _plane_pyramid(plane: np.ndarray, num_levels: int, min_size: int) -> list[np.ndarray]:
-    """Finest-to-coarsest pyramid of raw planes; level 0 is `plane` itself."""
+    """Finest-to-coarsest pyramid of raw planes, halving each level; level 0
+    is `plane` itself."""
     levels = [plane]
     while len(levels) < num_levels:
         h, w = levels[-1].shape
@@ -300,14 +298,11 @@ def _color_wheel() -> np.ndarray:
     return _COLOR_WHEEL
 
 
-def flow_to_color(flow: FlowField, max_magnitude: float | None = None) -> Image:
+def flow_to_color(flow: FlowField) -> Image:
     """Color-code a flow field with the standard wheel (hue = direction,
-    saturation = magnitude)."""
+    saturation = magnitude relative to the field's largest)."""
     u, v = flow.dx, flow.dy
-    mag = np.sqrt(u * u + v * v)
-    if max_magnitude is None:
-        max_magnitude = float(mag.max())
-    scale = max(max_magnitude, 1e-9)
+    scale = max(float(np.sqrt(u * u + v * v).max()), 1e-9)
     un, vn = u / scale, v / scale
     mag_n = np.minimum(np.sqrt(un * un + vn * vn), 1.0)
     wheel = _color_wheel()

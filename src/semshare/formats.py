@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError
 from .raster import FlowField, Image, LabelMap, ScoreMap
 
 FLO_MAGIC = np.float32(202021.25)  # spells "PIEH" in ASCII
@@ -35,29 +35,13 @@ def _quantize(values):
     return np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
 
 
-def write_pgm(img: Image, path) -> None:
-    if img.channels != 1:
-        raise DimensionError("PGM stores single-channel images")
-    payload = _quantize(img.data[0])
-    with open(path, "wb") as f:
-        f.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
-        f.write(payload.tobytes())
-
-
-def write_ppm(img: Image, path) -> None:
-    if img.channels != 3:
-        raise DimensionError("PPM stores three-channel images")
+def write_image(img: Image, path) -> None:
+    """PGM (P5) for a single-channel image, PPM (P6) for three channels."""
+    magic = "P5" if img.channels == 1 else "P6"
     payload = _quantize(np.transpose(img.data, (1, 2, 0)))
     with open(path, "wb") as f:
-        f.write(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"))
+        f.write(f"{magic}\n{img.width} {img.height}\n255\n".encode("ascii"))
         f.write(payload.tobytes())
-
-
-def write_image(img: Image, path) -> None:
-    if img.channels == 1:
-        write_pgm(img, path)
-    else:
-        write_ppm(img, path)
 
 
 def _read_pnm_tokens(f, count):
@@ -110,8 +94,7 @@ def read_image(path) -> Image:
 
 def write_mask(mask: np.ndarray, path) -> None:
     """Store a boolean mask as a PGM with 0/255 pixels."""
-    img = Image(mask.astype(float))
-    write_pgm(img, path)
+    write_image(Image(mask.astype(float)), path)
 
 
 def read_mask(path) -> np.ndarray:

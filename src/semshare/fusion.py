@@ -36,9 +36,10 @@ class FusionVariant:
     """Head topology plus its resolved hidden width.
 
     For the residual wiring `hidden` is the width of the inner layers
-    (default 2C); for the bottleneck wiring it is the squeezed width
-    (default ceil(C / expansion) with expansion 2).  The basic wiring has
-    no hidden layer and stores 0.
+    (2C); for the bottleneck wiring it is the squeezed width
+    (ceil(C / expansion) with expansion 2).  The basic wiring has no
+    hidden layer and stores 0.  Head files carry the width, so a head read
+    from disk may hold any positive one.
     """
 
     kind: str
@@ -51,15 +52,13 @@ class FusionVariant:
             raise ConfigError(f"{self.kind} fusion needs a positive hidden width")
 
     @staticmethod
-    def resolve(kind: str, num_classes: int, hidden: int | None = None) -> "FusionVariant":
+    def resolve(kind: str, num_classes: int) -> "FusionVariant":
         if kind == "basic":
             return FusionVariant("basic", 0)
         if kind == "residual":
-            return FusionVariant("residual", hidden or 2 * num_classes)
+            return FusionVariant("residual", 2 * num_classes)
         if kind == "bottleneck":
-            return FusionVariant(
-                "bottleneck", hidden or math.ceil(num_classes / BOTTLENECK_EXPANSION)
-            )
+            return FusionVariant("bottleneck", math.ceil(num_classes / BOTTLENECK_EXPANSION))
         raise ConfigError(f"unknown fusion variant {kind!r}")
 
 
@@ -114,18 +113,12 @@ class FusionHead:
         return FusionHead(self.variant, self.num_classes, params)
 
 
-def new_head(
-    kind: str,
-    num_classes: int,
-    seed: int = 0,
-    init_scale: float = 0.1,
-    hidden: int | None = None,
-) -> FusionHead:
+def new_head(kind: str, num_classes: int, seed: int = 0, init_scale: float = 0.1) -> FusionHead:
     """Seeded uniform initialization: weights in [-s, s] with
     s = init_scale / sqrt(fan_in); biases start at zero."""
     if not 0.0 < init_scale < math.inf:
         raise ConfigError(f"init scale must be positive and finite, got {init_scale}")
-    variant = FusionVariant.resolve(kind, num_classes, hidden)
+    variant = FusionVariant.resolve(kind, num_classes)
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in _param_shapes(variant, num_classes):

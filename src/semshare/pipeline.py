@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraRig, homography_from_rig, read_ascii, read_rig, write_rig
+from .camera import CameraRig, read_ascii, read_rig, write_rig
 from .errors import ConfigError, DataError, MetricUndefinedError, PipelineStageError, SemShareError
 from .flow import FlowConfig, two_stage_map_detailed
 from .formats import read_image, write_image, write_labels
@@ -28,7 +28,7 @@ from .raster import (
     LabelMap,
     ScoreMap,
     grid_from_flow,
-    grid_from_homography,
+    grid_from_homography,  # unused here; perfbench/bench_layers.py traces this binding
     warp_labels,
     warp_raster,
 )
@@ -64,7 +64,6 @@ class PipelineConfig:
     flow: FlowConfig = field(default_factory=FlowConfig)
     narrow_head_path: str | None = None
     wide_head_path: str | None = None
-    dump_intermediates: bool = False
 
     def load_rig(self) -> CameraRig:
         if not os.path.exists(self.rig_path):
@@ -88,13 +87,18 @@ def load_head(path, num_classes) -> FusionHead:
 
 @dataclass
 class FrameResult:
+    """Fused scores, labels and validity masks of both branches, plus the
+    intermediates: "propagated" and "back_propagated" scores, and per
+    direction ("forward", "backward") the stage-one warped image and the
+    residual flow."""
+
     narrow_scores: ScoreMap
     narrow_labels: LabelMap
     wide_scores: ScoreMap
     wide_labels: LabelMap
     narrow_mask: np.ndarray
     wide_mask: np.ndarray
-    intermediates: dict | None = None
+    intermediates: dict
 
 
 def _run_stage(stage: str, fn):
@@ -162,14 +166,6 @@ def run_frame(
         "fuse_wide", lambda: fuse_forward(wide_head, back, wide_scores, wide_mask)
     )
 
-    intermediates = None
-    if cfg.dump_intermediates:
-        intermediates = {
-            "propagated": propagated,
-            "back_propagated": back,
-            "forward": {"stage1_image": fwd_stage1, "flow": fwd_flow},
-            "backward": {"stage1_image": bwd_stage1, "flow": bwd_flow},
-        }
     return FrameResult(
         narrow_scores=narrow_fused,
         narrow_labels=narrow_fused.argmax_labels(),
@@ -177,7 +173,12 @@ def run_frame(
         wide_labels=wide_fused.argmax_labels(),
         narrow_mask=narrow_mask,
         wide_mask=wide_mask,
-        intermediates=intermediates,
+        intermediates={
+            "propagated": propagated,
+            "back_propagated": back,
+            "forward": {"stage1_image": fwd_stage1, "flow": fwd_flow},
+            "backward": {"stage1_image": bwd_stage1, "flow": bwd_flow},
+        },
     )
 
 
@@ -344,11 +345,9 @@ def ablate_flow(bench: Benchmark) -> AblationTable:
     pt_pairs, two_pairs = [], []
     for entry in entries:
         scene, pair = _load_pair(bench, entry)
-        rig = scene.rig
-        grid_pt = grid_from_homography(
-            homography_from_rig(rig), rig.image_size_narrow, rig.image_size_wide
-        )
-        grid_two = two_stage_map_detailed(rig, pair.wide_image, pair.narrow_image, FlowConfig())[0]
+        grid_two, grid_pt = two_stage_map_detailed(
+            scene.rig, pair.wide_image, pair.narrow_image, FlowConfig()
+        )[:2]
         lab_pt, m_pt = warp_labels(pair.wide_labels, grid_pt)
         lab_two, m_two = warp_labels(pair.wide_labels, grid_two)
         mask = m_pt & m_two

@@ -20,7 +20,7 @@ import numpy as np
 from .camera import Homography, apply_homography_arrays, invert_homography
 from .errors import DataError, DimensionError
 
-SCORE_FILL = -1e4  # default fill for score logits: argmax never picks filled pixels
+SCORE_FILL = -1e4  # fill for score logits: argmax never picks filled pixels
 IMAGE_FILL = 0.0
 
 
@@ -135,10 +135,9 @@ class LabelMap:
     def size(self):
         return (self.width, self.height)
 
-    def one_hot(self, margin: float = 1.0) -> ScoreMap:
+    def one_hot(self) -> ScoreMap:
         c = self.num_classes
-        planes = (np.arange(c)[:, None, None] == self.data[None]).astype(float)
-        return ScoreMap(planes * margin)
+        return ScoreMap((np.arange(c)[:, None, None] == self.data[None]).astype(float))
 
 
 class FlowField:
@@ -235,13 +234,9 @@ def _lattice(size):
     return xs.astype(float), ys.astype(float)
 
 
-def identity_grid(size, source_size=None) -> GridMap:
+def identity_grid(size) -> GridMap:
     xs, ys = _lattice(size)
-    if source_size is None:
-        source_size = size
-    w, h = source_size
-    valid = (xs <= w - 1) & (ys <= h - 1)
-    return GridMap(xs, ys, valid, source_size)
+    return GridMap(xs, ys, np.ones(xs.shape, bool), size)
 
 
 def _in_bounds(sx, sy, source_size):
@@ -350,29 +345,25 @@ def _warp_planes(planes, grid: GridMap, fill: float):
     return np.where(grid.valid[None], sampled, fill)
 
 
-def warp_raster(src, grid: GridMap, fill: float | None = None):
+def warp_raster(src, grid: GridMap):
     """Bilinearly warp an Image or ScoreMap through a grid.
 
     Returns (warped raster of the same type, validity mask).  Invalid
-    pixels hold the fill value exactly (0 for images, a large negative
-    logit for score maps so a later argmax never selects them).
+    pixels hold the fill value exactly (IMAGE_FILL for images, SCORE_FILL,
+    a large negative logit, for score maps so a later argmax never selects
+    them).
     """
     if not isinstance(src, (Image, ScoreMap)):
         raise DimensionError(f"warp_raster expects Image or ScoreMap, got {type(src).__name__}")
     if grid.source_size != src.size:
         raise DimensionError(f"grid source size {grid.source_size} != raster size {src.size}")
-    if fill is None:
-        fill = IMAGE_FILL if isinstance(src, Image) else SCORE_FILL
-    fill = float(fill)
-    if isinstance(src, Image) and not 0.0 <= fill <= 1.0:
-        raise DataError(f"image fill value must lie in [0, 1], got {fill}")
-    out = _warp_planes(src.data, grid, fill)
     mask = grid.valid.copy()
     if isinstance(src, Image):
+        out = _warp_planes(src.data, grid, IMAGE_FILL)
         # convex bilinear weights keep values in range; clip only guards
         # against last-ulp rounding so the Image invariant holds bit-safely
         return Image(np.clip(out, 0.0, 1.0)), mask
-    return ScoreMap(out), mask
+    return ScoreMap(_warp_planes(src.data, grid, SCORE_FILL)), mask
 
 
 def warp_labels(labels: LabelMap, grid: GridMap):

@@ -30,6 +30,13 @@ NUM_CLASSES = len(CLASS_NAMES)
 
 _EPS = 1e-9
 
+_TEXTURE_OCTAVES = ((32.0, 0.5), (16.0, 0.3), (8.0, 0.2))  # (lattice scale px, amplitude)
+
+# Sampling ranges of the random-perspective flow samples.
+_FOCAL_RANGE = (0.95, 1.05)  # zoom factor
+_MAX_TRANSLATION = 10.0  # pixels per axis
+_MAX_ROTATION_DEG = 5.0
+
 
 # ---------------------------------------------------------------------------
 # Procedural texture
@@ -57,12 +64,12 @@ def value_noise(xs, ys, seed: int, scale: float) -> np.ndarray:
     return (1.0 - fy) * top + fy * bot
 
 
-def texture_image(size, seed: int, octaves=((32.0, 0.5), (16.0, 0.3), (8.0, 0.2))) -> Image:
+def texture_image(size, seed: int) -> Image:
     """Multi-octave value-noise image, normalized to span [0, 1]."""
     w, h = size
     ys, xs = np.mgrid[0:h, 0:w].astype(float)
     out = np.zeros((h, w))
-    for k, (scale, amp) in enumerate(octaves):
+    for k, (scale, amp) in enumerate(_TEXTURE_OCTAVES):
         out += amp * value_noise(xs, ys, seed * 7919 + k, scale)
     lo, hi = out.min(), out.max()
     if hi > lo:
@@ -76,19 +83,10 @@ def texture_image(size, seed: int, octaves=((32.0, 0.5), (16.0, 0.3), (8.0, 0.2)
 
 @dataclass(frozen=True)
 class RandomTransformSpec:
-    """Sampling ranges for the synthetic warp: focal factor, per-axis
-    translation in pixels, rotation in degrees, and the seed."""
+    """Seed of one synthetic warp; its parameters are drawn uniformly from
+    the module's focal, translation and rotation ranges."""
 
-    focal_range: tuple[float, float] = (0.95, 1.05)
-    translation: float = 10.0
-    rotation_deg: float = 5.0
     seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.focal_range[0] <= self.focal_range[1]):
-            raise ConfigError(f"bad focal range {self.focal_range}")
-        if self.translation < 0.0 or self.rotation_deg < 0.0:
-            raise ConfigError("translation/rotation ranges must be non-negative")
 
 
 def _backward_matrix(size, focal_factor, tx, ty, theta_deg) -> np.ndarray:
@@ -128,14 +126,14 @@ def flow_sample_from_params(img: Image, focal_factor, tx, ty, theta_deg):
 
 
 def gen_flow_sample(img: Image, spec: RandomTransformSpec):
-    """Sample (focal factor, translation, rotation) from the spec's ranges
+    """Sample (focal factor, translation, rotation) with the spec's seed
     and warp the image; the flow generated along the way is the ground
     truth."""
     rng = np.random.default_rng(spec.seed)
-    focal = rng.uniform(spec.focal_range[0], spec.focal_range[1])
-    tx = rng.uniform(-spec.translation, spec.translation)
-    ty = rng.uniform(-spec.translation, spec.translation)
-    theta = rng.uniform(-spec.rotation_deg, spec.rotation_deg)
+    focal = rng.uniform(_FOCAL_RANGE[0], _FOCAL_RANGE[1])
+    tx = rng.uniform(-_MAX_TRANSLATION, _MAX_TRANSLATION)
+    ty = rng.uniform(-_MAX_TRANSLATION, _MAX_TRANSLATION)
+    theta = rng.uniform(-_MAX_ROTATION_DEG, _MAX_ROTATION_DEG)
     return flow_sample_from_params(img, focal, tx, ty, theta)
 
 
@@ -372,14 +370,12 @@ def render_scene(scene: SynthScene) -> ScenePair:
 # Score degradation: synthetic "segmentation network" outputs
 
 
-def degrade_scores(
-    gt: LabelMap, margin: float = 1.0, sigma: float = 0.0, blur: int = 0, seed: int = 0
-) -> ScoreMap:
-    """One-hot scores scaled by `margin`, boundary-softened by `blur`
-    passes of a 3-tap binomial kernel per axis, plus seeded Gaussian noise."""
-    if margin <= 0.0 or sigma < 0.0 or blur < 0:
-        raise ConfigError("margin must be positive, sigma/blur non-negative")
-    scores = gt.one_hot(margin).data.copy()
+def degrade_scores(gt: LabelMap, sigma: float = 0.0, blur: int = 0, seed: int = 0) -> ScoreMap:
+    """One-hot scores, boundary-softened by `blur` passes of a 3-tap
+    binomial kernel per axis, plus seeded Gaussian noise."""
+    if sigma < 0.0 or blur < 0:
+        raise ConfigError("sigma and blur must be non-negative")
+    scores = gt.one_hot().data.copy()
     for _ in range(blur):
         padded = np.pad(scores, ((0, 0), (0, 0), (1, 1)), mode="edge")
         scores = 0.25 * padded[:, :, :-2] + 0.5 * padded[:, :, 1:-1] + 0.25 * padded[:, :, 2:]

@@ -1,11 +1,14 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from semshare import cli
 from semshare.camera import write_rig
 from semshare.cli import main
 from semshare.formats import read_flo, read_scores, write_image, write_labels, write_scores
+from semshare.pipeline import FUSION_TRAIN, OVERLAP_TRAIN, AblationTable
 from semshare.raster import LabelMap
 from semshare.synth import degrade_scores, make_scene, render_scene, texture_image
 
@@ -255,3 +258,50 @@ class TestEvalCommand:
         assert main(
             ["eval", "--pred", str(labels), "--gt", str(labels), "--mask", str(mask_path)]
         ) == 4
+
+
+class TestDirectoryAsInput:
+    @pytest.mark.parametrize("command", ["eval", "run", "share", "flow", "train-fusion"])
+    def test_directory_input_is_data_error(self, scene_files, tmp_path, capsys, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        f = {name: str(scene_files / name) for name in os.listdir(scene_files)}
+        images = ["--wide-image", f["wide.pgm"], "--narrow-image", f["narrow.pgm"]]
+        argv = {
+            "eval": ["eval", "--pred", str(folder), "--gt", f["narrow_gt.bin"]],
+            "run": ["run", "--rig", str(folder), *images, "--wide-scores", f["wide_scores.bin"],
+                    "--narrow-scores", f["narrow_scores.bin"], "--out", str(tmp_path / "out")],
+            "share": ["share", "--rig", f["rig.txt"], *images, "--scores", str(folder),
+                      "--out", str(tmp_path / "s.bin")],
+            "flow": ["flow", "--target", str(folder), "--source", f["wide.pgm"],
+                     "--out", str(tmp_path / "f.flo")],
+            "train-fusion": ["train-fusion", "--bench", str(tmp_path), "--out", str(tmp_path / "h.bin")],
+        }[command]
+        if command == "train-fusion":
+            (tmp_path / "manifest.txt").mkdir()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+
+class TestAblateTrainingFlags:
+    @pytest.mark.parametrize(
+        "suite, flags, expected",
+        [
+            ("fusion", [], FUSION_TRAIN),
+            ("overlap", [], OVERLAP_TRAIN),
+            ("overlap", ["--train-iterations", "5"], replace(OVERLAP_TRAIN, iterations=5)),
+            ("fusion", ["--lr", "0.5", "--seed", "3"], replace(FUSION_TRAIN, learning_rate=0.5, seed=3)),
+            ("overlap", ["--batch-fraction", "0.5"], replace(OVERLAP_TRAIN, batch_fraction=0.5)),
+        ],
+    )
+    def test_given_flags_replace_preset_fields(self, monkeypatch, tmp_path, suite, flags, expected):
+        seen = {}
+
+        def fake_run_ablation(name, bench_root, **kwargs):
+            seen.update(kwargs)
+            return AblationTable(name, [], [])
+
+        monkeypatch.setattr(cli, "run_ablation", fake_run_ablation)
+        assert main(["ablate", suite, "--bench", str(tmp_path), *flags]) == 0
+        assert seen["train_cfg"] == expected

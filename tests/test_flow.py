@@ -43,7 +43,6 @@ class TestConfig:
         assert cfg.num_levels == 4
         assert cfg.iterations_per_level == 50
         assert cfg.smoothness_weight == 15.0
-        assert cfg.downscale_factor == 0.5
         assert cfg.min_level_size == 16
 
     def test_validation(self):
@@ -53,8 +52,6 @@ class TestConfig:
             FlowConfig(iterations_per_level=0)
         with pytest.raises(ConfigError):
             FlowConfig(smoothness_weight=0.0)
-        with pytest.raises(ConfigError):
-            FlowConfig(downscale_factor=0.25)
 
 
 def level_sizes(img, cfg):
@@ -222,7 +219,7 @@ class TestFlowColor:
         assert img.channels == 3 and img.size == (30, 20)
 
     def test_zero_flow_is_white(self):
-        img = flow_to_color(FlowField.zero((8, 8)), max_magnitude=1.0)
+        img = flow_to_color(FlowField.zero((8, 8)))
         assert np.allclose(img.data, 1.0, atol=1e-12)
 
     def test_deterministic(self):

@@ -13,8 +13,6 @@ from semshare.formats import (
     write_image,
     write_labels,
     write_mask,
-    write_pgm,
-    write_ppm,
     write_scores,
 )
 from semshare.raster import FlowField, Image, LabelMap, ScoreMap
@@ -30,18 +28,18 @@ class TestNetPBM:
         # quantized values round-trip exactly
         img = Image((np.arange(12).reshape(3, 4) * 20 / 255.0)[None])
         path = tmp_path / "a.pgm"
-        write_pgm(img, path)
+        write_image(img, path)
         back = read_image(path)
         assert back.channels == 1 and back.size == img.size
         assert np.array_equal(back.data, img.data)
-        write_pgm(back, tmp_path / "b.pgm")
+        write_image(back, tmp_path / "b.pgm")
         assert file_bytes(path) == file_bytes(tmp_path / "b.pgm")
 
     def test_ppm_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         img = Image(rng.integers(0, 256, size=(3, 5, 7)) / 255.0)
         path = tmp_path / "a.ppm"
-        write_ppm(img, path)
+        write_image(img, path)
         back = read_image(path)
         assert back.channels == 3
         assert np.array_equal(back.data, img.data)

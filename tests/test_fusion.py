@@ -314,7 +314,7 @@ class TestTraining:
     def make_dataset(self, seed, c=3, size=16):
         rng = np.random.default_rng(seed)
         gt = LabelMap(rng.integers(0, c, (size, size)).astype(np.int32), c)
-        native = ScoreMap(gt.one_hot(2.0).data + 0.3 * rng.standard_normal((c, size, size)))
+        native = ScoreMap(2.0 * gt.one_hot().data + 0.3 * rng.standard_normal((c, size, size)))
         propagated = ScoreMap(rng.standard_normal((c, size, size)))
         mask = np.ones((size, size), bool)
         return [(propagated, native, mask, gt)]
@@ -363,7 +363,7 @@ class TestTraining:
         dataset = []
         for h, w in ((9, 7), (6, 11)):
             gt = LabelMap(rng.integers(0, 3, (h, w)), 3)
-            native = ScoreMap(gt.one_hot(2.0).data + rng.standard_normal((3, h, w)))
+            native = ScoreMap(2.0 * gt.one_hot().data + rng.standard_normal((3, h, w)))
             propagated = ScoreMap(rng.standard_normal((3, h, w)))
             dataset.append((propagated, native, rng.random((h, w)) < 0.6, gt))
         head = new_head(kind, 3, seed=55, init_scale=0.5)

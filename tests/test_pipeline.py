@@ -200,7 +200,7 @@ class TestRunFrame:
         scene, pair, wide_scores, narrow_scores = self.make_inputs(832)
         rig_path = tmp_path / "rig.txt"
         write_rig(scene.rig, rig_path)
-        cfg = PipelineConfig(rig_path=str(rig_path), flow=FAST_FLOW, dump_intermediates=True)
+        cfg = PipelineConfig(rig_path=str(rig_path), flow=FAST_FLOW)
         a = run_frame(cfg, pair.wide_image, wide_scores, pair.narrow_image, narrow_scores)
         b = run_frame(cfg, pair.wide_image, wide_scores, pair.narrow_image, narrow_scores)
         assert np.array_equal(a.narrow_scores.data, b.narrow_scores.data)

@@ -266,9 +266,11 @@ class TestWarpRaster:
         grid = translation_grid((5, 5), 2.0, 0.0)
         out, mask = warp_raster(scores, grid)
         assert np.all(out.data[:, ~mask] == -1e4)
-        img = Image(rng.random((1, 5, 5)))
-        out_img, mask_img = warp_raster(img, grid)
-        assert np.all(out_img.data[:, ~mask_img] == 0.0)
+        for channels in (1, 3):
+            img = Image(rng.random((channels, 5, 5)))
+            out_img, mask_img = warp_raster(img, grid)
+            assert np.array_equal(mask_img, mask) and (~mask).any()
+            assert np.all(out_img.data[:, ~mask_img] == 0.0)
 
     def test_commutes_with_channel_slicing(self):
         rng = np.random.default_rng(2)
@@ -284,19 +286,6 @@ class TestWarpRaster:
         img = Image(np.zeros((1, 4, 4)))
         with pytest.raises(DimensionError):
             warp_raster(img, identity_grid((5, 5)))
-
-    def test_custom_fill_respected_exactly(self):
-        rng = np.random.default_rng(3)
-        grid = translation_grid((5, 5), 2.0, 0.0)
-        scores = ScoreMap(rng.standard_normal((2, 5, 5)))
-        out, mask = warp_raster(scores, grid, fill=-7.5)
-        assert np.all(out.data[:, ~mask] == -7.5)
-        img = Image(rng.random((1, 5, 5)))
-        out_img, mask_img = warp_raster(img, grid, fill=0.25)
-        assert np.all(out_img.data[:, ~mask_img] == 0.25)
-        # out-of-range image fill cannot be silently clamped
-        with pytest.raises(DataError):
-            warp_raster(img, grid, fill=-1.0)
 
 
 class TestWarpLabels:

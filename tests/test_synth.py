@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semshare import synth
 from semshare.camera import homography_from_rig
 from semshare.errors import ConfigError, DataError
 from semshare.metrics import miou
@@ -25,10 +26,9 @@ from semshare.synth import (
 
 class TestFlowSamples:
     def test_default_ranges(self):
-        spec = RandomTransformSpec()
-        assert spec.focal_range == (0.95, 1.05)
-        assert spec.translation == 10.0
-        assert spec.rotation_deg == 5.0
+        assert synth._FOCAL_RANGE == (0.95, 1.05)
+        assert synth._MAX_TRANSLATION == 10.0
+        assert synth._MAX_ROTATION_DEG == 5.0
 
     def test_degenerate_transform_is_identity(self):
         img = texture_image((64, 64), 1)
@@ -69,12 +69,6 @@ class TestFlowSamples:
         rewarped, _ = warp_raster(img, grid_from_flow(flow))
         diff = np.abs(rewarped.data - warped.data)[:, mask]
         assert diff.mean() < 1e-3
-
-    def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            RandomTransformSpec(focal_range=(1.1, 0.9))
-        with pytest.raises(ConfigError):
-            RandomTransformSpec(translation=-1.0)
 
 
 class TestSceneRendering:
@@ -202,7 +196,7 @@ class TestDegradeScores:
     def test_clean_settings_recover_labels(self):
         rng = np.random.default_rng(20)
         gt = LabelMap(rng.integers(0, 6, (32, 32)).astype(np.int32), 6)
-        scores = degrade_scores(gt, margin=1.0, sigma=0.0, blur=0, seed=0)
+        scores = degrade_scores(gt, sigma=0.0, blur=0, seed=0)
         assert np.array_equal(scores.argmax_labels().data, gt.data)
         report = miou(scores.argmax_labels(), gt, np.ones((32, 32), bool), 6)
         assert report.mean_iou == 1.0
@@ -212,12 +206,12 @@ class TestDegradeScores:
         w = h = 132
         gt_data = (np.arange(w)[None, :] * 6 // w).astype(np.int32)
         gt = LabelMap(np.tile(gt_data, (h, 1)), 6)
-        scores = degrade_scores(gt, margin=1.0, sigma=6.0, blur=0, seed=21)
+        scores = degrade_scores(gt, sigma=6.0, blur=0, seed=21)
         measured = miou(scores.argmax_labels(), gt, np.ones((h, w), bool), 6).mean_iou
 
         # Monte-Carlo oracle over the same noise model, different seed
         rng = np.random.default_rng(9999)
-        sim_scores = gt.one_hot(1.0).data + 6.0 * rng.standard_normal((6, h, w))
+        sim_scores = gt.one_hot().data + 6.0 * rng.standard_normal((6, h, w))
         sim_pred = LabelMap(np.argmax(sim_scores, axis=0).astype(np.int32), 6)
         oracle = miou(sim_pred, gt, np.ones((h, w), bool), 6).mean_iou
 
@@ -226,7 +220,7 @@ class TestDegradeScores:
 
     def test_blur_softens_boundaries(self):
         gt = LabelMap(np.repeat(np.array([[0, 0, 1, 1]], dtype=np.int32), 4, axis=0), 2)
-        scores = degrade_scores(gt, margin=1.0, sigma=0.0, blur=1, seed=0)
+        scores = degrade_scores(gt, sigma=0.0, blur=1, seed=0)
         # scores at the boundary mix both classes but interiors stay crisp
         assert 0.0 < scores.data[0, 0, 2] < 1.0
         assert scores.data[0, 0, 0] == 1.0
@@ -240,9 +234,9 @@ class TestDegradeScores:
     def test_parameter_validation(self):
         gt = LabelMap(np.zeros((4, 4), dtype=np.int32), 3)
         with pytest.raises(ConfigError):
-            degrade_scores(gt, margin=0.0)
-        with pytest.raises(ConfigError):
             degrade_scores(gt, sigma=-1.0)
+        with pytest.raises(ConfigError):
+            degrade_scores(gt, blur=-1)
 
 
 class TestSceneFiles:
