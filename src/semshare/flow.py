@@ -13,6 +13,15 @@ per-pixel neighbor counts, which makes each sweep an exact block-Jacobi
 step for that objective; the objective is therefore non-increasing across
 sweeps up to float rounding.
 
+A sweep runs band by band over row strips of about _BAND_PIXELS pixels:
+neighbor sums, the division by the neighbor counts, the per-pixel solve
+and the update for one band stay in cache, and each full-size plane is
+streamed once per sweep.  The sweep writes the next increment into a
+second buffer, and the two swap after every sweep; buffers and band
+scratch are allocated once per level.  Each pixel sees the same
+operations in the same order as a whole-plane sweep, so the result does
+not depend on the band size.
+
 The data term operates on a 0..255 intensity scale (inputs are [0, 1]
 rasters), so the default smoothness weight of 15 matches the classical
 tuning for 8-bit imagery.  The joint minimum of both images is subtracted
@@ -20,8 +29,8 @@ up front: the data term only ever sees intensity differences, making the
 estimate invariant to a global intensity offset.
 
 All resampling here (the pyramid resize, the per-level warp and the flow
-upsampling) goes through raster.sample_bilinear, the package's single
-bilinear kernel.
+upsampling) goes through raster's single bilinear kernel; u and v are
+upsampled from one support.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from .raster import (
     FlowField,
     GridMap,
     Image,
+    _sample_planes,
     compose_grids,
     grid_from_flow,
     grid_from_homography,
@@ -46,6 +56,9 @@ from .raster import (
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 INTENSITY_SCALE = 255.0
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+# pixels per row band of a Jacobi sweep (rows = _BAND_PIXELS // width, at
+# least 1): small enough for a band's temporaries to stay in L2
+_BAND_PIXELS = 12_288
 
 
 @dataclass(frozen=True)
@@ -91,20 +104,19 @@ def _smooth5(plane: np.ndarray) -> np.ndarray:
     return sum(_BINOMIAL5[k] * padded[k : k + plane.shape[0], :] for k in range(5))
 
 
-def _resize_bilinear(plane: np.ndarray, new_hw: tuple[int, int]) -> np.ndarray:
-    """Pixel-center-aligned bilinear resize (the align_corners=False map)."""
-    h, w = plane.shape
+def _resize_bilinear(planes: np.ndarray, new_hw: tuple[int, int]) -> np.ndarray:
+    """Pixel-center-aligned bilinear resize (the align_corners=False map)
+    of a (C, H, W) stack of planes."""
+    h, w = planes.shape[1:]
     nh, nw = new_hw
-    if (nh, nw) == (h, w):
-        return plane.copy()
     ys = (np.arange(nh) + 0.5) * (h / nh) - 0.5
     xs = (np.arange(nw) + 0.5) * (w / nw) - 0.5
-    return sample_bilinear(plane, xs[None, :], ys[:, None])
+    return _sample_planes(planes, xs[None, :], ys[:, None])
 
 
 def _downsample(plane: np.ndarray) -> np.ndarray:
     h, w = plane.shape
-    return _resize_bilinear(_smooth5(plane), ((h + 1) // 2, (w + 1) // 2))
+    return _resize_bilinear(_smooth5(plane)[None], ((h + 1) // 2, (w + 1) // 2))[0]
 
 
 def _plane_pyramid(plane: np.ndarray, num_levels: int, min_size: int) -> list[np.ndarray]:
@@ -128,15 +140,6 @@ def _central_diff(plane: np.ndarray):
     return gx, gy
 
 
-def _neighbor_sum(plane: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(plane)
-    out[:, 1:] += plane[:, :-1]
-    out[:, :-1] += plane[:, 1:]
-    out[1:, :] += plane[:-1, :]
-    out[:-1, :] += plane[1:, :]
-    return out
-
-
 def _neighbor_counts(shape) -> np.ndarray:
     counts = np.full(shape, 4.0)
     counts[0, :] -= 1.0
@@ -154,29 +157,70 @@ def _objective(ix, iy, it, du, dv, alpha2) -> float:
     return float(np.sum(data * data) + alpha2 * smooth)
 
 
+def _neighbor_sums(d, r0, r1, out):
+    """4-neighbor sums of rows r0..r1 of the stacked planes `d`, (2, H, W),
+    into `out`, (2, r1 - r0, W): zeros plus left, right, up and down, the
+    order of a whole-plane sum.  Rows are added as flat runs; a run's
+    first and last columns wrap into the neighboring row, so column 0
+    gets back its zero and column W - 1 its left-only value."""
+    h, w = d.shape[1:]
+    n = r1 - r0
+    flat = out.reshape(2, n * w)
+    rows = d[:, r0:r1].reshape(2, n * w)
+    out.fill(0.0)
+    flat[:, 1:] += rows[:, :-1]
+    out[:, :, 0] = 0.0
+    last = out[:, :, -1].copy()
+    flat[:, :-1] += rows[:, 1:]
+    out[:, :, -1] = last
+    top = max(r0, 1)
+    out[:, top - r0 :] += d[:, top - 1 : r1 - 1]
+    bottom = min(r1, h - 1)
+    out[:, : bottom - r0] += d[:, r0 + 1 : bottom + 1]
+
+
+def _jacobi_sweep(grad, it, counts, denom, d, d_next, scratch):
+    """One block-Jacobi sweep from the increment d = (du, dv) into d_next,
+    band by band over row strips so a band's temporaries stay in cache."""
+    h = d.shape[1]
+    bars, prods, frac = scratch[:2], scratch[2:4], scratch[4]
+    rows = frac.shape[0]
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        n = r1 - r0
+        bar, prod, f, g = bars[:, :n], prods[:, :n], frac[:n], grad[:, r0:r1]
+        _neighbor_sums(d, r0, r1, bar)
+        np.divide(bar, counts[r0:r1], out=bar)  # (du_bar, dv_bar)
+        np.multiply(g, bar, out=prod)
+        np.add(prod[0], prod[1], out=f)
+        f += it[r0:r1]
+        f /= denom[r0:r1]
+        np.multiply(g, f, out=prod)
+        np.subtract(bar, prod, out=d_next[:, r0:r1])
+
+
 def _solve_level(target, source, u, v, cfg: FlowConfig, record_energy=False):
     """One coarse-to-fine stage: warp by (u, v), then Jacobi sweeps on the
     increment."""
     h, w = target.shape
     ys, xs = np.mgrid[0:h, 0:w].astype(float)
     warped = sample_bilinear(source, xs + u, ys + v)
-    ix, iy = _central_diff(warped)
+    grad = np.stack(_central_diff(warped))
+    ix, iy = grad
     it = warped - target
     alpha2 = cfg.smoothness_weight**2
     counts = _neighbor_counts((h, w))
     denom = alpha2 * counts + ix * ix + iy * iy
-    du = np.zeros((h, w))
-    dv = np.zeros((h, w))
-    energies = [_objective(ix, iy, it, du, dv, alpha2)] if record_energy else None
+    d = np.zeros((2, h, w))
+    d_next = np.empty((2, h, w))
+    scratch = np.empty((5, min(max(1, _BAND_PIXELS // w), h), w))
+    energies = [_objective(ix, iy, it, d[0], d[1], alpha2)] if record_energy else None
     for _ in range(cfg.iterations_per_level):
-        du_bar = _neighbor_sum(du) / counts
-        dv_bar = _neighbor_sum(dv) / counts
-        frac = (ix * du_bar + iy * dv_bar + it) / denom
-        du = du_bar - ix * frac
-        dv = dv_bar - iy * frac
+        _jacobi_sweep(grad, it, counts, denom, d, d_next, scratch)
+        d, d_next = d_next, d
         if record_energy:
-            energies.append(_objective(ix, iy, it, du, dv, alpha2))
-    return u + du, v + dv, energies
+            energies.append(_objective(ix, iy, it, d[0], d[1], alpha2))
+    return u + d[0], v + d[1], energies
 
 
 def estimate_flow_detailed(target: Image, source: Image, cfg: FlowConfig):
@@ -205,8 +249,9 @@ def estimate_flow_detailed(target: Image, source: Image, cfg: FlowConfig):
         if level != coarsest:
             prev_h, prev_w = u.shape
             h, w = t_plane.shape
-            u = _resize_bilinear(u, (h, w)) * (w / prev_w)
-            v = _resize_bilinear(v, (h, w)) * (h / prev_h)
+            u, v = _resize_bilinear(np.stack([u, v]), (h, w))
+            u *= w / prev_w
+            v *= h / prev_h
         record = level == coarsest
         u, v, energies = _solve_level(t_plane, s_plane, u, v, cfg, record_energy=record)
         if record:

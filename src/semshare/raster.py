@@ -10,7 +10,13 @@ inclusive, pixel-center convention).
 
 sample_bilinear is the package's single bilinear kernel: grid warps,
 grid composition, flow's pyramid resize and solver warp, and the
-synthetic flow samples all resample through it.
+synthetic flow samples all resample through it.  It is two steps:
+_bilinear_support clamps the coordinates and returns the flat indices
+(y * w + x) of the four corners plus the fractional weights, and
+_gather_bilinear reads the corners of one plane with a flat take and
+blends them.  Callers that resample several planes on one lattice (the
+channels of a warp, a grid's two coordinate planes, a flow's u and v)
+compute the support once and gather each plane from it.
 """
 
 from __future__ import annotations
@@ -279,19 +285,47 @@ def grid_from_flow(flow: FlowField) -> GridMap:
 
 
 def _bilinear_support(sx, sy, source_size):
-    """Corner indices and fractional weights for bilinear sampling, with
-    the coordinates clamped to the source raster."""
+    """Bilinear support of the points (sx, sy) in a source raster of
+    `source_size`, with the coordinates clamped to it.
+
+    Returns (idx, fx, fy): idx stacks the flat indices y * w + x of the
+    top-left, top-right, bottom-left and bottom-right corners on a leading
+    axis of 4 (sx and sy broadcast), fx and fy are the fractional parts.
+    """
     w, h = source_size
     fx = np.clip(sx, 0.0, w - 1.0)
     fy = np.clip(sy, 0.0, h - 1.0)
-    x0 = np.floor(fx).astype(np.int64)
-    y0 = np.floor(fy).astype(np.int64)
+    x0 = np.floor(fx).astype(np.intp)
+    y0 = np.floor(fy).astype(np.intp)
     # in place, so the clamped coordinates need no array of their own
     fx -= x0
     fy -= y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    return x0, x1, y0, y1, fx, fy
+    idx = np.empty((4,) + np.broadcast_shapes(x0.shape, y0.shape), np.intp)
+    np.multiply(y0, w, out=idx[0])
+    idx[0] += x0
+    # the right and lower neighbors, or the corner itself on the last column
+    # and row (where its weight is 0)
+    np.add(idx[0], x0 < w - 1, out=idx[1])
+    np.add(idx[0], (y0 < h - 1) * w, out=idx[2])
+    np.add(idx[2], x0 < w - 1, out=idx[3])
+    return idx, fx, fy
+
+
+def _gather_bilinear(plane, support, out=None):
+    """Bilinear interpolation of a 2D plane on a support from
+    _bilinear_support, written into `out` when given."""
+    idx, fx, fy = support
+    c = plane.ravel().take(idx)
+    wx = 1.0 - fx
+    c[0] *= wx
+    c[1] *= fx
+    c[0] += c[1]  # top row
+    c[2] *= wx
+    c[3] *= fx
+    c[2] += c[3]  # bottom row
+    c[0] *= 1.0 - fy
+    c[2] *= fy
+    return np.add(c[0], c[2], out=out)
 
 
 def sample_bilinear(plane, sx, sy):
@@ -302,10 +336,7 @@ def sample_bilinear(plane, sx, sy):
     sample a whole lattice.
     """
     h, w = plane.shape
-    x0, x1, y0, y1, fx, fy = _bilinear_support(sx, sy, (w, h))
-    top = (1.0 - fx) * plane[y0, x0] + fx * plane[y0, x1]
-    bot = (1.0 - fx) * plane[y1, x0] + fx * plane[y1, x1]
-    return (1.0 - fy) * top + fy * bot
+    return _gather_bilinear(plane, _bilinear_support(sx, sy, (w, h)))
 
 
 def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:
@@ -320,29 +351,39 @@ def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:
         raise DimensionError(
             f"outer source size {outer.source_size} != inner target size {inner.size}"
         )
-    sx = sample_bilinear(inner.sx, outer.sx, outer.sy)
-    sy = sample_bilinear(inner.sy, outer.sx, outer.sy)
-    x0, x1, y0, y1, fx, fy = _bilinear_support(outer.sx, outer.sy, inner.size)
-    zx = fx == 0.0  # fractional parts live in [0, 1): only the x1/y1
-    zy = fy == 0.0  # corners can carry zero weight
-    support_ok = (
-        inner.valid[y0, x0]
-        & (zx | inner.valid[y0, x1])
-        & (zy | inner.valid[y1, x0])
-        & (zx | zy | inner.valid[y1, x1])
-    )
-    valid = outer.valid & support_ok
+    support = _bilinear_support(outer.sx, outer.sy, inner.size)
+    sx = _gather_bilinear(inner.sx, support)
+    sy = _gather_bilinear(inner.sy, support)
+    idx, fx, fy = support
+    ok = inner.valid.ravel().take(idx)  # validity at the four corners
+    zx = fx == 0.0  # fractional parts live in [0, 1): only the right and
+    zy = fy == 0.0  # lower corners can carry zero weight
+    ok[1] |= zx
+    ok[2] |= zy
+    ok[3] |= zx
+    ok[3] |= zy
+    valid = outer.valid & ok.all(axis=0)
     w, h = inner.source_size
-    sx = np.clip(sx, 0.0, float(w - 1))
-    sy = np.clip(sy, 0.0, float(h - 1))
+    np.clip(sx, 0.0, float(w - 1), out=sx)
+    np.clip(sy, 0.0, float(h - 1), out=sy)
     return GridMap(sx, sy, valid, inner.source_size)
 
 
+def _sample_planes(planes, sx, sy):
+    """sample_bilinear of every plane of a (C, H, W) stack, from one
+    support."""
+    c, h, w = planes.shape
+    support = _bilinear_support(sx, sy, (w, h))
+    out = np.empty((c,) + support[0].shape[1:])
+    for k in range(c):
+        _gather_bilinear(planes[k], support, out=out[k])
+    return out
+
+
 def _warp_planes(planes, grid: GridMap, fill: float):
-    sampled = np.empty((planes.shape[0], grid.height, grid.width))
-    for c in range(planes.shape[0]):
-        sampled[c] = sample_bilinear(planes[c], grid.sx, grid.sy)
-    return np.where(grid.valid[None], sampled, fill)
+    sampled = _sample_planes(planes, grid.sx, grid.sy)
+    np.copyto(sampled, fill, where=~grid.valid)
+    return sampled
 
 
 def warp_raster(src, grid: GridMap):
@@ -362,7 +403,7 @@ def warp_raster(src, grid: GridMap):
         out = _warp_planes(src.data, grid, IMAGE_FILL)
         # convex bilinear weights keep values in range; clip only guards
         # against last-ulp rounding so the Image invariant holds bit-safely
-        return Image(np.clip(out, 0.0, 1.0)), mask
+        return Image(np.clip(out, 0.0, 1.0, out=out)), mask
     return ScoreMap(_warp_planes(src.data, grid, SCORE_FILL)), mask
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .camera import CameraRig, Intrinsics, Rotation3, read_ascii, rig_from_text, rig_to_text
 from .errors import ConfigError, DataError
-from .raster import FlowField, GridMap, Image, LabelMap, ScoreMap, sample_bilinear
+from .raster import FlowField, GridMap, Image, LabelMap, ScoreMap, _sample_planes
 
 CLASS_NAMES = ("background", "road", "person", "car", "barrier", "cycle")
 NUM_CLASSES = len(CLASS_NAMES)
@@ -121,8 +121,8 @@ def flow_sample_from_params(img: Image, focal_factor, tx, ty, theta_deg):
     sy = (b[1, 0] * xs + b[1, 1] * ys + b[1, 2]) / denom
     flow = FlowField(np.stack([sx - xs, sy - ys]))
     mask = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
-    warped = np.stack([sample_bilinear(img.data[c], sx, sy) for c in range(img.channels)])
-    return Image(np.clip(warped, 0.0, 1.0)), flow, mask
+    warped = _sample_planes(img.data, sx, sy)
+    return Image(np.clip(warped, 0.0, 1.0, out=warped)), flow, mask
 
 
 def gen_flow_sample(img: Image, spec: RandomTransformSpec):
@@ -243,12 +243,14 @@ def _render_view(scene: SynthScene, cam: Intrinsics, size, rotation, center):
     bg_noise = value_noise(dx / norm * 64.0, dy / norm * 64.0, scene.texture_seed + 17, 9.0)
     intensity[:] = 0.55 + 0.3 * (bg_noise - 0.5)
 
-    # ground plane y = ground_height
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ground = (scene.ground_height - cy3) / dy
+    # ground plane y = ground_height; rays that cannot reach it (a level
+    # row exists when the height is odd) divide by 1 instead of 0, so the
+    # texture lookups below see finite placeholders that `place` masks out
+    down = dy > _EPS
+    t_ground = (scene.ground_height - cy3) / np.where(down, dy, 1.0)
     gx = cx3 + t_ground * dx
     gz = cz3 + t_ground * dz
-    ground_ok = (dy > _EPS) & (t_ground > 0.0) & (gz > 0.0)
+    ground_ok = down & (t_ground > 0.0) & (gz > 0.0)
     checker = ((np.floor(gx / scene.ground_cell) + np.floor(gz / scene.ground_cell)) % 2.0) * 2.0 - 1.0
     fade = 1.0 / (1.0 + np.maximum(gz, 0.0) / 25.0)
     g_noise = value_noise(gx * 4.0, gz * 4.0, scene.texture_seed + 29, 3.0)

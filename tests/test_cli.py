@@ -64,6 +64,17 @@ class TestGenBench:
         assert code == 0
         assert tree_bytes(bench_dir) == tree_bytes(again)
 
+    def test_odd_height_scenes(self, tmp_path):
+        out = tmp_path / "odd"
+        code = main(
+            [
+                "gen-bench", "--out", str(out), "--scenes", "1", "--planar-scenes", "0",
+                "--flow-samples", "1", "--size", "97x97",
+            ]
+        )
+        assert code == 0
+        assert (out / "manifest.txt").exists()
+
     def test_bad_size_flag(self, tmp_path):
         assert main(["gen-bench", "--out", str(tmp_path / "x"), "--size", "banana"]) == 2
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semshare import flow
 from semshare.camera import CameraRig, Intrinsics, Rotation3
 from semshare.errors import ConfigError, DimensionError
 from semshare.flow import (
@@ -13,7 +14,7 @@ from semshare.flow import (
     two_stage_map,
 )
 from semshare.metrics import aepe
-from semshare.raster import FlowField, Image
+from semshare.raster import FlowField, Image, sample_bilinear
 
 
 def value_noise(size, seed, octaves=((32, 0.5), (16, 0.3), (8, 0.2))):
@@ -35,6 +36,40 @@ def value_noise(size, seed, octaves=((32, 0.5), (16, 0.3), (8, 0.2))):
         out += amp * ((1 - fy) * top + fy * bot)
     out = (out - out.min()) / (out.max() - out.min())
     return out
+
+
+def reference_neighbor_sum(plane):
+    out = np.zeros_like(plane)
+    out[:, 1:] += plane[:, :-1]
+    out[:, :-1] += plane[:, 1:]
+    out[1:, :] += plane[:-1, :]
+    out[:-1, :] += plane[1:, :]
+    return out
+
+
+def reference_solve_level(target, source, u, v, cfg, record_energy=False):
+    """flow._solve_level as a plain Jacobi loop: whole-plane neighbor sums
+    and fresh full-size temporaries every sweep, no bands, no buffers."""
+    h, w = target.shape
+    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    warped = sample_bilinear(source, xs + u, ys + v)
+    ix, iy = flow._central_diff(warped)
+    it = warped - target
+    alpha2 = cfg.smoothness_weight**2
+    counts = flow._neighbor_counts((h, w))
+    denom = alpha2 * counts + ix * ix + iy * iy
+    du = np.zeros((h, w))
+    dv = np.zeros((h, w))
+    energies = [flow._objective(ix, iy, it, du, dv, alpha2)] if record_energy else None
+    for _ in range(cfg.iterations_per_level):
+        du_bar = reference_neighbor_sum(du) / counts
+        dv_bar = reference_neighbor_sum(dv) / counts
+        frac = (ix * du_bar + iy * dv_bar + it) / denom
+        du = du_bar - ix * frac
+        dv = dv_bar - iy * frac
+        if record_energy:
+            energies.append(flow._objective(ix, iy, it, du, dv, alpha2))
+    return u + du, v + dv, energies
 
 
 class TestConfig:
@@ -179,6 +214,57 @@ class TestEstimateFlow:
         flow_rgb = estimate_flow(rgb, rgb)
         flow_gray = estimate_flow(Image(luma[None]), Image(luma[None]))
         assert np.array_equal(flow_rgb.data, flow_gray.data)
+
+
+def noise_pair(size, channels, seed):
+    """(target, source): the source shifted by (2, 1) px, plus a slight
+    channel-dependent tint for RGB."""
+    w, h = size
+    big = value_noise((w + 4, h + 4), seed)
+    planes_s = [big[2 : 2 + h, 2 : 2 + w]]
+    planes_t = [big[3 : 3 + h, 4 : 4 + w]]
+    for k in range(1, channels):
+        planes_s.append(planes_s[0] * (1.0 - 0.2 * k))
+        planes_t.append(planes_t[0] * (1.0 - 0.2 * k))
+    return Image(np.stack(planes_t)), Image(np.stack(planes_s))
+
+
+class TestBandedSweep:
+    """The banded, double-buffered sweep gives the plain Jacobi loop's
+    flows and energies byte for byte."""
+
+    @pytest.mark.parametrize(
+        "size, channels, levels, band_pixels",
+        [
+            # 32-row bands: 100 = 3 * 32 + 4 rows, then a 50-row level
+            # shorter than its 64-row band
+            ((384, 100), 1, 4, None),
+            # odd height, every level shorter than one band
+            ((96, 97), 3, 5, None),
+            # a row wider than the band constant: 1-row bands
+            ((12_300, 16), 1, 4, None),
+            ((40, 45), 3, 4, 30),
+            # 7-row bands, 45 = 6 * 7 + 3, then 23 = 3 * 7 + 2
+            ((40, 45), 1, 4, 280),
+        ],
+        ids=["32-row-bands", "odd-height-rgb", "wider-than-band", "1-row-bands-rgb", "7-row-bands"],
+    )
+    def test_matches_reference_loop_bytewise(
+        self, monkeypatch, size, channels, levels, band_pixels
+    ):
+        if band_pixels is not None:
+            monkeypatch.setattr(flow, "_BAND_PIXELS", band_pixels)
+        target, source = noise_pair(size, channels, seed=sum(size) + channels)
+        cfg = FlowConfig(num_levels=levels)
+        got, got_diag = estimate_flow_detailed(target, source, cfg)
+        monkeypatch.setattr(flow, "_solve_level", reference_solve_level)
+        want, want_diag = estimate_flow_detailed(target, source, cfg)
+        assert np.abs(got.data).max() > 0.1
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got_diag.level_sizes == want_diag.level_sizes
+        assert np.array(got_diag.coarsest_energies).tobytes() == (
+            np.array(want_diag.coarsest_energies).tobytes()
+        )
 
 
 class TestTwoStageMap:

@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from test_flow import reference_solve_level
+from test_raster import reference_bilinear_support, reference_gather_bilinear
 
+from semshare import flow, raster
 from semshare.camera import CameraRig, Rotation3, homography_from_rig, write_rig
 from semshare.errors import ConfigError, MetricUndefinedError, PipelineStageError
 from semshare.flow import FlowConfig, two_stage_map
-from semshare.fusion import identity_head, write_head
+from semshare.fusion import identity_head, new_head, write_head
 from semshare.metrics import miou
 from semshare.pipeline import (
     PipelineConfig,
@@ -223,6 +226,54 @@ class TestRunFrame:
         with pytest.raises(PipelineStageError) as exc:
             run_frame(cfg, pair.wide_image, bad_scores, pair.narrow_image, narrow_scores)
         assert exc.value.stage in ("share_forward", "fuse_narrow")
+
+
+def raster_bytes(value):
+    """Every array of a run_frame output, flattened to {path: bytes}."""
+    if isinstance(value, dict):
+        return {
+            f"{key}.{path}": data
+            for key, item in value.items()
+            for path, data in raster_bytes(item).items()
+        }
+    return {"": np.asarray(getattr(value, "data", value)).tobytes()}
+
+
+class TestReferenceKernelGuard:
+    def test_run_frame_matches_reference_kernels_bytewise(self, tmp_path, monkeypatch):
+        """The banded sweep and the flat-index gather change no output byte
+        of the frame loop: an odd height that is no band multiple, and
+        non-identity heads on both branches."""
+        scene = make_scene(834, size=(96, 97), planar=False)
+        pair = render_scene(scene)
+        write_rig(scene.rig, tmp_path / "rig.txt")
+        write_head(new_head("residual", 6, seed=1, init_scale=1.0), tmp_path / "narrow.bin")
+        write_head(new_head("bottleneck", 6, seed=2, init_scale=1.0), tmp_path / "wide.bin")
+        cfg = PipelineConfig(
+            rig_path=str(tmp_path / "rig.txt"),
+            narrow_head_path=str(tmp_path / "narrow.bin"),
+            wide_head_path=str(tmp_path / "wide.bin"),
+        )
+        inputs = (
+            pair.wide_image,
+            degrade_scores(pair.wide_labels, sigma=0.3, seed=5),
+            pair.narrow_image,
+            degrade_scores(pair.narrow_labels, sigma=0.3, seed=6),
+        )
+
+        def outputs():
+            result = run_frame(cfg, *inputs)
+            return raster_bytes(
+                {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+            )
+
+        fast = outputs()
+        monkeypatch.setattr(flow, "_solve_level", reference_solve_level)
+        monkeypatch.setattr(raster, "_bilinear_support", reference_bilinear_support)
+        monkeypatch.setattr(raster, "_gather_bilinear", reference_gather_bilinear)
+        reference = outputs()
+        assert len(fast) == 12
+        assert fast == reference
 
 
 class TestMonotoneInformation:

@@ -34,6 +34,84 @@ def bilinear_oracle(plane, sx, sy):
     )
 
 
+def reference_bilinear_support(sx, sy, source_size):
+    """raster._bilinear_support with the corners built as explicit clamped
+    2-D coordinates (x1 = min(x0 + 1, w - 1)) before they are flattened."""
+    w, h = source_size
+    fx = np.clip(sx, 0.0, w - 1.0)
+    fy = np.clip(sy, 0.0, h - 1.0)
+    x0 = np.floor(fx).astype(np.int64)
+    y0 = np.floor(fy).astype(np.int64)
+    fx = fx - x0
+    fy = fy - y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x0, x1, y0, y1 = np.broadcast_arrays(x0, x1, y0, y1)
+    return np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1]), fx, fy
+
+
+def reference_gather_bilinear(plane, support, out=None):
+    """raster._gather_bilinear by 2-D fancy indexing and the textbook
+    weighted sum, with fresh temporaries."""
+    idx, fx, fy = support
+    y, x = np.divmod(idx, plane.shape[1])
+    top = (1.0 - fx) * plane[y[0], x[0]] + fx * plane[y[1], x[1]]
+    bot = (1.0 - fx) * plane[y[2], x[2]] + fx * plane[y[3], x[3]]
+    result = (1.0 - fy) * top + fy * bot
+    if out is None:
+        return result
+    out[...] = result
+    return out
+
+
+def reference_sample(plane, sx, sy):
+    h, w = plane.shape
+    return reference_gather_bilinear(plane, reference_bilinear_support(sx, sy, (w, h)))
+
+
+def reference_warp(planes, grid, fill):
+    sampled = np.stack([reference_sample(p, grid.sx, grid.sy) for p in planes])
+    return np.where(grid.valid[None], sampled, fill)
+
+
+def reference_compose(outer, inner):
+    """compose_grids with the inner validity read by 2-D indexing."""
+    w, h = inner.size
+    idx, fx, fy = reference_bilinear_support(outer.sx, outer.sy, inner.size)
+    y, x = np.divmod(idx, w)
+    sx = reference_sample(inner.sx, outer.sx, outer.sy)
+    sy = reference_sample(inner.sy, outer.sx, outer.sy)
+    zx, zy = fx == 0.0, fy == 0.0
+    ok = (
+        inner.valid[y[0], x[0]]
+        & (zx | inner.valid[y[1], x[1]])
+        & (zy | inner.valid[y[2], x[2]])
+        & (zx | zy | inner.valid[y[3], x[3]])
+    )
+    sw, sh = inner.source_size
+    return GridMap(
+        np.clip(sx, 0.0, sw - 1.0), np.clip(sy, 0.0, sh - 1.0), outer.valid & ok, inner.source_size
+    )
+
+
+def edge_heavy_grid(rng, size, source_size, invalid_frac=0.2):
+    """Random grid whose coordinates include integers, half-integers and the
+    last row and column, where corners carry zero weight or clamp."""
+    w, h = size
+    sw, sh = source_size
+    sx = rng.uniform(0.0, sw - 1.0, size=(h, w))
+    sy = rng.uniform(0.0, sh - 1.0, size=(h, w))
+    pick = rng.random((h, w))
+    sx[pick < 0.3] = np.round(sx[pick < 0.3])
+    sy[pick > 0.7] = np.round(sy[pick > 0.7])
+    sx[(pick > 0.4) & (pick < 0.5)] = sw - 1.0
+    sy[(pick > 0.45) & (pick < 0.55)] = sh - 1.0
+    sx[(pick > 0.55) & (pick < 0.6)] = np.floor(sx[(pick > 0.55) & (pick < 0.6)]) + 0.5
+    sx[(pick > 0.6) & (pick < 0.62)] = 0.0
+    valid = rng.random((h, w)) >= invalid_frac
+    return GridMap(sx, sy, valid, source_size)
+
+
 def translation_grid(size, dx, dy, source_size=None):
     flow = FlowField(np.stack([
         np.full((size[1], size[0]), float(dx)),
@@ -286,6 +364,61 @@ class TestWarpRaster:
         img = Image(np.zeros((1, 4, 4)))
         with pytest.raises(DimensionError):
             warp_raster(img, identity_grid((5, 5)))
+
+
+class TestFlatIndexKernels:
+    """The flat-index support and gather against the 2-D-index oracle,
+    compared as bytes."""
+
+    def test_sample_bilinear_out_of_range_and_lattices(self):
+        rng = np.random.default_rng(21)
+        plane = rng.standard_normal((9, 13))
+        sx = rng.uniform(-4, 17, size=(7, 11))
+        sy = rng.uniform(-4, 12, size=(7, 11))
+        sx[0, :3] = [-1.0, 12.0, 12.5]
+        sy[1, :3] = [8.0, 9.0, -0.5]
+        got = sample_bilinear(plane, sx, sy)
+        assert got.tobytes() == reference_sample(plane, sx, sy).tobytes()
+        xs = np.array([-2.0, 0.0, 0.5, 6.25, 12.0, 14.0])
+        ys = np.array([-1.0, 0.0, 3.75, 8.0, 8.5])
+        for lx, ly in ((xs[None, :], ys[:, None]), (xs[:, None], ys[None, :])):
+            got = sample_bilinear(plane, lx, ly)
+            assert got.shape == np.broadcast_shapes(lx.shape, ly.shape)
+            assert got.tobytes() == reference_sample(plane, lx, ly).tobytes()
+
+    @pytest.mark.parametrize("size, source_size", [((17, 11), (13, 9)), ((40, 31), (40, 31))])
+    def test_warps_match_oracle(self, size, source_size):
+        rng = np.random.default_rng(size[0])
+        sw, sh = source_size
+        grid = edge_heavy_grid(rng, size, source_size)
+        scores = ScoreMap(rng.standard_normal((6, sh, sw)))
+        out, mask = warp_raster(scores, grid)
+        assert out.data.tobytes() == reference_warp(scores.data, grid, -1e4).tobytes()
+        assert np.array_equal(mask, grid.valid)
+        for channels in (1, 3):
+            img = Image(rng.random((channels, sh, sw)))
+            out, _ = warp_raster(img, grid)
+            want = np.clip(reference_warp(img.data, grid, 0.0), 0.0, 1.0)
+            assert out.data.tobytes() == want.tobytes()
+        labels = LabelMap(rng.integers(0, 5, size=(sh, sw)), 5)
+        out, mask = warp_labels(labels, grid)
+        want = np.argmax(reference_warp(labels.one_hot().data, grid, 0.0), axis=0)
+        assert out.data.tobytes() == want.astype(np.int32).tobytes()
+        assert np.array_equal(mask, grid.valid)
+
+    def test_compose_matches_oracle(self):
+        rng = np.random.default_rng(22)
+        inner = edge_heavy_grid(rng, (23, 19), (29, 17), invalid_frac=0.1)
+        outer = edge_heavy_grid(rng, (31, 21), inner.size, invalid_frac=0.05)
+        got = compose_grids(outer, inner)
+        want = reference_compose(outer, inner)
+        for name in ("sx", "sy", "valid"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        # the zero-weight rule decides some pixels: a neighbor-blind check
+        # that all four corners be valid would reject more
+        idx, _, _ = reference_bilinear_support(outer.sx, outer.sy, inner.size)
+        all_corners = outer.valid & inner.valid.reshape(-1)[idx].all(axis=0)
+        assert (got.valid & ~all_corners).sum() > 10
 
 
 class TestWarpLabels:

@@ -72,6 +72,16 @@ class TestFlowSamples:
 
 
 class TestSceneRendering:
+    @pytest.mark.parametrize("size", [(95, 95), (96, 97), (97, 97)])
+    def test_odd_heights_render_without_invalid_values(self, size):
+        # an odd height puts one pixel row level with the horizon; the
+        # ground hit of its rays must not reach the texture as inf or NaN
+        # (the suite fails on the warnings that would raise)
+        for seed in range(3):
+            pair = render_scene(make_scene(seed, size=size))
+            assert pair.narrow_image.size == size
+            assert (pair.wide_labels.data == 1).any()
+
     def test_ground_only_identical_cameras_identity_grid(self):
         from semshare.camera import CameraRig, Rotation3
 
