@@ -115,7 +115,8 @@ class FusionHead:
 
 def new_head(kind: str, num_classes: int, seed: int = 0, init_scale: float = 0.1) -> FusionHead:
     """Seeded uniform initialization: weights in [-s, s] with
-    s = init_scale / sqrt(fan_in); biases start at zero."""
+    s = init_scale / sqrt(fan_in), rounded to float32 like the head file
+    and the trainer; biases start at zero."""
     if not 0.0 < init_scale < math.inf:
         raise ConfigError(f"init scale must be positive and finite, got {init_scale}")
     variant = FusionVariant.resolve(kind, num_classes)
@@ -126,7 +127,7 @@ def new_head(kind: str, num_classes: int, seed: int = 0, init_scale: float = 0.1
             params[name] = np.zeros(shape)
         else:
             bound = init_scale / math.sqrt(shape[1])
-            params[name] = rng.uniform(-bound, bound, size=shape)
+            params[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return FusionHead(variant, num_classes, params)
 
 
@@ -145,6 +146,9 @@ def identity_head(num_classes: int) -> FusionHead:
 # The kernels take the input as a (2C, N) matrix of any strides (training
 # passes the transpose of a C-contiguous (N, 2C) row gather) and write every
 # (width, N) intermediate with out= into a workspace dict keyed by name.
+# Buffers take the dtype of their operands, so one code path serves both
+# precisions: training runs in float32, while fuse_forward, fuse_backward
+# and their gradient checks run in float64.
 # A caller that reuses one workspace for equal-sized inputs allocates no
 # array after the first call; fresh temporaries of this size cost more in
 # first-touch page faults than the arithmetic they hold.  ReLUs run in
@@ -154,7 +158,7 @@ def identity_head(num_classes: int) -> FusionHead:
 # numpy writes through a temporary copy of out.  Every index is in range.
 
 
-def _buf(ws: dict, name: str, shape, dtype=float) -> np.ndarray:
+def _buf(ws: dict, name: str, shape, dtype) -> np.ndarray:
     """ws[name], created with the given shape on first use."""
     arr = ws.get(name)
     if arr is None:
@@ -164,7 +168,8 @@ def _buf(ws: dict, name: str, shape, dtype=float) -> np.ndarray:
 
 def _product(a, b, ws: dict, name: str) -> np.ndarray:
     """ws[name] = a @ b."""
-    return np.matmul(a, b, out=_buf(ws, name, (a.shape[0], b.shape[1])))
+    shape = (a.shape[0], b.shape[1])
+    return np.matmul(a, b, out=_buf(ws, name, shape, np.result_type(a, b)))
 
 
 def _affine(w, b, x, ws: dict, name: str) -> np.ndarray:
@@ -317,8 +322,8 @@ class TrainConfig:
 
 
 def _flatten_dataset(head: FusionHead, dataset):
-    """Valid pixels of every item as one C-contiguous (N, 2C) matrix, in
-    item then raster order, plus their labels."""
+    """Valid pixels of every item as one C-contiguous float32 (N, 2C)
+    matrix, in item then raster order, plus their labels."""
     c = head.num_classes
     valid = []
     for propagated, native, mask, gt in dataset:
@@ -331,9 +336,9 @@ def _flatten_dataset(head: FusionHead, dataset):
     n = sum(len(pixels) for pixels in valid)
     if n == 0:
         raise ConfigError("training dataset has no valid pixels")
-    x = np.empty((n, 2 * c))
+    x = np.empty((n, 2 * c), np.float32)
     y = np.empty(n, np.intp)
-    rows = np.empty((max(gt.data.size for *_, gt in dataset), 2 * c))
+    rows = np.empty((max(gt.data.size for *_, gt in dataset), 2 * c), np.float32)
     start = 0
     for (propagated, native, _, gt), pixels in zip(dataset, valid):
         item = rows[: gt.data.size]
@@ -355,11 +360,11 @@ def _softmax_ce(y: np.ndarray, labels: np.ndarray, ws: dict) -> float:
     at = np.multiply(labels, n, out=_buf(ws, "label_at", (n,), np.intp))
     at += ws["columns"]
     flat = y.reshape(-1)
-    picked = np.take(flat, at, out=_buf(ws, "picked", (n,)), mode="clip")
-    m = np.max(y, axis=0, out=_buf(ws, "max", (n,)))
+    picked = np.take(flat, at, out=_buf(ws, "picked", (n,), y.dtype), mode="clip")
+    m = np.max(y, axis=0, out=_buf(ws, "max", (n,), y.dtype))
     np.subtract(y, m, out=y)
     np.exp(y, out=y)
-    norm = np.sum(y, axis=0, out=_buf(ws, "norm", (n,)))
+    norm = np.sum(y, axis=0, out=_buf(ws, "norm", (n,), y.dtype))
     np.divide(y, norm, out=y)
     nll = np.log(norm, out=norm)
     nll += m
@@ -377,9 +382,12 @@ def train_fusion(head: FusionHead, dataset, cfg: TrainConfig):
 
     dataset is a list of (propagated ScoreMap, native ScoreMap, mask,
     ground-truth LabelMap).  Returns (trained head, per-iteration loss).
-    The parameters, their gradients and every per-pixel intermediate live
-    in buffers made for this call, so steps after the first allocate
-    nothing of batch size but the generator's index draw.
+    Training runs in float32: the pixels, the parameters, their gradients
+    and every per-pixel intermediate are float32 buffers made for this
+    call, so steps after the first allocate nothing of batch size but the
+    generator's index draw.  The returned head holds float32-representable
+    values, which write_head stores exactly; inference (fuse_forward) and
+    the gradient checks run in float64.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
@@ -388,11 +396,11 @@ def train_fusion(head: FusionHead, dataset, cfg: TrainConfig):
     batch = max(1, int(round(cfg.batch_fraction * n)))
     rng = np.random.default_rng(cfg.seed)
     kind = head.variant.kind
-    params = {name: arr.copy() for name, arr in head.params.items()}
+    params = {name: arr.astype(np.float32) for name, arr in head.params.items()}
     grads = {name: np.empty_like(arr) for name, arr in params.items()}
     ws = {}
     if batch < n:
-        xb, yb = np.empty((batch, x_all.shape[1])), np.empty(batch, y_all.dtype)
+        xb, yb = np.empty((batch, x_all.shape[1]), x_all.dtype), np.empty(batch, y_all.dtype)
     else:
         xb, yb = x_all, y_all
     x = xb.T

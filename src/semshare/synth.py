@@ -228,7 +228,7 @@ def _view_rays(cam: Intrinsics, size, rotation: np.ndarray):
 
 def _render_view(scene: SynthScene, cam: Intrinsics, size, rotation, center):
     """Ray-cast one camera: returns intensity, labels, world hit points
-    (inf for the background) and per-pixel depth in the camera's own frame."""
+    (inf for the background) and the world ray directions."""
     w, h = size
     dirs = _view_rays(cam, size, rotation)
     dx, dy, dz = dirs
@@ -290,73 +290,86 @@ def _render_view(scene: SynthScene, cam: Intrinsics, size, rotation, center):
             np.where(finite, cz3 + t_safe * dz, np.inf),
         ]
     )
-    # depth in the camera's own frame (z after world->camera rotation)
-    own_z = np.where(
-        finite,
-        t_safe * (rotation[2, 0] * dx + rotation[2, 1] * dy + rotation[2, 2] * dz),
-        np.inf,
-    )
     image = Image(np.clip(intensity, 0.0, 1.0)[None])
-    return image, LabelMap(labels, scene.num_classes), points, own_z, dirs
+    return image, LabelMap(labels, scene.num_classes), points, dirs
+
+
+def _hidden_from(scene: SynthScene, center, rel, finite) -> np.ndarray:
+    """Pixels whose line of sight to the camera at `center` crosses a box:
+    the open segment center + s * rel, 0 < s < 1, for hit points (rel =
+    point - center), and the ray s > 0 for background directions.
+
+    A hit point lies on or above the ground, and so does the camera, so
+    the ground can hide only a background direction."""
+    ox, oy, oz = center
+    rx, ry, rz = rel
+    g = scene.ground_height
+    # a hit point on a box's own plane sits at s = 1 up to round-off
+    s_max = np.where(finite, 1.0 - 1e-9, np.inf)
+    hidden = np.zeros(finite.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for box in scene.boxes:
+            s = (box.depth - oz) / rz
+            qx = ox + s * rx
+            qy = oy + s * ry
+            hidden |= (
+                (s > 0.0)
+                & (s < s_max)
+                & (np.abs(qx - box.x_center) <= box.width / 2.0)
+                & (qy <= g)
+                & (qy >= g - box.height)
+            )
+        s = (g - oy) / ry
+        hidden |= ~finite & (ry > _EPS) & (s > 0.0) & (oz + s * rz > 0.0)
+    return hidden
 
 
 def _correspondence_grid(
-    points, dirs, src_cam: Intrinsics, src_size, src_rotation, src_center, src_depth
+    scene: SynthScene, points, dirs, cam: Intrinsics, size, rotation, center
 ):
-    """Project one view's hit points into the other camera and validate
-    bounds plus visibility against that camera's depth map."""
-    w, h = src_size
+    """Project one view's hit points (background: ray directions) into the
+    other camera and keep those in front of it, inside its raster and not
+    hidden from it by the scene."""
+    w, h = size
     finite = np.isfinite(points[2])
-    rel = np.stack(
-        [
-            np.where(finite, points[0] - src_center[0], dirs[0]),
-            np.where(finite, points[1] - src_center[1], dirs[1]),
-            np.where(finite, points[2] - src_center[2], dirs[2]),
-        ]
-    )
-    cam_pt = np.einsum("ij,jhw->ihw", src_rotation, rel)
+    rel = np.where(finite, points - np.reshape(center, (3, 1, 1)), dirs)
+    cam_pt = np.einsum("ij,jhw->ihw", rotation, rel)
     in_front = cam_pt[2] > _EPS
     z = np.where(in_front, cam_pt[2], 1.0)
-    u = (src_cam.fx * cam_pt[0] + src_cam.skew * cam_pt[1]) / z + src_cam.cx
-    v = src_cam.fy * cam_pt[1] / z + src_cam.cy
+    u = (cam.fx * cam_pt[0] + cam.skew * cam_pt[1]) / z + cam.cx
+    v = cam.fy * cam_pt[1] / z + cam.cy
     # border tolerance absorbs reprojection round-off at the exact edge
     tol = 1e-6
     in_bounds = in_front & (u >= -tol) & (u <= w - 1 + tol) & (v >= -tol) & (v <= h - 1 + tol)
+    valid = in_bounds & ~_hidden_from(scene, center, rel, finite)
     u = np.clip(u, 0.0, w - 1.0)
     v = np.clip(v, 0.0, h - 1.0)
-
-    iu = np.clip(np.rint(u), 0, w - 1).astype(np.int64)
-    iv = np.clip(np.rint(v), 0, h - 1).astype(np.int64)
-    seen_depth = src_depth[iv, iu]
-    own_depth = np.where(finite, cam_pt[2], np.inf)
-    visible = seen_depth >= own_depth * (1.0 - 1e-3)
-    valid = in_bounds & visible
-    return GridMap(np.where(valid, u, 0.0), np.where(valid, v, 0.0), valid, src_size)
+    return GridMap(np.where(valid, u, 0.0), np.where(valid, v, 0.0), valid, size)
 
 
 def render_scene(scene: SynthScene) -> ScenePair:
     """Rasterize both cameras and compute exact per-pixel correspondences
-    from the true scene depth (not the planar homography)."""
+    from the true scene geometry (not the planar homography)."""
     if not scene.boxes and scene.ground_height <= 0:
         raise ConfigError("scene has no content")
     rig = scene.rig
     r_narrow = rig.rotation_wide_to_narrow.r
     base = np.asarray(scene.baseline, dtype=float)
 
-    wide_img, wide_labels, wide_pts, wide_depth, wide_dirs = _render_view(
+    wide_img, wide_labels, wide_pts, wide_dirs = _render_view(
         scene, rig.cam_wide, rig.image_size_wide, np.eye(3), np.zeros(3)
     )
-    narrow_img, narrow_labels, narrow_pts, narrow_depth, narrow_dirs = _render_view(
+    narrow_img, narrow_labels, narrow_pts, narrow_dirs = _render_view(
         scene, rig.cam_narrow, rig.image_size_narrow, r_narrow, base
     )
 
     grid_to_narrow = _correspondence_grid(
-        narrow_pts, narrow_dirs, rig.cam_wide, rig.image_size_wide,
-        np.eye(3), np.zeros(3), wide_depth,
+        scene, narrow_pts, narrow_dirs, rig.cam_wide, rig.image_size_wide,
+        np.eye(3), np.zeros(3),
     )
     grid_to_wide = _correspondence_grid(
-        wide_pts, wide_dirs, rig.cam_narrow, rig.image_size_narrow,
-        r_narrow, base, narrow_depth,
+        scene, wide_pts, wide_dirs, rig.cam_narrow, rig.image_size_narrow,
+        r_narrow, base,
     )
     return ScenePair(
         wide_image=wide_img,

@@ -96,21 +96,22 @@ def forward_oracle(head, prop_vec, nat_vec):
 
 
 # Reference trainer: the allocate-everything channel-major SGD loop that the
-# workspace trainer replaced.  train_fusion must reproduce it bit for bit.
+# workspace trainer replaced, in float32 like train_fusion.  It keeps its own
+# float32 parameter dict (FusionHead stores float64), and train_fusion must
+# reproduce it bit for bit.
 
 
-def reference_forward(head, x):
-    p = head.params
-    if head.variant.kind == "basic":
+def reference_forward(kind, p, x):
+    if kind == "basic":
         return p["w"] @ x + p["b"][:, None], {"x": x}
-    if head.variant.kind == "residual":
+    if kind == "residual":
         a1 = p["w1"] @ x + p["b1"][:, None]
         z1 = np.maximum(a1, 0.0)
         a2 = p["w2"] @ z1 + p["b2"][:, None]
         s = p["ws"] @ x + p["bs"][:, None]
         r = a2 + s
         return p["wc"] @ r + p["bc"][:, None], {"x": x, "a1": a1, "z1": z1, "r": r}
-    c = head.num_classes
+    c = x.shape[0] // 2
     s = (p["wp"] @ x[:c] + p["bp"][:, None]) + (p["wn"] @ x[c:] + p["bn"][:, None])
     d = p["wd"] @ s + p["bd"][:, None]
     zd = np.maximum(d, 0.0)
@@ -120,20 +121,19 @@ def reference_forward(head, x):
     return y, {"x": x, "s": s, "d": d, "zd": zd, "t": t, "r": r}
 
 
-def reference_backward(head, cache, gy):
-    p = head.params
+def reference_backward(kind, p, cache, gy):
     x = cache["x"]
-    if head.variant.kind == "basic":
+    if kind == "basic":
         return {"w": gy @ x.T, "b": gy.sum(axis=1)}
     g = {"wc": gy @ cache["r"].T, "bc": gy.sum(axis=1)}
-    if head.variant.kind == "residual":
+    if kind == "residual":
         gr = p["wc"].T @ gy
         g["w2"], g["b2"] = gr @ cache["z1"].T, gr.sum(axis=1)
         ga1 = (p["w2"].T @ gr) * (cache["a1"] > 0.0)
         g["w1"], g["b1"] = ga1 @ x.T, ga1.sum(axis=1)
         g["ws"], g["bs"] = gr @ x.T, gr.sum(axis=1)
         return g
-    c = head.num_classes
+    c = x.shape[0] // 2
     gt = (p["wc"].T @ gy) * (cache["t"] > 0.0)
     g["wu"], g["bu"] = gt @ cache["zd"].T, gt.sum(axis=1)
     gd = (p["wu"].T @ gt) * (cache["d"] > 0.0)
@@ -151,16 +151,17 @@ def reference_train(head, dataset, cfg):
         x = np.concatenate([propagated.data, native.data], axis=0).reshape(2 * c, -1)
         xs.append(x[:, mask.reshape(-1)])
         ys.append(gt.data.reshape(-1)[mask.reshape(-1)])
-    x_all, y_all = np.concatenate(xs, axis=1), np.concatenate(ys)
+    x_all, y_all = np.concatenate(xs, axis=1).astype(np.float32), np.concatenate(ys)
     n = x_all.shape[1]
     batch = max(1, int(round(cfg.batch_fraction * n)))
     rng = np.random.default_rng(cfg.seed)
-    params = {name: arr.copy() for name, arr in head.params.items()}
-    work, losses = head, []
+    kind = head.variant.kind
+    params = {name: arr.astype(np.float32) for name, arr in head.params.items()}
+    losses = []
     for _ in range(cfg.iterations):
         idx = rng.integers(0, n, size=batch) if batch < n else np.arange(n)
         xb, yb = x_all[:, idx], y_all[idx]
-        out, cache = reference_forward(work, xb)
+        out, cache = reference_forward(kind, params, xb)
         m = out.max(axis=0)
         exp = np.exp(out - m[None])
         norm = exp.sum(axis=0)
@@ -168,10 +169,10 @@ def reference_train(head, dataset, cfg):
         cols = np.arange(xb.shape[1])
         losses.append(float(np.sum(np.log(norm) + m - out[yb, cols]) / xb.shape[1]))
         probs[yb, cols] -= 1.0
-        grads = reference_backward(work, cache, probs / xb.shape[1])
+        grads = reference_backward(kind, params, cache, probs / xb.shape[1])
         params = {name: params[name] - cfg.learning_rate * grads[name] for name in params}
-        work = head.replace_params(params)
-    return work, losses
+        assert all(arr.dtype == np.float32 for arr in params.values())
+    return head.replace_params(params), losses
 
 
 class TestForward:
@@ -453,6 +454,22 @@ class TestSerialization:
         # second write is byte-identical
         write_head(back, tmp_path / "head2.bin")
         assert (tmp_path / "head.bin").read_bytes() == (tmp_path / "head2.bin").read_bytes()
+
+    @pytest.mark.parametrize("kind", VARIANTS)
+    def test_new_and_trained_heads_read_back_exactly(self, tmp_path, kind):
+        # new_head and train_fusion produce float32-representable values,
+        # so the float32 head file loses nothing
+        head = new_head(kind, 3, seed=64)
+        cfg = TrainConfig(learning_rate=0.1, iterations=20, batch_fraction=0.5, seed=65)
+        trained, _ = train_fusion(head, TestTraining().make_dataset(66), cfg)
+        for original in (head, trained):
+            path = tmp_path / "head.bin"
+            write_head(original, path)
+            back = read_head(path)
+            assert back.variant == original.variant
+            for name, arr in original.params.items():
+                assert back.params[name].dtype == arr.dtype == np.float64
+                assert np.array_equal(back.params[name], arr), name
 
     def test_wrong_kind_rejected(self, tmp_path):
         from semshare.errors import DataError

@@ -202,6 +202,156 @@ class TestSceneRendering:
             )
 
 
+def views(scene):
+    """(camera, size, world-to-camera rotation, centre) of the wide and the
+    narrow camera of a scene."""
+    rig = scene.rig
+    return {
+        "wide": (rig.cam_wide, rig.image_size_wide, np.eye(3), np.zeros(3)),
+        "narrow": (
+            rig.cam_narrow,
+            rig.image_size_narrow,
+            rig.rotation_wide_to_narrow.r,
+            np.asarray(scene.baseline, dtype=float),
+        ),
+    }
+
+
+def project_into(scene, view, other):
+    """Hand pinhole projection of `view`'s ray-cast hit points (background:
+    ray directions) into camera `other`: (u, v, in front and in bounds,
+    distance of each hit point from `other`'s centre, inf for background)."""
+    cams = views(scene)
+    points, dirs = synth._render_view(scene, *cams[view])[2:]
+    cam, (w, h), rotation, center = cams[other]
+    finite = np.isfinite(points[2])
+    rel = np.where(finite, points - center[:, None, None], dirs)
+    x, y, z = np.einsum("ij,jhw->ihw", rotation, rel)
+    front = z > 1e-9
+    z = np.where(front, z, 1.0)
+    u = (cam.fx * x + cam.skew * y) / z + cam.cx
+    v = cam.fy * y / z + cam.cy
+    tol = 1e-6
+    in_bounds = front & (u >= -tol) & (u <= w - 1 + tol) & (v >= -tol) & (v <= h - 1 + tol)
+    distance = np.where(finite, np.sqrt((rel * rel).sum(axis=0)), np.inf)
+    return np.clip(u, 0, w - 1), np.clip(v, 0, h - 1), in_bounds, distance
+
+
+GRIDS = (("grid_to_narrow", "narrow", "wide"), ("grid_to_wide", "wide", "narrow"))
+
+
+class TestCorrespondenceVisibility:
+    """A grid's validity marks exactly the pixels whose surface point the
+    other camera sees: in front of it, inside its raster, not occluded."""
+
+    @pytest.mark.parametrize("seed", [6000, 6001, 6002])
+    def test_planar_validity_equals_in_bounds(self, seed):
+        # nothing can occlude in a scene of ground and background alone
+        scene = make_scene(seed, planar=True)
+        pair = render_scene(scene)
+        for name, view, other in GRIDS:
+            u, v, in_bounds, _ = project_into(scene, view, other)
+            grid = getattr(pair, name)
+            assert np.array_equal(grid.valid, in_bounds), name
+            assert np.allclose(grid.sx[in_bounds], u[in_bounds], rtol=0.0, atol=1e-9)
+            assert np.allclose(grid.sy[in_bounds], v[in_bounds], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", [6000, 6001])
+    def test_only_box_hidden_pixels_are_invalid(self, seed):
+        # a nearer box hides ground, background and parts of farther boxes
+        # (seed 6000: the barrier hides an edge of the car from the wide
+        # camera); in-bounds pixels nothing hides stay valid
+        scene = make_scene(seed, planar=False)
+        pair = render_scene(scene)
+        cams = views(scene)
+        for name, view, other in GRIDS:
+            u, v, in_bounds, distance = project_into(scene, view, other)
+            _, (w, h), _, center = cams[other]
+            other_points = synth._render_view(scene, *cams[other])[2]
+            other_labels = getattr(pair, f"{other}_labels").data
+            other_distance = np.sqrt(((other_points - center[:, None, None]) ** 2).sum(axis=0))
+            # the other camera's 2x2 pixel neighbourhood around each projection
+            x0, y0 = np.floor(u).astype(int), np.floor(v).astype(int)
+            corners = [
+                (yy, xx)
+                for yy in (y0, np.minimum(y0 + 1, h - 1))
+                for xx in (x0, np.minimum(x0 + 1, w - 1))
+            ]
+            # each box has its own class, and a flat box cannot hide itself
+            own_labels = getattr(pair, f"{view}_labels").data
+            nearer_box = [
+                (other_labels[yy, xx] >= 2)
+                & (other_labels[yy, xx] != own_labels)
+                & (other_distance[yy, xx] < distance)
+                for yy, xx in corners
+            ]
+            same_box = np.logical_and.reduce(
+                [other_labels[yy, xx] == other_labels[corners[0]] for yy, xx in corners]
+            )
+            hidden = in_bounds & ~getattr(pair, name).valid
+            assert (own_labels[hidden] == 1).sum() > 20, name
+            assert np.logical_or.reduce(nearer_box)[hidden].all(), name
+            # a point whose whole neighbourhood is one nearer box is hidden
+            covered = in_bounds & same_box & np.logical_and.reduce(nearer_box)
+            assert covered.any() and hidden[covered].all(), name
+
+    def test_ground_hides_background_from_a_camera_in_front(self):
+        # the narrow camera stands 2 m behind the wide one, where the ground
+        # (z > 0 only) has not begun: below the horizon it sees background
+        # that the wide camera sees as ground
+        from semshare.camera import CameraRig, Rotation3
+
+        cam = default_rig((96, 96)).cam_wide
+        rig = CameraRig(
+            cam_narrow=cam,
+            cam_wide=cam,
+            rotation_wide_to_narrow=Rotation3.identity(),
+            image_size_narrow=(96, 96),
+            image_size_wide=(96, 96),
+        )
+        scene = SynthScene(
+            rig=rig,
+            baseline=(0.0, 0.0, -2.0),
+            ground_height=1.5,
+            ground_cell=0.7,
+            boxes=(),
+            texture_seed=9,
+        )
+        pair = render_scene(scene)
+        _, _, in_bounds, _ = project_into(scene, "narrow", "wide")
+        below = (np.arange(96) > cam.cy)[:, None]
+        hidden = below & (pair.narrow_labels.data == 0)
+        assert hidden.sum() > 96 and in_bounds[hidden].all()
+        assert np.array_equal(pair.grid_to_narrow.valid, in_bounds & ~hidden)
+
+    def test_identical_cameras_with_boxes_stay_fully_valid(self):
+        from semshare.camera import CameraRig, Rotation3
+
+        wide_cam = default_rig((96, 96)).cam_wide
+        rig_same = CameraRig(
+            cam_narrow=wide_cam,
+            cam_wide=wide_cam,
+            rotation_wide_to_narrow=Rotation3.identity(),
+            image_size_narrow=(96, 96),
+            image_size_wide=(96, 96),
+        )
+        scene = SynthScene(
+            rig=rig_same,
+            baseline=(0.0, 0.0, 0.0),
+            ground_height=1.5,
+            ground_cell=0.7,
+            boxes=make_scene(6000, size=(96, 96)).boxes,
+            texture_seed=9,
+        )
+        pair = render_scene(scene)
+        assert (pair.wide_labels.data >= 2).any()
+        xs, ys = np.meshgrid(np.arange(96.0), np.arange(96.0))
+        for grid in (pair.grid_to_narrow, pair.grid_to_wide):
+            assert grid.valid.all()
+            assert np.allclose(grid.sx, xs, atol=1e-9)
+            assert np.allclose(grid.sy, ys, atol=1e-9)
+
+
 class TestDegradeScores:
     def test_clean_settings_recover_labels(self):
         rng = np.random.default_rng(20)
