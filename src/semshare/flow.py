@@ -11,7 +11,14 @@ is minimized for the increment (du, dv) by simultaneous per-pixel (block
 Jacobi) solves.  The neighbor averages use the 4-neighborhood with exact
 per-pixel neighbor counts, which makes each sweep an exact block-Jacobi
 step for that objective; the objective is therefore non-increasing across
-sweeps up to float rounding.
+sweeps up to the rounding of the float32 iterates.
+
+The solve runs in float32 (_SOLVE_DTYPE): the gray planes are cast once,
+after the joint minimum is subtracted in float64, and the pyramid, the
+per-level warp, the sweeps and the flow upsampling take their dtype from
+those planes.  The objective is evaluated in float64 on the float32
+iterates, so the recorded energies are float64, and the returned
+FlowField is float64 (with float32-representable values).
 
 A sweep runs band by band over row strips of about _BAND_PIXELS pixels:
 neighbor sums, the division by the neighbor counts, the per-pixel solve
@@ -55,7 +62,10 @@ from .raster import (
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 INTENSITY_SCALE = 255.0
-_BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+# Python floats, so the smoothing keeps the planes' dtype
+_BINOMIAL5 = (1.0 / 16.0, 4.0 / 16.0, 6.0 / 16.0, 4.0 / 16.0, 1.0 / 16.0)
+# dtype of the whole solve: the pyramid, the per-level warp and the sweeps
+_SOLVE_DTYPE = np.float32
 # pixels per row band of a Jacobi sweep (rows = _BAND_PIXELS // width, at
 # least 1): small enough for a band's temporaries to stay in L2
 _BAND_PIXELS = 12_288
@@ -109,8 +119,8 @@ def _resize_bilinear(planes: np.ndarray, new_hw: tuple[int, int]) -> np.ndarray:
     of a (C, H, W) stack of planes."""
     h, w = planes.shape[1:]
     nh, nw = new_hw
-    ys = (np.arange(nh) + 0.5) * (h / nh) - 0.5
-    xs = (np.arange(nw) + 0.5) * (w / nw) - 0.5
+    ys = ((np.arange(nh) + 0.5) * (h / nh) - 0.5).astype(planes.dtype, copy=False)
+    xs = ((np.arange(nw) + 0.5) * (w / nw) - 0.5).astype(planes.dtype, copy=False)
     return _sample_planes(planes, xs[None, :], ys[:, None])
 
 
@@ -140,8 +150,8 @@ def _central_diff(plane: np.ndarray):
     return gx, gy
 
 
-def _neighbor_counts(shape) -> np.ndarray:
-    counts = np.full(shape, 4.0)
+def _neighbor_counts(shape, dtype) -> np.ndarray:
+    counts = np.full(shape, 4.0, dtype)
     counts[0, :] -= 1.0
     counts[-1, :] -= 1.0
     counts[:, 0] -= 1.0
@@ -150,6 +160,9 @@ def _neighbor_counts(shape) -> np.ndarray:
 
 
 def _objective(ix, iy, it, du, dv, alpha2) -> float:
+    """The level's objective, evaluated in float64 whatever the solve's
+    dtype."""
+    ix, iy, it, du, dv = (a.astype(np.float64, copy=False) for a in (ix, iy, it, du, dv))
     data = it + ix * du + iy * dv
     smooth = 0.0
     for p in (du, dv):
@@ -203,17 +216,18 @@ def _solve_level(target, source, u, v, cfg: FlowConfig, record_energy=False):
     """One coarse-to-fine stage: warp by (u, v), then Jacobi sweeps on the
     increment."""
     h, w = target.shape
-    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    dtype = target.dtype
+    ys, xs = np.mgrid[0:h, 0:w].astype(dtype)
     warped = sample_bilinear(source, xs + u, ys + v)
     grad = np.stack(_central_diff(warped))
     ix, iy = grad
     it = warped - target
     alpha2 = cfg.smoothness_weight**2
-    counts = _neighbor_counts((h, w))
+    counts = _neighbor_counts((h, w), dtype)
     denom = alpha2 * counts + ix * ix + iy * iy
-    d = np.zeros((2, h, w))
-    d_next = np.empty((2, h, w))
-    scratch = np.empty((5, min(max(1, _BAND_PIXELS // w), h), w))
+    d = np.zeros((2, h, w), dtype)
+    d_next = np.empty((2, h, w), dtype)
+    scratch = np.empty((5, min(max(1, _BAND_PIXELS // w), h), w), dtype)
     energies = [_objective(ix, iy, it, d[0], d[1], alpha2)] if record_energy else None
     for _ in range(cfg.iterations_per_level):
         _jacobi_sweep(grad, it, counts, denom, d, d_next, scratch)
@@ -234,8 +248,9 @@ def estimate_flow_detailed(target: Image, source: Image, cfg: FlowConfig):
     work_t = to_gray(target) * INTENSITY_SCALE
     work_s = to_gray(source) * INTENSITY_SCALE
     offset = min(float(work_t.min()), float(work_s.min()))
-    work_t = work_t - offset
-    work_s = work_s - offset
+    # the offset is taken in float64; the solve runs in _SOLVE_DTYPE
+    work_t = (work_t - offset).astype(_SOLVE_DTYPE, copy=False)
+    work_s = (work_s - offset).astype(_SOLVE_DTYPE, copy=False)
 
     pyr_t = _plane_pyramid(work_t, cfg.num_levels, cfg.min_level_size)
     pyr_s = _plane_pyramid(work_s, cfg.num_levels, cfg.min_level_size)

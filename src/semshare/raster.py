@@ -295,11 +295,14 @@ def _bilinear_support(sx, sy, source_size):
     w, h = source_size
     fx = np.clip(sx, 0.0, w - 1.0)
     fy = np.clip(sy, 0.0, h - 1.0)
-    x0 = np.floor(fx).astype(np.intp)
-    y0 = np.floor(fy).astype(np.intp)
-    # in place, so the clamped coordinates need no array of their own
+    x0 = np.floor(fx)
+    y0 = np.floor(fy)
+    # in place, so the clamped coordinates need no array of their own; the
+    # float floor keeps float32 in float32, and the difference is exact
     fx -= x0
     fy -= y0
+    x0 = x0.astype(np.intp)
+    y0 = y0.astype(np.intp)
     idx = np.empty((4,) + np.broadcast_shapes(x0.shape, y0.shape), np.intp)
     np.multiply(y0, w, out=idx[0])
     idx[0] += x0
@@ -374,7 +377,7 @@ def _sample_planes(planes, sx, sy):
     support."""
     c, h, w = planes.shape
     support = _bilinear_support(sx, sy, (w, h))
-    out = np.empty((c,) + support[0].shape[1:])
+    out = np.empty((c,) + support[0].shape[1:], np.result_type(planes, support[1]))
     for k in range(c):
         _gather_bilinear(planes[k], support, out=out[k])
     return out

@@ -520,7 +520,9 @@ def make_scene(seed: int, size=(192, 192), planar: bool = False) -> SynthScene:
     if not planar:
         classes = rng.permutation([2, 3, 4, 5])
         depths = np.sort(rng.uniform(4.0, 12.0, size=4))
-        # distinct angular lanes keep the boxes from occluding each other
+        # each box is centred on its own viewing direction (x / z = lane),
+        # which spreads the boxes across the view; a near box can still
+        # cover part of a farther one, since widths grow with depth
         lanes = rng.permutation([-0.3, -0.11, 0.08, 0.27])
         for class_id, depth, lane in zip(classes, depths, lanes):
             depth = float(depth)

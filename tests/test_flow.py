@@ -12,6 +12,7 @@ from semshare.flow import (
     flow_to_color,
     to_gray,
     two_stage_map,
+    two_stage_map_detailed,
 )
 from semshare.metrics import aepe
 from semshare.raster import FlowField, Image, sample_bilinear
@@ -49,17 +50,19 @@ def reference_neighbor_sum(plane):
 
 def reference_solve_level(target, source, u, v, cfg, record_energy=False):
     """flow._solve_level as a plain Jacobi loop: whole-plane neighbor sums
-    and fresh full-size temporaries every sweep, no bands, no buffers."""
+    and fresh full-size temporaries every sweep, no bands, no buffers, in
+    the dtype of the planes it is given."""
     h, w = target.shape
-    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    dtype = target.dtype
+    ys, xs = np.mgrid[0:h, 0:w].astype(dtype)
     warped = sample_bilinear(source, xs + u, ys + v)
     ix, iy = flow._central_diff(warped)
     it = warped - target
     alpha2 = cfg.smoothness_weight**2
-    counts = flow._neighbor_counts((h, w))
+    counts = flow._neighbor_counts((h, w), dtype)
     denom = alpha2 * counts + ix * ix + iy * iy
-    du = np.zeros((h, w))
-    dv = np.zeros((h, w))
+    du = np.zeros((h, w), dtype)
+    dv = np.zeros((h, w), dtype)
     energies = [flow._objective(ix, iy, it, du, dv, alpha2)] if record_energy else None
     for _ in range(cfg.iterations_per_level):
         du_bar = reference_neighbor_sum(du) / counts
@@ -229,29 +232,45 @@ def noise_pair(size, channels, seed):
     return Image(np.stack(planes_t)), Image(np.stack(planes_s))
 
 
+BAND_CASES = pytest.mark.parametrize(
+    "size, channels, levels, band_pixels",
+    [
+        # 32-row bands: 100 = 3 * 32 + 4 rows, then a 50-row level
+        # shorter than its 64-row band
+        ((384, 100), 1, 4, None),
+        # odd height, every level shorter than one band
+        ((96, 97), 3, 5, None),
+        # a row wider than the band constant: 1-row bands
+        ((12_300, 16), 1, 4, None),
+        ((40, 45), 3, 4, 30),
+        # 7-row bands, 45 = 6 * 7 + 3, then 23 = 3 * 7 + 2
+        ((40, 45), 1, 4, 280),
+    ],
+    ids=["32-row-bands", "odd-height-rgb", "wider-than-band", "1-row-bands-rgb", "7-row-bands"],
+)
+
+
 class TestBandedSweep:
     """The banded, double-buffered sweep gives the plain Jacobi loop's
-    flows and energies byte for byte."""
+    flows and energies byte for byte, in the float32 of the solve and with
+    the solve dtype set to float64."""
 
-    @pytest.mark.parametrize(
-        "size, channels, levels, band_pixels",
-        [
-            # 32-row bands: 100 = 3 * 32 + 4 rows, then a 50-row level
-            # shorter than its 64-row band
-            ((384, 100), 1, 4, None),
-            # odd height, every level shorter than one band
-            ((96, 97), 3, 5, None),
-            # a row wider than the band constant: 1-row bands
-            ((12_300, 16), 1, 4, None),
-            ((40, 45), 3, 4, 30),
-            # 7-row bands, 45 = 6 * 7 + 3, then 23 = 3 * 7 + 2
-            ((40, 45), 1, 4, 280),
-        ],
-        ids=["32-row-bands", "odd-height-rgb", "wider-than-band", "1-row-bands-rgb", "7-row-bands"],
-    )
+    @BAND_CASES
     def test_matches_reference_loop_bytewise(
         self, monkeypatch, size, channels, levels, band_pixels
     ):
+        assert flow._SOLVE_DTYPE is np.float32
+        self.check_bytewise(monkeypatch, size, channels, levels, band_pixels)
+
+    @BAND_CASES
+    def test_float64_matches_reference_loop_bytewise(
+        self, monkeypatch, size, channels, levels, band_pixels
+    ):
+        monkeypatch.setattr(flow, "_SOLVE_DTYPE", np.float64)
+        self.check_bytewise(monkeypatch, size, channels, levels, band_pixels)
+
+    @staticmethod
+    def check_bytewise(monkeypatch, size, channels, levels, band_pixels):
         if band_pixels is not None:
             monkeypatch.setattr(flow, "_BAND_PIXELS", band_pixels)
         target, source = noise_pair(size, channels, seed=sum(size) + channels)
@@ -265,6 +284,61 @@ class TestBandedSweep:
         assert np.array(got_diag.coarsest_energies).tobytes() == (
             np.array(want_diag.coarsest_energies).tobytes()
         )
+
+
+class TestFloat32Solve:
+    """The solve runs in float32; the field it returns is float64 and stays
+    within 1e-3 px of the same solve in float64."""
+
+    def test_sweeps_see_float32_and_the_result_is_float64(self, monkeypatch):
+        seen = []
+        sweep = flow._jacobi_sweep
+
+        def probe(*args):
+            seen.append({a.dtype for a in args})
+            return sweep(*args)
+
+        monkeypatch.setattr(flow, "_jacobi_sweep", probe)
+        target, source = noise_pair((64, 64), 3, seed=13)
+        cfg = FlowConfig(num_levels=3, iterations_per_level=4)
+        result, diag = estimate_flow_detailed(target, source, cfg)
+        assert len(seen) == 3 * 4
+        assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+        assert result.data.dtype == np.float64
+        assert all(type(e) is float for e in diag.coarsest_energies)
+        assert estimate_flow(target, source, cfg).data.dtype == np.float64
+
+    @staticmethod
+    def max_gap_to_float64(monkeypatch, solve):
+        single = solve()
+        monkeypatch.setattr(flow, "_SOLVE_DTYPE", np.float64)
+        double = solve()
+        assert np.abs(double.data).max() > 1.0
+        return np.abs(single.data - double.data).max()
+
+    @pytest.mark.parametrize("seed", [701, 702, 703])
+    def test_scene_flow_near_float64(self, monkeypatch, seed):
+        from semshare.synth import make_scene, render_scene
+
+        scene = make_scene(seed, size=(384, 384), planar=False)
+        pair = render_scene(scene)
+
+        def solve():
+            return two_stage_map_detailed(scene.rig, pair.wide_image, pair.narrow_image)[3]
+
+        assert self.max_gap_to_float64(monkeypatch, solve) < 1e-3
+
+    @pytest.mark.parametrize("seed", [711, 712])
+    def test_flow_sample_near_float64(self, monkeypatch, seed):
+        from semshare.synth import RandomTransformSpec, gen_flow_sample, texture_image
+
+        img = texture_image((256, 256), seed)
+        warped, _, _ = gen_flow_sample(img, RandomTransformSpec(seed=seed))
+
+        def solve():
+            return estimate_flow(warped, img, FlowConfig(num_levels=5))
+
+        assert self.max_gap_to_float64(monkeypatch, solve) < 1e-3
 
 
 class TestTwoStageMap:

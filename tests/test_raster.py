@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semshare import raster
 from semshare.camera import Homography
 from semshare.errors import DataError, DimensionError
 from semshare.raster import (
@@ -40,10 +41,12 @@ def reference_bilinear_support(sx, sy, source_size):
     w, h = source_size
     fx = np.clip(sx, 0.0, w - 1.0)
     fy = np.clip(sy, 0.0, h - 1.0)
-    x0 = np.floor(fx).astype(np.int64)
-    y0 = np.floor(fy).astype(np.int64)
+    x0 = np.floor(fx)
+    y0 = np.floor(fy)
     fx = fx - x0
     fy = fy - y0
+    x0 = x0.astype(np.int64)
+    y0 = y0.astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     x0, x1, y0, y1 = np.broadcast_arrays(x0, x1, y0, y1)
@@ -419,6 +422,44 @@ class TestFlatIndexKernels:
         idx, _, _ = reference_bilinear_support(outer.sx, outer.sy, inner.size)
         all_corners = outer.valid & inner.valid.reshape(-1)[idx].all(axis=0)
         assert (got.valid & ~all_corners).sum() > 10
+
+
+class TestKernelDtypes:
+    """The support and the gathers keep float32 in float32; in float64 the
+    float-floor fractions equal the integer-floor differences bit for bit."""
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(23)
+        planes = rng.standard_normal((3, 9, 13)).astype(np.float32)
+        sx = rng.uniform(-4, 17, size=(7, 11)).astype(np.float32)
+        sy = rng.uniform(-4, 12, size=(7, 11)).astype(np.float32)
+        _, fx, fy = raster._bilinear_support(sx, sy, (13, 9))
+        assert fx.dtype == fy.dtype == np.float32
+        stacked = raster._sample_planes(planes, sx, sy)
+        assert stacked.dtype == np.float32
+        for k in range(3):
+            single = sample_bilinear(planes[k], sx, sy)
+            assert single.dtype == np.float32
+            assert single.tobytes() == stacked[k].tobytes()
+            assert single.tobytes() == reference_sample(planes[k], sx, sy).tobytes()
+
+    def test_float64_fractions_match_integer_floor(self):
+        rng = np.random.default_rng(24)
+        w, h = 20_001, 7
+        sx = rng.uniform(-3.0, w + 2.0, size=4000)
+        sy = rng.uniform(-3.0, h + 2.0, size=4000)
+        sx[:3] = [w - 1.0, w - 1.5, np.nextafter(w - 1.0, 0.0)]
+        idx, fx, fy = raster._bilinear_support(sx, sy, (w, h))
+        for got, coords, limit in ((fx, sx, w - 1.0), (fy, sy, h - 1.0)):
+            clamped = np.clip(coords, 0.0, limit)
+            want = clamped - np.floor(clamped).astype(np.intp)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+        assert idx.tobytes() == reference_bilinear_support(sx, sy, (w, h))[0].tobytes()
+        plane = rng.standard_normal((h, w))
+        got = raster._sample_planes(plane[None], sx, sy)
+        assert got.dtype == np.float64
+        assert got[0].tobytes() == reference_sample(plane, sx, sy).tobytes()
 
 
 class TestWarpLabels:
