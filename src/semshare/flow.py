@@ -38,6 +38,13 @@ estimate invariant to a global intensity offset.
 All resampling here (the pyramid resize, the per-level warp and the flow
 upsampling) goes through raster's single bilinear kernel; u and v are
 upsampled from one support.
+
+two_stage_map solves the residual flow only on the box of the stage-one
+footprint, padded by one coarsest-level pixel; the flow is zero outside
+it.  On the synthetic rigs the forward box is the whole narrow raster.
+Backward (the swapped rig) the stage-one image is fill outside the narrow
+camera's view, about three quarters of the wide raster, and the box skips
+most of it: about a third of the wide raster is solved.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from .raster import (
     GridMap,
     Image,
     _sample_planes,
+    _valid_box,
     compose_grids,
     grid_from_flow,
     grid_from_homography,
@@ -293,6 +301,14 @@ def two_stage_map_detailed(
     Returns (composed grid, stage-one grid, stage-one warped wide image,
     residual flow).  The composed grid pulls wide-camera pixels straight
     into the narrow frame.
+
+    The flow is solved only on the box of the stage-one footprint (the
+    valid pixels of the stage-one grid), padded by one pixel of the
+    coarsest pyramid level, s = 2**(num_levels - 1), with its edges rounded
+    outward to multiples of s so the crop's pyramid samples the full
+    raster's pixel centres; it is clamped to the raster and grown to at
+    least min_level_size.  The residual flow is zero outside the box.  An
+    empty footprint is solved on the whole raster.
     """
     cfg = cfg or FlowConfig()
     if wide_img.size != rig.image_size_wide:
@@ -306,7 +322,15 @@ def two_stage_map_detailed(
     homography = homography_from_rig(rig)
     grid_stage1 = grid_from_homography(homography, rig.image_size_narrow, rig.image_size_wide)
     warped_wide, _ = warp_raster(wide_img, grid_stage1)
-    residual_flow = estimate_flow(narrow_img, warped_wide, cfg)
+    rows, cols = _valid_box(
+        grid_stage1.valid, 2 ** (cfg.num_levels - 1), cfg.min_level_size
+    ) or np.s_[:, :]
+    box_flow = estimate_flow(
+        Image(narrow_img.data[:, rows, cols]), Image(warped_wide.data[:, rows, cols]), cfg
+    )
+    flow = np.zeros((2, narrow_img.height, narrow_img.width))
+    flow[:, rows, cols] = box_flow.data
+    residual_flow = FlowField(flow)
     composed = compose_grids(grid_from_flow(residual_flow), grid_stage1)
     # the flow at a target pixel is only meaningful where the stage-one
     # warp put real content there; elsewhere it was estimated against fill

@@ -90,7 +90,8 @@ class FrameResult:
     """Fused scores, labels and validity masks of both branches, plus the
     intermediates: "propagated" and "back_propagated" scores, and per
     direction ("forward", "backward") the stage-one warped image and the
-    residual flow."""
+    residual flow.  The backward residual flow is solved on the box of the
+    stage-one footprint in the wide frame and is zero outside it."""
 
     narrow_scores: ScoreMap
     narrow_labels: LabelMap

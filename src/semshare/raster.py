@@ -372,21 +372,55 @@ def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:
     return GridMap(sx, sy, valid, inner.source_size)
 
 
-def _sample_planes(planes, sx, sy):
+def _sample_planes(planes, sx, sy, out=None):
     """sample_bilinear of every plane of a (C, H, W) stack, from one
-    support."""
+    support, written into `out` when given."""
     c, h, w = planes.shape
     support = _bilinear_support(sx, sy, (w, h))
-    out = np.empty((c,) + support[0].shape[1:], np.result_type(planes, support[1]))
+    if out is None:
+        out = np.empty((c,) + support[0].shape[1:], np.result_type(planes, support[1]))
     for k in range(c):
         _gather_bilinear(planes[k], support, out=out[k])
     return out
 
 
+def _valid_box(valid, pad=0, min_size=1):
+    """(rows, cols) slices of the bounding box of a 2D mask's True pixels,
+    or None when it has none.
+
+    With pad > 0 the box is widened by pad on every side and its edges are
+    rounded outward to multiples of pad.  The box is then clamped to the
+    mask and grown, as far as the mask allows, to at least min_size rows
+    and columns (rounded up to a multiple of pad), so every edge stays a
+    multiple of pad or an edge of the mask.
+    """
+    rows = np.flatnonzero(valid.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(valid.any(axis=0))
+    step = max(pad, 1)
+    size = -(-min_size // step) * step
+    box = []
+    for hits, n in ((rows, valid.shape[0]), (cols, valid.shape[1])):
+        lo = max(0, (int(hits[0]) - pad) // step * step)
+        hi = min(n, max(-(-(int(hits[-1]) + 1 + pad) // step) * step, lo + size))
+        lo = max(0, min(lo, (hi - size) // step * step))
+        box.append(slice(lo, hi))
+    return tuple(box)
+
+
 def _warp_planes(planes, grid: GridMap, fill: float):
-    sampled = _sample_planes(planes, grid.sx, grid.sy)
-    np.copyto(sampled, fill, where=~grid.valid)
-    return sampled
+    """Sample the planes through the grid inside the box of its valid
+    pixels; every pixel outside the box, and every invalid one, is fill."""
+    out = np.full((planes.shape[0],) + grid.valid.shape, fill, np.result_type(planes, grid.sx))
+    box = _valid_box(grid.valid)
+    if box is not None:
+        rows, cols = box
+        sampled = _sample_planes(
+            planes, grid.sx[rows, cols], grid.sy[rows, cols], out[:, rows, cols]
+        )
+        np.copyto(sampled, fill, where=~grid.valid[rows, cols])
+    return out
 
 
 def warp_raster(src, grid: GridMap):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semshare import flow
+from semshare import flow, raster
 from semshare.camera import CameraRig, Intrinsics, Rotation3
 from semshare.errors import ConfigError, DimensionError
 from semshare.flow import (
@@ -15,7 +15,7 @@ from semshare.flow import (
     two_stage_map_detailed,
 )
 from semshare.metrics import aepe
-from semshare.raster import FlowField, Image, sample_bilinear
+from semshare.raster import FlowField, GridMap, Image, sample_bilinear
 
 
 def value_noise(size, seed, octaves=((32, 0.5), (16, 0.3), (8, 0.2))):
@@ -341,16 +341,20 @@ class TestFloat32Solve:
         assert self.max_gap_to_float64(monkeypatch, solve) < 1e-3
 
 
+def identity_rig(size=(96, 96)):
+    k = Intrinsics(fx=96.0, fy=96.0, cx=(size[0] - 1) / 2, cy=(size[1] - 1) / 2)
+    return CameraRig(
+        cam_narrow=k,
+        cam_wide=k,
+        rotation_wide_to_narrow=Rotation3.identity(),
+        image_size_narrow=size,
+        image_size_wide=size,
+    )
+
+
 class TestTwoStageMap:
     def test_degenerate_rig_is_near_identity(self):
-        k = Intrinsics(fx=96.0, fy=96.0, cx=47.5, cy=47.5)
-        rig = CameraRig(
-            cam_narrow=k,
-            cam_wide=k,
-            rotation_wide_to_narrow=Rotation3.identity(),
-            image_size_narrow=(96, 96),
-            image_size_wide=(96, 96),
-        )
+        rig = identity_rig()
         img = Image(value_noise((96, 96), 9)[None])
         grid = two_stage_map(rig, img, img)
         xs, ys = np.meshgrid(np.arange(96.0), np.arange(96.0))
@@ -358,17 +362,83 @@ class TestTwoStageMap:
         assert dev.mean() < 0.1
 
     def test_size_checked_against_rig(self):
-        k = Intrinsics(fx=96.0, fy=96.0, cx=47.5, cy=47.5)
-        rig = CameraRig(
-            cam_narrow=k,
-            cam_wide=k,
-            rotation_wide_to_narrow=Rotation3.identity(),
-            image_size_narrow=(96, 96),
-            image_size_wide=(96, 96),
-        )
+        rig = identity_rig()
         img = Image(value_noise((64, 64), 10)[None])
         with pytest.raises(DimensionError):
             two_stage_map(rig, img, img)
+
+    def test_full_footprint_solves_the_whole_raster(self):
+        from semshare.synth import make_scene, render_scene
+
+        scene = make_scene(6000, size=(128, 128), planar=False)
+        pair = render_scene(scene)
+        _, grid1, stage1, residual = two_stage_map_detailed(
+            scene.rig, pair.wide_image, pair.narrow_image
+        )
+        assert grid1.valid.all()
+        want = estimate_flow(pair.narrow_image, stage1)
+        assert residual.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("num_levels", [4, 5])
+    def test_backward_flow_is_solved_on_the_footprint_box(self, num_levels):
+        from semshare.synth import make_scene, render_scene
+
+        scene = make_scene(6001, size=(192, 192), planar=False)
+        pair = render_scene(scene)
+        cfg = FlowConfig(num_levels=num_levels)
+        _, grid1, stage1, residual = two_stage_map_detailed(
+            scene.rig.swapped(), pair.narrow_image, pair.wide_image, cfg
+        )
+        s = 2 ** (num_levels - 1)
+        rows, cols = raster._valid_box(grid1.valid, s, cfg.min_level_size)
+        h, w = grid1.valid.shape
+        rows_hit, cols_hit = grid1.valid.any(axis=1), grid1.valid.any(axis=0)
+        for box, n, hits in ((rows, h, rows_hit), (cols, w, cols_hit)):
+            assert box.start % s == 0
+            assert box.stop % s == 0 or box.stop == n
+            first, last = np.flatnonzero(hits)[[0, -1]]
+            assert box.start <= max(first - s, 0) and box.stop >= min(last + 1 + s, n)
+        assert rows.stop - rows.start < h and cols.stop - cols.start < w
+        outside = np.ones((h, w), bool)
+        outside[rows, cols] = False
+        assert not residual.data[:, outside].any()
+        crop = estimate_flow(
+            Image(pair.wide_image.data[:, rows, cols]), Image(stage1.data[:, rows, cols]), cfg
+        )
+        assert residual.data[:, rows, cols].tobytes() == crop.data.tobytes()
+        assert np.abs(crop.data).max() > 0.1
+
+    @pytest.mark.parametrize(
+        "cols, box_cols",
+        [(slice(40, 42), (39, 55)), (slice(94, 96), (80, 96)), (slice(0, 1), (0, 16))],
+    )
+    def test_sliver_footprint_grows_to_min_level_size(self, monkeypatch, cols, box_cols):
+        """With one level the pad is 1 px, so a 1-2 px wide footprint's box
+        grows to min_level_size columns, inside the raster."""
+        real_grid, real_estimate = flow.grid_from_homography, flow.estimate_flow
+        solved = []
+
+        def sliver_grid(*args):
+            grid = real_grid(*args)
+            valid = np.zeros(grid.valid.shape, bool)
+            valid[10:60, cols] = True
+            return GridMap(grid.sx, grid.sy, valid, grid.source_size)
+
+        def spy(target, source, cfg=None):
+            flow_field = real_estimate(target, source, cfg)
+            solved.append(flow_field)
+            return flow_field
+
+        monkeypatch.setattr(flow, "grid_from_homography", sliver_grid)
+        monkeypatch.setattr(flow, "estimate_flow", spy)
+        img = Image(value_noise((96, 96), 9)[None])
+        cfg = FlowConfig(num_levels=1, iterations_per_level=5)
+        _, _, _, residual = two_stage_map_detailed(identity_rig(), img, img, cfg)
+        assert [f.size for f in solved] == [(cfg.min_level_size, 52)]
+        x0, x1 = box_cols
+        assert residual.data[:, 9:61, x0:x1].tobytes() == solved[0].data.tobytes()
+        assert not residual.data[:, :9].any() and not residual.data[:, 61:].any()
+        assert not residual.data[:, :, :x0].any() and not residual.data[:, :, x1:].any()
 
 
 class TestFlowColor:

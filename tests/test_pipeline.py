@@ -337,6 +337,21 @@ class TestEmptyMaskScenes:
         with pytest.raises(MetricUndefinedError):
             ablate_flow(bench)
 
+    def test_backward_share_without_overlap_is_all_fill(self):
+        scene = make_scene(6, size=(64, 64), planar=False)
+        scene = dataclasses.replace(scene, rig=default_rig((64, 64), yaw_deg=80.0))
+        pair = render_scene(scene)
+        stage1 = grid_from_homography(
+            homography_from_rig(scene.rig.swapped()), (64, 64), (64, 64)
+        )
+        assert not stage1.valid.any()
+        scores = degrade_scores(pair.narrow_labels, sigma=0.3, seed=1)
+        back, mask, _, _ = share(
+            scene.rig, scores, pair.wide_image, pair.narrow_image, FAST_FLOW, "backward"
+        )
+        assert mask.shape == (64, 64) and not mask.any()
+        assert np.all(back.data == raster.SCORE_FILL)
+
 
 class TestBenchmarkAndAblations:
     def test_benchmark_roundtrip(self, tiny_benchmark):

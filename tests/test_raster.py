@@ -389,15 +389,33 @@ class TestFlatIndexKernels:
             assert got.shape == np.broadcast_shapes(lx.shape, ly.shape)
             assert got.tobytes() == reference_sample(plane, lx, ly).tobytes()
 
-    @pytest.mark.parametrize("size, source_size", [((17, 11), (13, 9)), ((40, 31), (40, 31))])
-    def test_warps_match_oracle(self, size, source_size):
+    @pytest.mark.parametrize(
+        "size, source_size, layout",
+        [
+            # the first two cases keep the IDs they had before `layout`
+            pytest.param((17, 11), (13, 9), "scattered", id="size0-source_size0"),
+            pytest.param((40, 31), (40, 31), "scattered", id="size1-source_size1"),
+            pytest.param((40, 31), (40, 31), "off_centre_block", id="off_centre_block"),
+            pytest.param((17, 11), (13, 9), "all_invalid", id="all_invalid"),
+        ],
+    )
+    def test_warps_match_oracle(self, size, source_size, layout):
+        """Warps sample only the box of the valid pixels; the oracle samples
+        every pixel."""
         rng = np.random.default_rng(size[0])
         sw, sh = source_size
         grid = edge_heavy_grid(rng, size, source_size)
+        if layout != "scattered":
+            valid = np.zeros(grid.valid.shape, bool)
+            if layout == "off_centre_block":
+                valid[4:13, 22:35] = grid.valid[4:13, 22:35]
+            grid = GridMap(grid.sx, grid.sy, valid, source_size)
         scores = ScoreMap(rng.standard_normal((6, sh, sw)))
         out, mask = warp_raster(scores, grid)
         assert out.data.tobytes() == reference_warp(scores.data, grid, -1e4).tobytes()
         assert np.array_equal(mask, grid.valid)
+        if layout == "all_invalid":
+            assert np.all(out.data == raster.SCORE_FILL)
         for channels in (1, 3):
             img = Image(rng.random((channels, sh, sw)))
             out, _ = warp_raster(img, grid)
@@ -422,6 +440,34 @@ class TestFlatIndexKernels:
         idx, _, _ = reference_bilinear_support(outer.sx, outer.sy, inner.size)
         all_corners = outer.valid & inner.valid.reshape(-1)[idx].all(axis=0)
         assert (got.valid & ~all_corners).sum() > 10
+
+
+class TestValidBox:
+    @pytest.mark.parametrize(
+        "rows, cols, pad, min_size, want",
+        [
+            ((3, 5), (7, 8), 0, 1, ((3, 5), (7, 8))),
+            # padded by 8, edges rounded outward to multiples of 8, clamped
+            ((3, 5), (17, 30), 8, 1, ((0, 16), (8, 40))),
+            ((40, 45), (50, 60), 8, 1, ((32, 45), (40, 60))),
+            # grown to min_size (rounded up to a multiple of pad): to the
+            # right, or to the left where the raster ends
+            ((20, 21), (30, 31), 1, 16, ((19, 35), (29, 45))),
+            ((44, 45), (59, 60), 1, 16, ((29, 45), (44, 60))),
+            ((20, 21), (30, 31), 8, 20, ((8, 32), (16, 40))),
+            ((44, 45), (59, 60), 8, 20, ((16, 45), (32, 60))),
+            # a raster smaller than min_size bounds the box
+            ((20, 21), (30, 31), 8, 64, ((0, 45), (0, 60))),
+        ],
+    )
+    def test_box(self, rows, cols, pad, min_size, want):
+        valid = np.zeros((45, 60), bool)
+        valid[rows[0] : rows[1], cols[0] : cols[1]] = True
+        got = raster._valid_box(valid, pad, min_size)
+        assert got == (slice(*want[0]), slice(*want[1]))
+
+    def test_empty_mask_has_no_box(self):
+        assert raster._valid_box(np.zeros((5, 7), bool), 8, 16) is None
 
 
 class TestKernelDtypes:
