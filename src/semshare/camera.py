@@ -178,14 +178,10 @@ def homography_from_rig(rig: CameraRig) -> Homography:
 def apply_homography(h: Homography, point) -> tuple[float, float]:
     """Map one pixel point (x, y) through the homography."""
     x, y = float(point[0]), float(point[1])
-    m = h.h
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if abs(w) <= _SINGULAR_TOL:
-        raise PointAtInfinityError(f"point ({x}, {y}) maps to infinity (w={w})")
-    return (
-        (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w,
-        (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w,
-    )
+    sx, sy, finite = apply_homography_arrays(h, x, y)
+    if not finite:
+        raise PointAtInfinityError(f"point ({x}, {y}) maps to infinity")
+    return float(sx), float(sy)
 
 
 def apply_homography_arrays(h: Homography, xs: np.ndarray, ys: np.ndarray):
@@ -210,8 +206,11 @@ def invert_homography(h: Homography) -> Homography:
 
 
 # ---------------------------------------------------------------------------
-# Calibration file format: one "key value..." entry per line, '#' comments.
-# Floats are written with repr() so parsing round-trips exactly.
+# Text formats (rig, scene and benchmark manifest): one "key value..." entry
+# per line, all read by TextFields.  '#' comment lines and blank lines are
+# skipped; a single-valued key must appear exactly once, with its exact value
+# count; only box, scene and texture lines may repeat; a key left unread is a
+# DataError.  Floats are written with repr() so parsing round-trips exactly.
 
 
 def read_ascii(path) -> str:
@@ -222,6 +221,39 @@ def read_ascii(path) -> str:
             return f.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not an ASCII text file: {exc}") from exc
+
+
+class TextFields:
+    """The "key value..." lines of one text file, by key; `what` names the
+    file in errors.  A reader takes every key it knows, then calls done()."""
+
+    def __init__(self, text: str, what: str):
+        self.what = what
+        self._lines: dict[str, list[list[str]]] = {}
+        for parts in map(str.split, text.splitlines()):
+            if not parts or parts[0].startswith("#"):
+                continue
+            if parts[0] in self._lines and parts[0] not in ("box", "scene", "texture"):
+                raise DataError(f"{what} repeats key '{parts[0]}'")
+            self._lines.setdefault(parts[0], []).append(parts[1:])
+
+    def take(self, key: str, count: int) -> list[str]:
+        """The values of a single-valued key."""
+        lines = self.take_all(key, count)
+        if not lines:
+            raise DataError(f"{self.what} is missing key '{key}'")
+        return lines[0]
+
+    def take_all(self, key: str, count: int) -> list[list[str]]:
+        """The values of every line of a key, `count` on each."""
+        lines = self._lines.pop(key, [])
+        if any(len(values) != count for values in lines):
+            raise DataError(f"{self.what} key '{key}' expects {count} values")
+        return lines
+
+    def done(self) -> None:
+        if self._lines:
+            raise DataError(f"{self.what} has unknown keys: {sorted(self._lines)}")
 
 
 _CAM_KEYS = ("fx", "fy", "cx", "cy", "skew")
@@ -241,35 +273,20 @@ def rig_to_text(rig: CameraRig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rig_from_text(text: str) -> CameraRig:
-    values: dict[str, list[str]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        values[parts[0]] = parts[1:]
-
-    def take(key: str, count: int) -> list[str]:
-        if key not in values:
-            raise DataError(f"calibration file is missing key '{key}'")
-        if len(values[key]) != count:
-            raise DataError(f"calibration key '{key}' expects {count} values")
-        return values.pop(key)
+def rig_from_fields(fields: TextFields) -> CameraRig:
+    """Take the rig keys from the fields of a rig or scene file."""
 
     def parse_cam(prefix: str) -> tuple[Intrinsics, tuple[int, int]]:
-        params = {key: float(take(f"{prefix}.{key}", 1)[0]) for key in _CAM_KEYS}
-        w, h = (int(v) for v in take(f"{prefix}.size", 2))
+        params = {key: float(fields.take(f"{prefix}.{key}", 1)[0]) for key in _CAM_KEYS}
+        w, h = (int(v) for v in fields.take(f"{prefix}.size", 2))
         return Intrinsics(**params), (w, h)
 
     try:
         cam_narrow, size_narrow = parse_cam("narrow")
         cam_wide, size_wide = parse_cam("wide")
-        rot = np.array([float(v) for v in take("rotation", 9)]).reshape(3, 3)
+        rot = np.array([float(v) for v in fields.take("rotation", 9)]).reshape(3, 3)
     except ValueError as exc:
-        raise DataError(f"calibration file has a malformed number: {exc}") from exc
-    if values:
-        raise DataError(f"calibration file has unknown keys: {sorted(values)}")
+        raise DataError(f"{fields.what} has a malformed number: {exc}") from exc
     return CameraRig(
         cam_narrow=cam_narrow,
         cam_wide=cam_wide,
@@ -277,6 +294,13 @@ def rig_from_text(text: str) -> CameraRig:
         image_size_narrow=size_narrow,
         image_size_wide=size_wide,
     )
+
+
+def rig_from_text(text: str) -> CameraRig:
+    fields = TextFields(text, "calibration file")
+    rig = rig_from_fields(fields)
+    fields.done()
+    return rig
 
 
 def write_rig(rig: CameraRig, path) -> None:

@@ -54,6 +54,7 @@ from .pipeline import (
 )
 from .pipeline import _fusion_dataset, _overlap_dataset
 from .raster import LabelMap
+from .synth import NUM_CLASSES
 
 
 def _size(text: str):
@@ -73,9 +74,12 @@ def _flow_config(args) -> FlowConfig:
 
 
 def _add_flow_flags(parser):
-    parser.add_argument("--levels", type=int, default=4, help="pyramid levels")
-    parser.add_argument("--iterations", type=int, default=50, help="solver sweeps per level")
-    parser.add_argument("--alpha", type=float, default=15.0, help="smoothness weight")
+    cfg = FlowConfig()
+    parser.add_argument("--levels", type=int, default=cfg.num_levels, help="pyramid levels")
+    parser.add_argument("--iterations", type=int, default=cfg.iterations_per_level,
+                        help="solver sweeps per level")
+    parser.add_argument("--alpha", type=float, default=cfg.smoothness_weight,
+                        help="smoothness weight")
 
 
 def cmd_gen_bench(args) -> int:
@@ -130,7 +134,7 @@ def cmd_train_fusion(args) -> int:
         batch_fraction=args.batch_fraction,
         seed=args.seed,
     )
-    head = new_head(args.variant, 6, seed=args.seed, init_scale=args.init_scale)
+    head = new_head(args.variant, NUM_CLASSES, seed=args.seed, init_scale=args.init_scale)
     flow_cfg = _flow_config(args)
     entries = bench.nonplanar()
     if args.branch == "narrow":

@@ -37,7 +37,8 @@ estimate invariant to a global intensity offset.
 
 All resampling here (the pyramid resize, the per-level warp and the flow
 upsampling) goes through raster's single bilinear kernel; u and v are
-upsampled from one support.
+upsampled from one support.  The pyramid smooths each level with
+raster's binomial smoothing (5 taps, _BINOMIAL5) before halving it.
 
 two_stage_map solves the residual flow only on the box of the stage-one
 footprint, padded by one coarsest-level pixel; the flow is zero outside
@@ -50,6 +51,7 @@ most of it: about a third of the wide raster is solved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,7 +61,9 @@ from .raster import (
     FlowField,
     GridMap,
     Image,
+    _lattice,
     _sample_planes,
+    _smooth,
     _valid_box,
     compose_grids,
     grid_from_flow,
@@ -84,7 +88,8 @@ class FlowConfig:
     num_levels: int = 4
     iterations_per_level: int = 50
     smoothness_weight: float = 15.0
-    min_level_size: int = 16
+    # the pyramid stops before a level would drop below this many pixels
+    min_level_size: ClassVar[int] = 16
 
     def __post_init__(self):
         if self.num_levels < 1:
@@ -93,16 +98,13 @@ class FlowConfig:
             raise ConfigError(f"iterations_per_level must be >= 1, got {self.iterations_per_level}")
         if not self.smoothness_weight > 0.0:
             raise ConfigError(f"smoothness_weight must be positive, got {self.smoothness_weight}")
-        if self.min_level_size < 2:
-            raise ConfigError(f"min_level_size must be >= 2, got {self.min_level_size}")
 
 
 @dataclass
 class FlowDiagnostics:
-    """Per-level sizes plus the objective value after every sweep at the
-    coarsest level (index 0 is the objective before the first sweep)."""
+    """The objective value after every sweep at the coarsest level (index 0
+    is the objective before the first sweep)."""
 
-    level_sizes: list
     coarsest_energies: list
 
 
@@ -112,14 +114,6 @@ def to_gray(img: Image) -> np.ndarray:
         return img.data[0].copy()
     r, g, b = img.data
     return GRAY_WEIGHTS[0] * r + GRAY_WEIGHTS[1] * g + GRAY_WEIGHTS[2] * b
-
-
-def _smooth5(plane: np.ndarray) -> np.ndarray:
-    """Separable 5-tap binomial smoothing with replicate borders."""
-    padded = np.pad(plane, ((0, 0), (2, 2)), mode="edge")
-    out = sum(_BINOMIAL5[k] * padded[:, k : k + plane.shape[1]] for k in range(5))
-    padded = np.pad(out, ((2, 2), (0, 0)), mode="edge")
-    return sum(_BINOMIAL5[k] * padded[k : k + plane.shape[0], :] for k in range(5))
 
 
 def _resize_bilinear(planes: np.ndarray, new_hw: tuple[int, int]) -> np.ndarray:
@@ -134,7 +128,7 @@ def _resize_bilinear(planes: np.ndarray, new_hw: tuple[int, int]) -> np.ndarray:
 
 def _downsample(plane: np.ndarray) -> np.ndarray:
     h, w = plane.shape
-    return _resize_bilinear(_smooth5(plane)[None], ((h + 1) // 2, (w + 1) // 2))[0]
+    return _resize_bilinear(_smooth(plane, _BINOMIAL5)[None], ((h + 1) // 2, (w + 1) // 2))[0]
 
 
 def _plane_pyramid(plane: np.ndarray, num_levels: int, min_size: int) -> list[np.ndarray]:
@@ -225,7 +219,7 @@ def _solve_level(target, source, u, v, cfg: FlowConfig, record_energy=False):
     increment."""
     h, w = target.shape
     dtype = target.dtype
-    ys, xs = np.mgrid[0:h, 0:w].astype(dtype)
+    xs, ys = _lattice((w, h), dtype)
     warped = sample_bilinear(source, xs + u, ys + v)
     grad = np.stack(_central_diff(warped))
     ix, iy = grad
@@ -279,11 +273,7 @@ def estimate_flow_detailed(target: Image, source: Image, cfg: FlowConfig):
         u, v, energies = _solve_level(t_plane, s_plane, u, v, cfg, record_energy=record)
         if record:
             coarsest_energies = energies
-    diagnostics = FlowDiagnostics(
-        level_sizes=[(p.shape[1], p.shape[0]) for p in pyr_t],
-        coarsest_energies=coarsest_energies,
-    )
-    return FlowField(np.stack([u, v])), diagnostics
+    return FlowField(np.stack([u, v])), FlowDiagnostics(coarsest_energies)
 
 
 def estimate_flow(target: Image, source: Image, cfg: FlowConfig | None = None) -> FlowField:
@@ -351,35 +341,19 @@ def two_stage_map(
 # Flow visualization: the standard optical-flow color wheel.
 
 
-_COLOR_WHEEL = None
+# (length, channel held at 1, channel ramped) per segment, red -> yellow ->
+# green -> cyan -> blue -> magenta -> red; ramps alternately rise and fall
+_WHEEL_SEGMENTS = ((15, 0, 1), (6, 1, 0), (4, 1, 2), (11, 2, 1), (13, 2, 0), (6, 0, 2))
 
 
 def _color_wheel() -> np.ndarray:
-    global _COLOR_WHEEL
-    if _COLOR_WHEEL is None:
-        ry, yg, gc, cb, bm, mr = 15, 6, 4, 11, 13, 6
-        ncols = ry + yg + gc + cb + bm + mr
-        wheel = np.zeros((ncols, 3))
-        col = 0
-        wheel[col : col + ry, 0] = 1.0
-        wheel[col : col + ry, 1] = np.arange(ry) / ry
-        col += ry
-        wheel[col : col + yg, 0] = 1.0 - np.arange(yg) / yg
-        wheel[col : col + yg, 1] = 1.0
-        col += yg
-        wheel[col : col + gc, 1] = 1.0
-        wheel[col : col + gc, 2] = np.arange(gc) / gc
-        col += gc
-        wheel[col : col + cb, 1] = 1.0 - np.arange(cb) / cb
-        wheel[col : col + cb, 2] = 1.0
-        col += cb
-        wheel[col : col + bm, 2] = 1.0
-        wheel[col : col + bm, 0] = np.arange(bm) / bm
-        col += bm
-        wheel[col : col + mr, 2] = 1.0 - np.arange(mr) / mr
-        wheel[col : col + mr, 0] = 1.0
-        _COLOR_WHEEL = wheel
-    return _COLOR_WHEEL
+    segments = []
+    for i, (n, full, ramp) in enumerate(_WHEEL_SEGMENTS):
+        seg = np.zeros((n, 3))
+        seg[:, full] = 1.0
+        seg[:, ramp] = np.arange(n) / n if i % 2 == 0 else 1.0 - np.arange(n) / n
+        segments.append(seg)
+    return np.concatenate(segments)
 
 
 def flow_to_color(flow: FlowField) -> Image:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraRig, read_ascii, read_rig, write_rig
+from .camera import CameraRig, TextFields, read_ascii, read_rig, write_rig
 from .errors import ConfigError, DataError, MetricUndefinedError, PipelineStageError, SemShareError
 from .flow import FlowConfig, two_stage_map_detailed
 from .formats import read_image, write_image, write_labels
@@ -33,6 +33,7 @@ from .raster import (
     warp_raster,
 )
 from .synth import (
+    NUM_CLASSES,
     RandomTransformSpec,
     degrade_scores,
     gen_flow_sample,
@@ -189,7 +190,6 @@ def run_frame(
 
 @dataclass
 class BenchmarkEntry:
-    index: int
     directory: str
     planar: bool
     seed: int
@@ -199,8 +199,6 @@ class BenchmarkEntry:
 class Benchmark:
     root: str
     seed: int
-    scene_size: tuple[int, int]
-    flow_size: tuple[int, int]
     scenes: list[BenchmarkEntry]
     textures: list[tuple[int, str, int]]  # (index, relpath, seed)
 
@@ -221,9 +219,15 @@ def write_benchmark(
     flow_size=(256, 256),
 ) -> Benchmark:
     """Generate the synthetic benchmark: scenes with rendered rasters plus
-    texture images for flow samples, all indexed by a manifest."""
-    if num_scenes < 1:
-        raise ConfigError("benchmark needs at least one scene")
+    texture images for flow samples, all indexed by a manifest.  The
+    arguments are checked before anything is written."""
+    if num_scenes < 1 or num_planar < 0 or num_flow_samples < 0:
+        raise ConfigError(
+            f"benchmark needs at least one scene and no negative count, got {num_scenes} "
+            f"scenes, {num_planar} planar scenes and {num_flow_samples} flow samples"
+        )
+    if min(*scene_size, *flow_size) < 1:
+        raise ConfigError(f"benchmark sizes must be positive, got {scene_size} and {flow_size}")
     os.makedirs(root, exist_ok=True)
     rng = np.random.default_rng(seed)
     lines = ["version 1", f"seed {seed}",
@@ -245,7 +249,7 @@ def write_benchmark(
         write_labels(pair.wide_labels, os.path.join(directory, "wide_labels.bin"))
         write_labels(pair.narrow_labels, os.path.join(directory, "narrow_labels.bin"))
         lines.append(f"scene {i:03d} {name} planar {int(planar)} seed {scene_seed}")
-        scenes.append(BenchmarkEntry(i, name, planar, scene_seed))
+        scenes.append(BenchmarkEntry(name, planar, scene_seed))
     textures = []
     tex_dir = os.path.join(root, "textures")
     os.makedirs(tex_dir, exist_ok=True)
@@ -257,39 +261,36 @@ def write_benchmark(
         textures.append((i, rel, tex_seed))
     with open(os.path.join(root, "manifest.txt"), "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
-    return Benchmark(str(root), seed, tuple(scene_size), tuple(flow_size), scenes, textures)
+    return Benchmark(str(root), seed, scenes, textures)
 
 
 def read_benchmark(root) -> Benchmark:
     manifest = os.path.join(root, "manifest.txt")
     if not os.path.exists(manifest):
         raise ConfigError(f"no benchmark manifest at {manifest!r}; run gen-bench first")
-    seed = 0
-    scene_size = flow_size = (0, 0)
-    scenes: list[BenchmarkEntry] = []
-    textures: list[tuple[int, str, int]] = []
-    for raw in read_ascii(manifest).splitlines():
-        parts = raw.split()
-        if not parts:
-            continue
-        try:
-            if parts[0] == "seed":
-                seed = int(parts[1])
-            elif parts[0] == "size":
-                scene_size = (int(parts[1]), int(parts[2]))
-            elif parts[0] == "flow_size":
-                flow_size = (int(parts[1]), int(parts[2]))
-            elif parts[0] == "scene":
-                scenes.append(
-                    BenchmarkEntry(int(parts[1]), parts[2], bool(int(parts[4])), int(parts[6]))
-                )
-            elif parts[0] == "texture":
-                textures.append((int(parts[1]), parts[2], int(parts[4])))
-        except (IndexError, ValueError) as exc:
-            raise DataError(f"malformed manifest line {raw.strip()!r}: {exc}") from exc
+    fields = TextFields(read_ascii(manifest), "benchmark manifest")
+    try:
+        version = fields.take("version", 1)[0]
+        if version != "1":
+            raise DataError(f"benchmark manifest version must be 1, got {version!r}")
+        seed = int(fields.take("seed", 1)[0])
+        for key in ("size", "flow_size"):
+            if min(int(v) for v in fields.take(key, 2)) < 1:
+                raise DataError(f"benchmark manifest {key} must be positive")
+        scenes = [
+            BenchmarkEntry(directory, bool(int(planar)), int(scene_seed))
+            for _, directory, _, planar, _, scene_seed in fields.take_all("scene", 6)
+        ]
+        textures = [
+            (int(index), rel, int(tex_seed))
+            for index, rel, _, tex_seed in fields.take_all("texture", 4)
+        ]
+    except ValueError as exc:
+        raise DataError(f"benchmark manifest has a malformed number: {exc}") from exc
+    fields.done()
     if not scenes and not textures:
         raise ConfigError(f"benchmark manifest {manifest!r} lists no content")
-    return Benchmark(str(root), seed, scene_size, flow_size, scenes, textures)
+    return Benchmark(str(root), seed, scenes, textures)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +402,7 @@ def ablate_fusion(bench: Benchmark, train_cfg: TrainConfig | None = None) -> Abl
     rows = [("none", {"miou": (r_none.mean_iou, r_none.pixels)})]
     deltas = []
     for kind in ("basic", "residual", "bottleneck"):
-        head, _ = train_fusion(new_head(kind, 6, seed=11), train_items, train_cfg)
+        head, _ = train_fusion(new_head(kind, NUM_CLASSES, seed=11), train_items, train_cfg)
         fused = [
             (fuse_forward(head, p, n, m).argmax_labels(), gt, m) for p, n, m, gt in eval_items
         ]
@@ -449,7 +450,7 @@ def ablate_overlap(
     train_items, eval_items = items[:half], items[half:]
 
     r_native = _pooled_report([(n.argmax_labels(), gt, m) for b, n, m, gt in eval_items])
-    head, _ = train_fusion(new_head(variant, 6, seed=13), train_items, train_cfg)
+    head, _ = train_fusion(new_head(variant, NUM_CLASSES, seed=13), train_items, train_cfg)
     r_refined = _pooled_report(
         [(fuse_forward(head, b, n, m).argmax_labels(), gt, m) for b, n, m, gt in eval_items]
     )

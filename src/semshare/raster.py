@@ -17,6 +17,10 @@ _gather_bilinear reads the corners of one plane with a flat take and
 blends them.  Callers that resample several planes on one lattice (the
 channels of a warp, a grid's two coordinate planes, a flow's u and v)
 compute the support once and gather each plane from it.
+
+The module also holds the package's one binomial smoothing, _smooth
+(flow's pyramid and the score blur of synth.degrade_scores), and its one
+pixel lattice, _lattice.
 """
 
 from __future__ import annotations
@@ -37,7 +41,30 @@ def _as_float_array(data, name):
     return arr
 
 
-class Image:
+class _Raster:
+    """height, width and size (width, height) of a raster whose _extent
+    array ends in the (H, W) axes: its data, or a grid's sx plane."""
+
+    __slots__ = ()
+
+    @property
+    def _extent(self):
+        return self.data
+
+    @property
+    def height(self):
+        return self._extent.shape[-2]
+
+    @property
+    def width(self):
+        return self._extent.shape[-1]
+
+    @property
+    def size(self):
+        return (self.width, self.height)
+
+
+class Image(_Raster):
     """Intensity raster with 1 or 3 channels and values in [0, 1].
 
     data has shape (channels, height, width); 2D input is promoted to a
@@ -63,20 +90,8 @@ class Image:
     def channels(self):
         return self.data.shape[0]
 
-    @property
-    def height(self):
-        return self.data.shape[1]
 
-    @property
-    def width(self):
-        return self.data.shape[2]
-
-    @property
-    def size(self):
-        return (self.width, self.height)
-
-
-class ScoreMap:
+class ScoreMap(_Raster):
     """Per-pixel class logits, shape (C, H, W) with C >= 2, finite values."""
 
     __slots__ = ("data",)
@@ -92,24 +107,12 @@ class ScoreMap:
     def num_classes(self):
         return self.data.shape[0]
 
-    @property
-    def height(self):
-        return self.data.shape[1]
-
-    @property
-    def width(self):
-        return self.data.shape[2]
-
-    @property
-    def size(self):
-        return (self.width, self.height)
-
     def argmax_labels(self) -> "LabelMap":
         # np.argmax returns the first maximum: ties break to the lowest class
         return LabelMap(np.argmax(self.data, axis=0), self.num_classes)
 
 
-class LabelMap:
+class LabelMap(_Raster):
     """Per-pixel class indices in [0, num_classes)."""
 
     __slots__ = ("data", "num_classes")
@@ -129,24 +132,12 @@ class LabelMap:
         self.data = arr
         self.num_classes = int(num_classes)
 
-    @property
-    def height(self):
-        return self.data.shape[0]
-
-    @property
-    def width(self):
-        return self.data.shape[1]
-
-    @property
-    def size(self):
-        return (self.width, self.height)
-
     def one_hot(self) -> ScoreMap:
         c = self.num_classes
         return ScoreMap((np.arange(c)[:, None, None] == self.data[None]).astype(float))
 
 
-class FlowField:
+class FlowField(_Raster):
     """Per-pixel displacement (dx, dy) in pixels, shape (2, H, W).
 
     Backward convention: the source for target pixel p sits at p + flow[p].
@@ -169,25 +160,13 @@ class FlowField:
     def dy(self):
         return self.data[1]
 
-    @property
-    def height(self):
-        return self.data.shape[1]
-
-    @property
-    def width(self):
-        return self.data.shape[2]
-
-    @property
-    def size(self):
-        return (self.width, self.height)
-
     @staticmethod
     def zero(size) -> "FlowField":
         w, h = size
         return FlowField(np.zeros((2, h, w)))
 
 
-class GridMap:
+class GridMap(_Raster):
     """Absolute source coordinates (sx, sy) per target pixel plus validity.
 
     source_size is the (width, height) of the raster the coordinates index
@@ -222,22 +201,28 @@ class GridMap:
         self.source_size = (w, h)
 
     @property
-    def height(self):
-        return self.sx.shape[0]
-
-    @property
-    def width(self):
-        return self.sx.shape[1]
-
-    @property
-    def size(self):
-        return (self.width, self.height)
+    def _extent(self):
+        return self.sx
 
 
-def _lattice(size):
+def _lattice(size, dtype=float):
+    """(xs, ys): every pixel's coordinates on a (width, height) raster."""
     w, h = size
     ys, xs = np.mgrid[0:h, 0:w]
-    return xs.astype(float), ys.astype(float)
+    return xs.astype(dtype), ys.astype(dtype)
+
+
+def _smooth(planes, weights):
+    """Separable smoothing of the last two axes by the odd-length kernel
+    `weights`, with replicate borders; Python-float weights keep the
+    planes' dtype."""
+    r = len(weights) // 2
+    h, w = planes.shape[-2:]
+    lead = [(0, 0)] * (planes.ndim - 2)
+    padded = np.pad(planes, lead + [(0, 0), (r, r)], mode="edge")
+    out = sum(wk * padded[..., k : k + w] for k, wk in enumerate(weights))
+    padded = np.pad(out, lead + [(r, r), (0, 0)], mode="edge")
+    return sum(wk * padded[..., k : k + h, :] for k, wk in enumerate(weights))
 
 
 def identity_grid(size) -> GridMap:

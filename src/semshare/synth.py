@@ -21,9 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraRig, Intrinsics, Rotation3, read_ascii, rig_from_text, rig_to_text
+from .camera import (
+    CameraRig, Homography, Intrinsics, Rotation3, TextFields, apply_homography_arrays, read_ascii,
+    rig_from_fields, rig_to_text,
+)
 from .errors import ConfigError, DataError
-from .raster import FlowField, GridMap, Image, LabelMap, ScoreMap, _sample_planes
+from .raster import (
+    FlowField, GridMap, Image, LabelMap, ScoreMap, _in_bounds, _lattice, _sample_planes, _smooth,
+)
 
 CLASS_NAMES = ("background", "road", "person", "car", "barrier", "cycle")
 NUM_CLASSES = len(CLASS_NAMES)
@@ -66,9 +71,8 @@ def value_noise(xs, ys, seed: int, scale: float) -> np.ndarray:
 
 def texture_image(size, seed: int) -> Image:
     """Multi-octave value-noise image, normalized to span [0, 1]."""
-    w, h = size
-    ys, xs = np.mgrid[0:h, 0:w].astype(float)
-    out = np.zeros((h, w))
+    xs, ys = _lattice(size)
+    out = np.zeros(xs.shape)
     for k, (scale, amp) in enumerate(_TEXTURE_OCTAVES):
         out += amp * value_noise(xs, ys, seed * 7919 + k, scale)
     lo, hi = out.min(), out.max()
@@ -113,14 +117,11 @@ def flow_sample_from_params(img: Image, focal_factor, tx, ty, theta_deg):
     out-of-view band carries extended edge texture rather than a fake hard
     edge; the mask marks the in-bounds pixels where the flow is meaningful.
     """
-    w, h = img.size
-    b = _backward_matrix((w, h), focal_factor, tx, ty, theta_deg)
-    ys, xs = np.mgrid[0:h, 0:w].astype(float)
-    denom = b[2, 0] * xs + b[2, 1] * ys + b[2, 2]
-    sx = (b[0, 0] * xs + b[0, 1] * ys + b[0, 2]) / denom
-    sy = (b[1, 0] * xs + b[1, 1] * ys + b[1, 2]) / denom
+    b = _backward_matrix(img.size, focal_factor, tx, ty, theta_deg)
+    xs, ys = _lattice(img.size)
+    sx, sy, _ = apply_homography_arrays(Homography(b), xs, ys)
     flow = FlowField(np.stack([sx - xs, sy - ys]))
-    mask = (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
+    mask = _in_bounds(sx, sy, img.size)
     warped = _sample_planes(img.data, sx, sy)
     return Image(np.clip(warped, 0.0, 1.0, out=warped)), flow, mask
 
@@ -214,8 +215,7 @@ class ScenePair:
 
 def _view_rays(cam: Intrinsics, size, rotation: np.ndarray):
     """World-frame ray directions for every pixel of one camera."""
-    w, h = size
-    ys, xs = np.mgrid[0:h, 0:w].astype(float)
+    xs, ys = _lattice(size)
     dir_cam = np.stack(
         [
             (xs - cam.cx - cam.skew * (ys - cam.cy) / cam.fy) / cam.fx,
@@ -226,13 +226,46 @@ def _view_rays(cam: Intrinsics, size, rotation: np.ndarray):
     return np.einsum("ij,jhw->ihw", rotation.T, dir_cam)
 
 
+def _box_hit(scene: SynthScene, box: Box, origin, rel):
+    """Where the rays origin + t * rel meet the box's plane z = depth:
+    returns (t, x, y, on_box), on_box flagging hits at t > 0 inside the
+    box's rectangle."""
+    ox, oy, oz = origin
+    rx, ry, rz = rel
+    g = scene.ground_height
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (box.depth - oz) / rz
+        x = ox + t * rx
+        y = oy + t * ry
+        on_box = (
+            (t > 0.0)
+            & (np.abs(x - box.x_center) <= box.width / 2.0)
+            & (y <= g)
+            & (y >= g - box.height)
+        )
+    return t, x, y, on_box
+
+
+def _ground_hit(scene: SynthScene, origin, rel):
+    """Where the rays origin + t * rel meet the ground plane y =
+    ground_height: returns (t, x, z, hit), hit flagging downward rays that
+    meet it at t > 0 in front of the wide camera (z > 0).  Rays that cannot
+    reach it (a level row exists when the height is odd) divide by 1
+    instead of 0, so t, x and z stay finite placeholders there."""
+    ox, oy, oz = origin
+    rx, ry, rz = rel
+    down = ry > _EPS
+    t = (scene.ground_height - oy) / np.where(down, ry, 1.0)
+    z = oz + t * rz
+    return t, ox + t * rx, z, down & (t > 0.0) & (z > 0.0)
+
+
 def _render_view(scene: SynthScene, cam: Intrinsics, size, rotation, center):
     """Ray-cast one camera: returns intensity, labels, world hit points
     (inf for the background) and the world ray directions."""
     w, h = size
     dirs = _view_rays(cam, size, rotation)
     dx, dy, dz = dirs
-    cx3, cy3, cz3 = center
 
     t_hit = np.full((h, w), np.inf)
     labels = np.zeros((h, w), dtype=np.int32)
@@ -243,14 +276,7 @@ def _render_view(scene: SynthScene, cam: Intrinsics, size, rotation, center):
     bg_noise = value_noise(dx / norm * 64.0, dy / norm * 64.0, scene.texture_seed + 17, 9.0)
     intensity[:] = 0.55 + 0.3 * (bg_noise - 0.5)
 
-    # ground plane y = ground_height; rays that cannot reach it (a level
-    # row exists when the height is odd) divide by 1 instead of 0, so the
-    # texture lookups below see finite placeholders that `place` masks out
-    down = dy > _EPS
-    t_ground = (scene.ground_height - cy3) / np.where(down, dy, 1.0)
-    gx = cx3 + t_ground * dx
-    gz = cz3 + t_ground * dz
-    ground_ok = down & (t_ground > 0.0) & (gz > 0.0)
+    t_ground, gx, gz, ground_ok = _ground_hit(scene, center, dirs)
     checker = ((np.floor(gx / scene.ground_cell) + np.floor(gz / scene.ground_cell)) % 2.0) * 2.0 - 1.0
     fade = 1.0 / (1.0 + np.maximum(gz, 0.0) / 25.0)
     g_noise = value_noise(gx * 4.0, gz * 4.0, scene.texture_seed + 29, 3.0)
@@ -261,17 +287,8 @@ def _render_view(scene: SynthScene, cam: Intrinsics, size, rotation, center):
     intensity = np.where(place, ground_val, intensity)
 
     for box in scene.boxes:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_box = (box.depth - cz3) / dz
-        bx = cx3 + t_box * dx
-        by = cy3 + t_box * dy
-        inside = (
-            (dz > _EPS)
-            & (t_box > 0.0)
-            & (np.abs(bx - box.x_center) <= box.width / 2.0)
-            & (by <= scene.ground_height)
-            & (by >= scene.ground_height - box.height)
-        )
+        t_box, bx, by, on_box = _box_hit(scene, box, center, dirs)
+        inside = (dz > _EPS) & on_box
         rng = np.random.default_rng(box.texture_seed)
         base = 0.35 + 0.4 * rng.random()
         b_noise = value_noise(bx * 24.0, by * 24.0, box.texture_seed + 41, 5.0)
@@ -283,13 +300,7 @@ def _render_view(scene: SynthScene, cam: Intrinsics, size, rotation, center):
 
     finite = np.isfinite(t_hit)
     t_safe = np.where(finite, t_hit, 0.0)
-    points = np.stack(
-        [
-            np.where(finite, cx3 + t_safe * dx, np.inf),
-            np.where(finite, cy3 + t_safe * dy, np.inf),
-            np.where(finite, cz3 + t_safe * dz, np.inf),
-        ]
-    )
+    points = np.where(finite, np.reshape(center, (3, 1, 1)) + t_safe * dirs, np.inf)
     image = Image(np.clip(intensity, 0.0, 1.0)[None])
     return image, LabelMap(labels, scene.num_classes), points, dirs
 
@@ -301,27 +312,13 @@ def _hidden_from(scene: SynthScene, center, rel, finite) -> np.ndarray:
 
     A hit point lies on or above the ground, and so does the camera, so
     the ground can hide only a background direction."""
-    ox, oy, oz = center
-    rx, ry, rz = rel
-    g = scene.ground_height
     # a hit point on a box's own plane sits at s = 1 up to round-off
     s_max = np.where(finite, 1.0 - 1e-9, np.inf)
     hidden = np.zeros(finite.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for box in scene.boxes:
-            s = (box.depth - oz) / rz
-            qx = ox + s * rx
-            qy = oy + s * ry
-            hidden |= (
-                (s > 0.0)
-                & (s < s_max)
-                & (np.abs(qx - box.x_center) <= box.width / 2.0)
-                & (qy <= g)
-                & (qy >= g - box.height)
-            )
-        s = (g - oy) / ry
-        hidden |= ~finite & (ry > _EPS) & (s > 0.0) & (oz + s * rz > 0.0)
-    return hidden
+    for box in scene.boxes:
+        s, _, _, on_box = _box_hit(scene, box, center, rel)
+        hidden |= on_box & (s < s_max)
+    return hidden | (~finite & _ground_hit(scene, center, rel)[3])
 
 
 def _correspondence_grid(
@@ -392,10 +389,7 @@ def degrade_scores(gt: LabelMap, sigma: float = 0.0, blur: int = 0, seed: int = 
         raise ConfigError("sigma and blur must be non-negative")
     scores = gt.one_hot().data.copy()
     for _ in range(blur):
-        padded = np.pad(scores, ((0, 0), (0, 0), (1, 1)), mode="edge")
-        scores = 0.25 * padded[:, :, :-2] + 0.5 * padded[:, :, 1:-1] + 0.25 * padded[:, :, 2:]
-        padded = np.pad(scores, ((0, 0), (1, 1), (0, 0)), mode="edge")
-        scores = 0.25 * padded[:, :-2, :] + 0.5 * padded[:, 1:-1, :] + 0.25 * padded[:, 2:, :]
+        scores = _smooth(scores, (0.25, 0.5, 0.25))
     if sigma > 0.0:
         rng = np.random.default_rng(seed)
         scores = scores + sigma * rng.standard_normal(scores.shape)
@@ -423,52 +417,24 @@ def scene_to_text(scene: SynthScene) -> str:
 
 
 def scene_from_text(text: str) -> SynthScene:
-    rig_lines = []
-    own: dict[str, list[str]] = {}
-    box_lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key = line.split()[0]
-        if key.startswith(("narrow.", "wide.", "rotation")):
-            rig_lines.append(line)
-        elif key == "box":
-            parts = line.split()
-            if len(parts) != 7:
-                raise DataError(f"malformed box line: {line!r}")
-            box_lines.append(parts)
-        else:
-            own[key] = line.split()[1:]
-
-    def take(key, count):
-        if key not in own or len(own[key]) != count:
-            raise DataError(f"scene file is missing or malforms key '{key}'")
-        return own.pop(key)
-
+    fields = TextFields(text, "scene file")
+    rig = rig_from_fields(fields)
     try:
+        # depth, x_center, width, height, class_id, texture_seed
         boxes = [
-            Box(
-                depth=float(parts[1]),
-                x_center=float(parts[2]),
-                width=float(parts[3]),
-                height=float(parts[4]),
-                class_id=int(parts[5]),
-                texture_seed=int(parts[6]),
-            )
-            for parts in box_lines
+            Box(*(float(v) for v in values[:4]), *(int(v) for v in values[4:]))
+            for values in fields.take_all("box", 6)
         ]
-        baseline = tuple(float(v) for v in take("baseline", 3))
-        height = float(take("ground.height", 1)[0])
-        cell = float(take("ground.cell", 1)[0])
-        tex_seed = int(take("texture_seed", 1)[0])
-        num_classes = int(take("num_classes", 1)[0])
+        baseline = tuple(float(v) for v in fields.take("baseline", 3))
+        height = float(fields.take("ground.height", 1)[0])
+        cell = float(fields.take("ground.cell", 1)[0])
+        tex_seed = int(fields.take("texture_seed", 1)[0])
+        num_classes = int(fields.take("num_classes", 1)[0])
     except ValueError as exc:
         raise DataError(f"scene file has a malformed number: {exc}") from exc
-    if own:
-        raise DataError(f"scene file has unknown keys: {sorted(own)}")
+    fields.done()
     return SynthScene(
-        rig=rig_from_text("\n".join(rig_lines)),
+        rig=rig,
         baseline=baseline,
         ground_height=height,
         ground_cell=cell,

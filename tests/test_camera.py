@@ -220,6 +220,12 @@ class TestCalibrationFile:
         with pytest.raises(DataError):
             rig_from_text(rig_to_text(rig) + "bogus 1\n")
 
+    @pytest.mark.parametrize("line", ["narrow.fx 2.0", "rotation 1 0 0 0 1 0 0 0 1"])
+    def test_repeated_key_rejected(self, line):
+        rig = make_rig(IDENTITY_K, IDENTITY_K, Rotation3.identity())
+        with pytest.raises(DataError, match="repeats key"):
+            rig_from_text(rig_to_text(rig) + line + "\n")
+
     def test_malformed_number_rejected(self):
         rig = make_rig(IDENTITY_K, IDENTITY_K, Rotation3.identity())
         with pytest.raises(DataError):

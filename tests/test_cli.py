@@ -78,6 +78,23 @@ class TestGenBench:
     def test_bad_size_flag(self, tmp_path):
         assert main(["gen-bench", "--out", str(tmp_path / "x"), "--size", "banana"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--flow-size", "0x5", "--flow-samples", "1"],
+            ["--scenes", "2", "--planar-scenes", "-1"],
+            ["--flow-samples", "-3"],
+            ["--size", "0x32"],
+        ],
+    )
+    def test_bad_counts_and_sizes_write_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "bench"
+        small = ["--scenes", "1", "--planar-scenes", "0", "--flow-samples", "0",
+                 "--size", "32x32", "--flow-size", "32x32"]
+        assert main(["gen-bench", "--out", str(out), *small, *flags]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
 
 class TestFlowCommand:
     def test_writes_flo_and_viz(self, tmp_path):

@@ -93,8 +93,9 @@ class TestConfig:
 
 
 def level_sizes(img, cfg):
-    """Pyramid level sizes, finest first, as the flow estimator reports them."""
-    return estimate_flow_detailed(img, img, cfg)[1].level_sizes
+    """Pyramid level sizes, finest first, as the flow estimator builds them."""
+    levels = _plane_pyramid(img.data[0], cfg.num_levels, cfg.min_level_size)
+    return [(p.shape[1], p.shape[0]) for p in levels]
 
 
 class TestPyramid:
@@ -280,7 +281,6 @@ class TestBandedSweep:
         want, want_diag = estimate_flow_detailed(target, source, cfg)
         assert np.abs(got.data).max() > 0.1
         assert got.data.tobytes() == want.data.tobytes()
-        assert got_diag.level_sizes == want_diag.level_sizes
         assert np.array(got_diag.coarsest_energies).tobytes() == (
             np.array(want_diag.coarsest_energies).tobytes()
         )

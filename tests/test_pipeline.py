@@ -7,7 +7,8 @@ from test_raster import reference_bilinear_support, reference_gather_bilinear
 
 from semshare import flow, raster
 from semshare.camera import CameraRig, Rotation3, homography_from_rig, write_rig
-from semshare.errors import ConfigError, MetricUndefinedError, PipelineStageError
+from semshare.cli import main
+from semshare.errors import ConfigError, DataError, MetricUndefinedError, PipelineStageError
 from semshare.flow import FlowConfig, two_stage_map
 from semshare.fusion import identity_head, new_head, write_head
 from semshare.metrics import miou
@@ -359,7 +360,26 @@ class TestBenchmarkAndAblations:
         assert len(bench.scenes) == 5
         assert len(bench.nonplanar()) == 4
         assert len(bench.textures) == 2
-        assert bench.scene_size == (96, 96)
+        assert bench.seed == 5
+        assert [e.directory for e in bench.scenes] == [f"scene_{i:03d}" for i in range(5)]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("seed 5\n", "seed 5\nseed 6\n"),  # a repeated single-valued key
+            ("version 1\n", "version 2\n"),
+            ("seed 5\n", "seed 5\nwibble 1\n"),  # an unknown key
+            ("seed 5\n", "seed 5\ntexture 009 textures/t.pgm seed 1 extra\n"),
+        ],
+    )
+    def test_malformed_manifest_rejected(self, tiny_benchmark, tmp_path, capsys, old, new):
+        text = (tiny_benchmark / "manifest.txt").read_text()
+        assert old in text
+        (tmp_path / "manifest.txt").write_text(text.replace(old, new, 1))
+        with pytest.raises(DataError):
+            read_benchmark(tmp_path)
+        assert main(["ablate", "flow", "--bench", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("data error: benchmark manifest")
 
     def test_missing_benchmark_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -508,6 +508,48 @@ class TestKernelDtypes:
         assert got[0].tobytes() == reference_sample(plane, sx, sy).tobytes()
 
 
+BINOMIAL5 = (1.0 / 16.0, 4.0 / 16.0, 6.0 / 16.0, 4.0 / 16.0, 1.0 / 16.0)
+
+
+def smooth5_oracle(plane):
+    """The pyramid's former flow._smooth5: separable 5-tap binomial
+    smoothing of one 2D plane with replicate borders."""
+    padded = np.pad(plane, ((0, 0), (2, 2)), mode="edge")
+    out = sum(BINOMIAL5[k] * padded[:, k : k + plane.shape[1]] for k in range(5))
+    padded = np.pad(out, ((2, 2), (0, 0)), mode="edge")
+    return sum(BINOMIAL5[k] * padded[k : k + plane.shape[0], :] for k in range(5))
+
+
+def blur3_oracle(scores):
+    """One pass of the former synth.degrade_scores blur: a 3-tap binomial
+    kernel along W, then along H, of a (C, H, W) stack, replicate borders."""
+    padded = np.pad(scores, ((0, 0), (0, 0), (1, 1)), mode="edge")
+    scores = 0.25 * padded[:, :, :-2] + 0.5 * padded[:, :, 1:-1] + 0.25 * padded[:, :, 2:]
+    padded = np.pad(scores, ((0, 0), (1, 1), (0, 0)), mode="edge")
+    return 0.25 * padded[:, :-2, :] + 0.5 * padded[:, 1:-1, :] + 0.25 * padded[:, 2:, :]
+
+
+class TestSmooth:
+    """raster._smooth reproduces both smoothings it replaced bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(37, 53), (1, 9), (9, 1), (1, 1), (2, 3)])
+    def test_matches_smooth5_on_float32_planes(self, shape):
+        plane = (np.random.default_rng(sum(shape)).random(shape) * 255.0).astype(np.float32)
+        got = raster._smooth(plane, BINOMIAL5)
+        assert got.dtype == np.float32
+        assert got.tobytes() == smooth5_oracle(plane).tobytes()
+
+    @pytest.mark.parametrize("shape", [(6, 31, 17), (2, 1, 5), (3, 4, 1)])
+    def test_matches_degrade_blur_on_float64_stacks(self, shape):
+        scores = np.random.default_rng(len(shape) + sum(shape)).standard_normal(shape)
+        got, want = scores, scores
+        for _ in range(3):
+            got = raster._smooth(got, (0.25, 0.5, 0.25))
+            want = blur3_oracle(want)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+
 class TestWarpLabels:
     def test_identity(self):
         labels = LabelMap(np.arange(12).reshape(3, 4) % 3, 3)

@@ -421,6 +421,12 @@ class TestSceneFiles:
         with pytest.raises(DataError):
             scene_from_text(scene_to_text(scene) + "box 1.0 2.0\n")
 
+    @pytest.mark.parametrize("line", ["baseline 0.1 0.0 0.0", "wide.size 96 96"])
+    def test_repeated_key_rejected(self, line):
+        scene = make_scene(45, planar=True)
+        with pytest.raises(DataError, match="repeats key"):
+            scene_from_text(scene_to_text(scene) + line + "\n")
+
     def test_unknown_key_rejected(self):
         scene = make_scene(45, planar=True)
         with pytest.raises(DataError):
