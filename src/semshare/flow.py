@@ -20,7 +20,8 @@ those planes.  The objective is evaluated in float64 on the float32
 iterates, so the recorded energies are float64, and the returned
 FlowField is float64 (with float32-representable values).
 
-A sweep runs band by band over row strips of about _BAND_PIXELS pixels:
+A sweep runs band by band over row strips of about raster._BAND_PIXELS
+pixels (raster._band_rows):
 neighbor sums, the division by the neighbor counts, the per-pixel solve
 and the update for one band stay in cache, and each full-size plane is
 streamed once per sweep.  The sweep writes the next increment into a
@@ -45,7 +46,8 @@ footprint, padded by one coarsest-level pixel; the flow is zero outside
 it.  On the synthetic rigs the forward box is the whole narrow raster.
 Backward (the swapped rig) the stage-one image is fill outside the narrow
 camera's view, about three quarters of the wide raster, and the box skips
-most of it: about a third of the wide raster is solved.
+most of it: about a third of the wide raster is solved, and the flow grid
+is composed with the stage-one grid on the footprint's box only.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .raster import (
     FlowField,
     GridMap,
     Image,
+    _band_rows,
     _lattice,
     _sample_planes,
     _smooth,
@@ -78,9 +81,6 @@ INTENSITY_SCALE = 255.0
 _BINOMIAL5 = (1.0 / 16.0, 4.0 / 16.0, 6.0 / 16.0, 4.0 / 16.0, 1.0 / 16.0)
 # dtype of the whole solve: the pyramid, the per-level warp and the sweeps
 _SOLVE_DTYPE = np.float32
-# pixels per row band of a Jacobi sweep (rows = _BAND_PIXELS // width, at
-# least 1): small enough for a band's temporaries to stay in L2
-_BAND_PIXELS = 12_288
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def _solve_level(target, source, u, v, cfg: FlowConfig, record_energy=False):
     denom = alpha2 * counts + ix * ix + iy * iy
     d = np.zeros((2, h, w), dtype)
     d_next = np.empty((2, h, w), dtype)
-    scratch = np.empty((5, min(max(1, _BAND_PIXELS // w), h), w), dtype)
+    scratch = np.empty((5, min(_band_rows(w), h), w), dtype)
     energies = [_objective(ix, iy, it, d[0], d[1], alpha2)] if record_energy else None
     for _ in range(cfg.iterations_per_level):
         _jacobi_sweep(grad, it, counts, denom, d, d_next, scratch)
@@ -239,8 +239,9 @@ def _solve_level(target, source, u, v, cfg: FlowConfig, record_energy=False):
     return u + d[0], v + d[1], energies
 
 
-def estimate_flow_detailed(target: Image, source: Image, cfg: FlowConfig):
-    """estimate_flow plus solver diagnostics (coarsest-level objective)."""
+def _estimate_flow(target: Image, source: Image, cfg: FlowConfig, record: bool):
+    """(flow, coarsest-level objective after every sweep), the objective
+    evaluated only when `record` is set (None otherwise)."""
     if target.size != source.size:
         raise DimensionError(f"target size {target.size} != source size {source.size}")
     if min(target.width, target.height) < cfg.min_level_size:
@@ -269,17 +270,23 @@ def estimate_flow_detailed(target: Image, source: Image, cfg: FlowConfig):
             u, v = _resize_bilinear(np.stack([u, v]), (h, w))
             u *= w / prev_w
             v *= h / prev_h
-        record = level == coarsest
-        u, v, energies = _solve_level(t_plane, s_plane, u, v, cfg, record_energy=record)
-        if record:
+        at_coarsest = record and level == coarsest
+        u, v, energies = _solve_level(t_plane, s_plane, u, v, cfg, record_energy=at_coarsest)
+        if at_coarsest:
             coarsest_energies = energies
-    return FlowField(np.stack([u, v])), FlowDiagnostics(coarsest_energies)
+    return FlowField(np.stack([u, v])), coarsest_energies
+
+
+def estimate_flow_detailed(target: Image, source: Image, cfg: FlowConfig):
+    """estimate_flow plus solver diagnostics (coarsest-level objective)."""
+    flow, coarsest_energies = _estimate_flow(target, source, cfg, record=True)
+    return flow, FlowDiagnostics(coarsest_energies)
 
 
 def estimate_flow(target: Image, source: Image, cfg: FlowConfig | None = None) -> FlowField:
     """Backward flow such that source sampled at p + flow(p) matches the
-    target."""
-    flow, _ = estimate_flow_detailed(target, source, cfg or FlowConfig())
+    target.  Evaluates no diagnostics."""
+    flow, _ = _estimate_flow(target, source, cfg or FlowConfig(), record=False)
     return flow
 
 
@@ -299,6 +306,12 @@ def two_stage_map_detailed(
     raster's pixel centres; it is clamped to the raster and grown to at
     least min_level_size.  The residual flow is zero outside the box.  An
     empty footprint is solved on the whole raster.
+
+    The flow grid is restricted to the stage-one footprint before it is
+    composed with the stage-one grid (the flow at a pixel is only
+    meaningful where stage one put real content there; elsewhere it was
+    estimated against fill), so the composition evaluates only the
+    footprint's box.
     """
     cfg = cfg or FlowConfig()
     if wide_img.size != rig.image_size_wide:
@@ -321,12 +334,11 @@ def two_stage_map_detailed(
     flow = np.zeros((2, narrow_img.height, narrow_img.width))
     flow[:, rows, cols] = box_flow.data
     residual_flow = FlowField(flow)
-    composed = compose_grids(grid_from_flow(residual_flow), grid_stage1)
-    # the flow at a target pixel is only meaningful where the stage-one
-    # warp put real content there; elsewhere it was estimated against fill
-    # and must not manufacture correspondences
-    valid = composed.valid & grid_stage1.valid
-    composed = GridMap(composed.sx, composed.sy, valid, composed.source_size)
+    flow_grid = grid_from_flow(residual_flow)
+    flow_grid = GridMap(
+        flow_grid.sx, flow_grid.sy, flow_grid.valid & grid_stage1.valid, flow_grid.source_size
+    )
+    composed = compose_grids(flow_grid, grid_stage1)
     return composed, grid_stage1, warped_wide, residual_flow
 
 

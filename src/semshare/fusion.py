@@ -13,7 +13,9 @@ at every pixel.  Three wirings are provided:
               common width, residual add, ReLU, linear classifier
 
 Pixels flagged invalid bypass fusion entirely: the native scores pass
-through unchanged and no gradient flows from them.
+through unchanged and no gradient flows from them.  Inference evaluates
+the head only on the box of the valid pixels, in row bands of about
+raster._BAND_PIXELS pixels.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, TrainingError
 from .formats import KIND_FUSION_HEAD, pack_header, unpack_header
-from .raster import LabelMap, ScoreMap
+from .raster import LabelMap, ScoreMap, _band_rows, _valid_box
 
 VARIANT_KINDS = ("basic", "residual", "bottleneck")
 BOTTLENECK_EXPANSION = 2
@@ -271,11 +273,35 @@ def _stacked(propagated: ScoreMap, native: ScoreMap) -> np.ndarray:
 
 def fuse_forward(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask) -> ScoreMap:
     """Apply the head per pixel; invalid pixels return the native scores
-    unchanged."""
+    unchanged.
+
+    The head is evaluated only on the box of the valid pixels, streamed in
+    equal row bands of about _BAND_PIXELS pixels (the last band ends at the
+    box's end and overlaps the one before): each band's two maps are
+    stacked into one (2C, pixels) buffer and run through one reused
+    workspace.  The box is grown to at least 2 rows and columns where the
+    raster allows, because a one-pixel product runs as numpy's
+    matrix-vector product, whose rounding differs from the matrix
+    product's.  So every pixel gets the bits of a whole-raster evaluation.
+    """
     mask = _check_inputs(head, propagated, native, mask)
-    y = _forward_mat(head.variant.kind, head.params, _stacked(propagated, native), {})
-    fused = y.reshape(propagated.data.shape)
-    return ScoreMap(np.where(mask[None], fused, native.data))
+    out = native.data.copy()
+    box = _valid_box(mask, min_size=2)
+    if box is not None:
+        rows, cols = box
+        c, kind, p = head.num_classes, head.variant.kind, head.params
+        width = cols.stop - cols.start
+        band_rows = min(_band_rows(width), rows.stop - rows.start)
+        x = np.empty((2 * c, band_rows, width))
+        ws = {}
+        for r0 in range(rows.start, rows.stop, band_rows):
+            r0 = min(r0, rows.stop - band_rows)  # so every band has the workspace's shape
+            band = slice(r0, r0 + band_rows)
+            x[:c] = propagated.data[:, band, cols]
+            x[c:] = native.data[:, band, cols]
+            y = _forward_mat(kind, p, x.reshape(2 * c, -1), ws)
+            np.copyto(out[:, band, cols], y.reshape(c, band_rows, width), where=mask[band, cols])
+    return ScoreMap(out)
 
 
 def fuse_backward(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask, grad_out):

@@ -220,27 +220,37 @@ def write_benchmark(
 ) -> Benchmark:
     """Generate the synthetic benchmark: scenes with rendered rasters plus
     texture images for flow samples, all indexed by a manifest.  The
-    arguments are checked before anything is written."""
+    arguments are checked, and every scene is made, before anything is
+    written; scene and flow sizes must be at least the flow pyramid's
+    min_level_size on each side."""
     if num_scenes < 1 or num_planar < 0 or num_flow_samples < 0:
         raise ConfigError(
             f"benchmark needs at least one scene and no negative count, got {num_scenes} "
             f"scenes, {num_planar} planar scenes and {num_flow_samples} flow samples"
         )
-    if min(*scene_size, *flow_size) < 1:
-        raise ConfigError(f"benchmark sizes must be positive, got {scene_size} and {flow_size}")
-    os.makedirs(root, exist_ok=True)
+    if min(*scene_size, *flow_size) < FlowConfig.min_level_size:
+        raise ConfigError(
+            f"benchmark sizes must be at least {FlowConfig.min_level_size} pixels on each side "
+            f"(the flow's min_level_size), got {scene_size} and {flow_size}"
+        )
     rng = np.random.default_rng(seed)
+    scene_seeds = [int(rng.integers(1 << 31)) for _ in range(num_scenes + num_planar)]
+    # every scene is made before anything is written, so one that cannot
+    # be made leaves nothing behind
+    made = [
+        make_scene(scene_seed, size=scene_size, planar=i >= num_scenes)
+        for i, scene_seed in enumerate(scene_seeds)
+    ]
+    os.makedirs(root, exist_ok=True)
     lines = ["version 1", f"seed {seed}",
              f"size {scene_size[0]} {scene_size[1]}",
              f"flow_size {flow_size[0]} {flow_size[1]}"]
     scenes = []
-    for i in range(num_scenes + num_planar):
+    for i, (scene_seed, scene) in enumerate(zip(scene_seeds, made)):
         planar = i >= num_scenes
-        scene_seed = int(rng.integers(1 << 31))
         name = f"scene_{i:03d}"
         directory = os.path.join(root, name)
         os.makedirs(directory, exist_ok=True)
-        scene = make_scene(scene_seed, size=scene_size, planar=planar)
         write_scene(scene, os.path.join(directory, "scene.txt"))
         write_rig(scene.rig, os.path.join(directory, "rig.txt"))
         pair = render_scene(scene)

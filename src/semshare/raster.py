@@ -18,6 +18,14 @@ blends them.  Callers that resample several planes on one lattice (the
 channels of a warp, a grid's two coordinate planes, a flow's u and v)
 compute the support once and gather each plane from it.
 
+The per-pixel passes over a frame are box-bounded and cache-banded:
+_warp_planes and compose_grids evaluate only the bounding box of the
+valid pixels (_valid_box) and stream it in row bands of about
+_BAND_PIXELS pixels (_row_bands), so one band's support and temporaries
+stay in L2.  The flow solver's sweeps and fusion's inference use the same
+constant.  Every pixel sees the same arithmetic as in a whole-raster
+pass, so no result depends on the box or the band size.
+
 The module also holds the package's one binomial smoothing, _smooth
 (flow's pyramid and the score blur of synth.degrade_scores), and its one
 pixel lattice, _lattice.
@@ -32,6 +40,9 @@ from .errors import DataError, DimensionError
 
 SCORE_FILL = -1e4  # fill for score logits: argmax never picks filled pixels
 IMAGE_FILL = 0.0
+# pixels per band of a banded pass: small enough for a band's temporaries
+# to stay in L2
+_BAND_PIXELS = 12_288
 
 
 def _as_float_array(data, name):
@@ -177,8 +188,9 @@ class GridMap(_Raster):
     __slots__ = ("sx", "sy", "valid", "source_size")
 
     def __init__(self, sx, sy, valid, source_size):
-        sx = np.array(sx, dtype=float)
-        sy = np.array(sy, dtype=float)
+        # no copies of sx and sy: np.where makes the owned canonical planes
+        sx = np.asarray(sx, dtype=float)
+        sy = np.asarray(sy, dtype=float)
         valid = np.array(valid, dtype=bool)
         if not (sx.ndim == 2 and sx.shape == sy.shape == valid.shape):
             raise DimensionError("grid planes must share one 2D shape")
@@ -187,12 +199,12 @@ class GridMap(_Raster):
             raise DimensionError(f"source size must be positive, got {source_size}")
         sx = np.where(valid, sx, 0.0)
         sy = np.where(valid, sy, 0.0)
-        if valid.any():
-            vx, vy = sx[valid], sy[valid]
-            if not (np.all(np.isfinite(vx)) and np.all(np.isfinite(vy))):
-                raise DataError("valid grid pixels must have finite coordinates")
-            if vx.min() < 0 or vx.max() > w - 1 or vy.min() < 0 or vy.max() > h - 1:
-                raise DataError("valid grid pixels must stay inside the source raster")
+        # invalid pixels now hold 0, which passes both checks, so the whole
+        # planes are checked instead of gathers of the valid pixels
+        if not (np.all(np.isfinite(sx)) and np.all(np.isfinite(sy))):
+            raise DataError("valid grid pixels must have finite coordinates")
+        if sx.min() < 0 or sx.max() > w - 1 or sy.min() < 0 or sy.max() > h - 1:
+            raise DataError("valid grid pixels must stay inside the source raster")
         for plane in (sx, sy, valid):
             plane.flags.writeable = False
         self.sx = sx
@@ -210,6 +222,19 @@ def _lattice(size, dtype=float):
     w, h = size
     ys, xs = np.mgrid[0:h, 0:w]
     return xs.astype(dtype), ys.astype(dtype)
+
+
+def _band_rows(width):
+    """Rows per band of a banded pass over rows of `width` pixels:
+    _BAND_PIXELS // width, at least 1."""
+    return max(1, _BAND_PIXELS // width)
+
+
+def _row_bands(rows: slice, width):
+    """Consecutive row slices, one band each, that cover `rows` of a pass
+    over rows of `width` pixels."""
+    step = _band_rows(width)
+    return [slice(r0, min(r0 + step, rows.stop)) for r0 in range(rows.start, rows.stop, step)]
 
 
 def _smooth(planes, weights):
@@ -334,26 +359,37 @@ def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:
     a pixel stays valid only if outer[p] is valid and every inner support
     pixel that carries nonzero bilinear weight is valid (corners with zero
     weight cannot veto, so composing with an identity grid is neutral).
+
+    Only the box of outer's valid pixels is evaluated, in row bands; every
+    pixel outside it is invalid with 0 coordinates, as GridMap stores any
+    invalid pixel.
     """
     if outer.source_size != inner.size:
         raise DimensionError(
             f"outer source size {outer.source_size} != inner target size {inner.size}"
         )
-    support = _bilinear_support(outer.sx, outer.sy, inner.size)
-    sx = _gather_bilinear(inner.sx, support)
-    sy = _gather_bilinear(inner.sy, support)
-    idx, fx, fy = support
-    ok = inner.valid.ravel().take(idx)  # validity at the four corners
-    zx = fx == 0.0  # fractional parts live in [0, 1): only the right and
-    zy = fy == 0.0  # lower corners can carry zero weight
-    ok[1] |= zx
-    ok[2] |= zy
-    ok[3] |= zx
-    ok[3] |= zy
-    valid = outer.valid & ok.all(axis=0)
-    w, h = inner.source_size
-    np.clip(sx, 0.0, float(w - 1), out=sx)
-    np.clip(sy, 0.0, float(h - 1), out=sy)
+    sx = np.zeros(outer.valid.shape)
+    sy = np.zeros(outer.valid.shape)
+    valid = np.zeros(outer.valid.shape, bool)
+    box = _valid_box(outer.valid)
+    if box is not None:
+        rows, cols = box
+        w, h = inner.source_size
+        for band in _row_bands(rows, cols.stop - cols.start):
+            support = _bilinear_support(outer.sx[band, cols], outer.sy[band, cols], inner.size)
+            bx = _gather_bilinear(inner.sx, support, out=sx[band, cols])
+            by = _gather_bilinear(inner.sy, support, out=sy[band, cols])
+            idx, fx, fy = support
+            ok = inner.valid.ravel().take(idx)  # validity at the four corners
+            zx = fx == 0.0  # fractional parts live in [0, 1): only the right and
+            zy = fy == 0.0  # lower corners can carry zero weight
+            ok[1] |= zx
+            ok[2] |= zy
+            ok[3] |= zx
+            ok[3] |= zy
+            np.logical_and(outer.valid[band, cols], ok.all(axis=0), out=valid[band, cols])
+            np.clip(bx, 0.0, float(w - 1), out=bx)
+            np.clip(by, 0.0, float(h - 1), out=by)
     return GridMap(sx, sy, valid, inner.source_size)
 
 
@@ -396,15 +432,17 @@ def _valid_box(valid, pad=0, min_size=1):
 
 def _warp_planes(planes, grid: GridMap, fill: float):
     """Sample the planes through the grid inside the box of its valid
-    pixels; every pixel outside the box, and every invalid one, is fill."""
+    pixels, in row bands with one support each; every pixel outside the
+    box, and every invalid one, is fill."""
     out = np.full((planes.shape[0],) + grid.valid.shape, fill, np.result_type(planes, grid.sx))
     box = _valid_box(grid.valid)
     if box is not None:
         rows, cols = box
-        sampled = _sample_planes(
-            planes, grid.sx[rows, cols], grid.sy[rows, cols], out[:, rows, cols]
-        )
-        np.copyto(sampled, fill, where=~grid.valid[rows, cols])
+        for band in _row_bands(rows, cols.stop - cols.start):
+            sampled = _sample_planes(
+                planes, grid.sx[band, cols], grid.sy[band, cols], out[:, band, cols]
+            )
+            np.copyto(sampled, fill, where=~grid.valid[band, cols])
     return out
 
 

@@ -85,6 +85,10 @@ class TestGenBench:
             ["--scenes", "2", "--planar-scenes", "-1"],
             ["--flow-samples", "-3"],
             ["--size", "0x32"],
+            # below the flow pyramid's min_level_size: no command could use them
+            ["--size", "8x8"],
+            ["--flow-size", "8x8", "--flow-samples", "1"],
+            ["--size", "1x1"],
         ],
     )
     def test_bad_counts_and_sizes_write_nothing(self, tmp_path, capsys, flags):

@@ -15,7 +15,14 @@ from semshare.flow import (
     two_stage_map_detailed,
 )
 from semshare.metrics import aepe
-from semshare.raster import FlowField, GridMap, Image, sample_bilinear
+from semshare.raster import (
+    FlowField,
+    GridMap,
+    Image,
+    compose_grids,
+    grid_from_flow,
+    sample_bilinear,
+)
 
 
 def value_noise(size, seed, octaves=((32, 0.5), (16, 0.3), (8, 0.2))):
@@ -200,6 +207,22 @@ class TestEstimateFlow:
             for before, after in zip(energies, energies[1:]):
                 assert after <= before * (1.0 + 1e-9)
 
+    def test_plain_estimate_evaluates_no_objective(self, monkeypatch):
+        """estimate_flow records no diagnostics, and its flow is the
+        detailed estimate's, byte for byte."""
+        base = value_noise((80, 64), 17)
+        target, source = Image(base[1:-2, 2:][None]), Image(base[:-3, :-2][None])
+        want, diag = estimate_flow_detailed(target, source, FlowConfig())
+        assert len(diag.coarsest_energies) == FlowConfig().iterations_per_level + 1
+
+        def forbidden(*args):
+            raise AssertionError("estimate_flow evaluated the objective")
+
+        monkeypatch.setattr(flow, "_objective", forbidden)
+        got = estimate_flow(target, source)
+        assert np.abs(got.data).max() > 0.1
+        assert got.data.tobytes() == want.data.tobytes()
+
     def test_size_mismatch_rejected(self):
         a = Image(np.zeros((1, 32, 32)))
         b = Image(np.zeros((1, 32, 33)))
@@ -273,7 +296,7 @@ class TestBandedSweep:
     @staticmethod
     def check_bytewise(monkeypatch, size, channels, levels, band_pixels):
         if band_pixels is not None:
-            monkeypatch.setattr(flow, "_BAND_PIXELS", band_pixels)
+            monkeypatch.setattr(raster, "_BAND_PIXELS", band_pixels)
         target, source = noise_pair(size, channels, seed=sum(size) + channels)
         cfg = FlowConfig(num_levels=levels)
         got, got_diag = estimate_flow_detailed(target, source, cfg)
@@ -407,6 +430,28 @@ class TestTwoStageMap:
         )
         assert residual.data[:, rows, cols].tobytes() == crop.data.tobytes()
         assert np.abs(crop.data).max() > 0.1
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_composition_matches_the_whole_raster_formula(self, direction):
+        """The flow grid is restricted to the stage-one footprint before it
+        is composed, so only the footprint's box is evaluated; the oracle
+        composes the whole raster and then ANDs the stage-one validity."""
+        from semshare.synth import make_scene, render_scene
+
+        scene = make_scene(6000)
+        pair = render_scene(scene)
+        if direction == "forward":
+            args = (scene.rig, pair.wide_image, pair.narrow_image)
+        else:
+            args = (scene.rig.swapped(), pair.narrow_image, pair.wide_image)
+        composed, grid1, _, residual = two_stage_map_detailed(*args)
+        whole = compose_grids(grid_from_flow(residual), grid1)
+        want = GridMap(whole.sx, whole.sy, whole.valid & grid1.valid, whole.source_size)
+        for name in ("sx", "sy", "valid"):
+            assert getattr(composed, name).tobytes() == getattr(want, name).tobytes()
+        assert composed.valid.mean() > 0.2
+        # backward, the footprint's box leaves most of the wide raster out
+        assert grid1.valid.all() == (direction == "forward")
 
     @pytest.mark.parametrize(
         "cols, box_cols",

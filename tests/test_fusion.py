@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from semshare import raster
 from semshare.errors import ConfigError, DimensionError, TrainingError
 from semshare.fusion import (
     FusionHead,
     FusionVariant,
     TrainConfig,
+    _forward_mat,
     fuse_backward,
     fuse_forward,
     identity_head,
@@ -244,6 +246,36 @@ class TestForward:
         out_a = fuse_forward(head, a_prop, a_nat, mask)
         out_b = fuse_forward(head, b_prop, b_nat, mask)
         assert np.max(np.abs(out_sum.data - out_a.data - out_b.data)) < 1e-9
+
+    @pytest.mark.parametrize("kind", VARIANTS)
+    def test_box_bands_match_a_whole_raster_evaluation(self, monkeypatch, kind):
+        """fuse_forward evaluates only the box of the mask, in row bands of
+        raster._BAND_PIXELS; every pixel keeps the bits of one _forward_mat
+        over the whole raster at any band size.  The off-centre box is 15 x
+        15: 1-row bands at 1 and 7 pixels, 6-row bands at 100 (the last one
+        overlaps), one band at the default.  A lone valid pixel's box is
+        grown to 2 x 2."""
+        c, h, w = 6, 37, 53
+        rng = np.random.default_rng(31)
+        head = new_head(kind, c, seed=12, init_scale=0.5)
+        propagated = ScoreMap(rng.standard_normal((c, h, w)))
+        native = ScoreMap(rng.standard_normal((c, h, w)))
+        x = np.concatenate([propagated.data, native.data]).reshape(2 * c, h * w)
+        whole = _forward_mat(kind, head.params, x, {}).reshape(c, h, w)
+        block = np.zeros((h, w), bool)
+        block[5:20, 33:48] = rng.random((15, 15)) < 0.7
+        block[[5, 19], [33, 47]] = True
+        lone = np.zeros((h, w), bool)
+        lone[36, 52] = True
+        for band_pixels in (1, 7, 100, raster._BAND_PIXELS):
+            with monkeypatch.context() as m:
+                m.setattr(raster, "_BAND_PIXELS", band_pixels)
+                for mask in (block, lone):
+                    got = fuse_forward(head, propagated, native, mask)
+                    want = np.where(mask[None], whole, native.data)
+                    assert got.data.tobytes() == want.tobytes()
+                got = fuse_forward(head, propagated, native, np.zeros((h, w), bool))
+                assert got.data.tobytes() == native.data.tobytes()
 
     def test_shape_mismatch_rejected(self):
         head = new_head("basic", 3)

@@ -161,6 +161,25 @@ class TestTypes:
         g = GridMap(sx, sy, np.array([[False]]), (4, 4))
         assert g.sx[0, 0] == 0.0  # canonicalized
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 3.5])
+    def test_grid_stores_any_invalid_coordinate_as_zero(self, bad):
+        """Non-finite or out-of-range coordinates pass at invalid pixels,
+        stored as 0, and raise DataError at a valid one, in either plane."""
+        valid = np.array([[True, False], [False, True]])
+        for plane in (0, 1):
+            planes = np.full((2, 2, 2), 1.0)
+            planes[plane, 0, 1] = bad
+            planes[plane, 1, 0] = bad
+            g = GridMap(planes[0], planes[1], valid, (4, 4))
+            assert np.array_equal(g.sx, np.where(valid, 1.0, 0.0))
+            assert np.array_equal(g.sy, np.where(valid, 1.0, 0.0))
+            # the caller's planes are neither changed nor frozen
+            assert planes.flags.writeable
+            assert np.array_equal(planes[plane], [[1.0, bad], [bad, 1.0]], equal_nan=True)
+            planes[plane, 1, 1] = bad
+            with pytest.raises(DataError):
+                GridMap(planes[0], planes[1], valid, (4, 4))
+
 
 class TestGridFromHomography:
     def test_identity_equal_sizes(self):
@@ -369,6 +388,12 @@ class TestWarpRaster:
             warp_raster(img, identity_grid((5, 5)))
 
 
+# raster._BAND_PIXELS values for the banded passes: one row per band (1,
+# and 7 on rows of 7 pixels or more), a few rows with a shorter last band
+# (100), the default
+BAND_SIZES = (1, 7, 100, raster._BAND_PIXELS)
+
+
 class TestFlatIndexKernels:
     """The flat-index support and gather against the 2-D-index oracle,
     compared as bytes."""
@@ -399,9 +424,16 @@ class TestFlatIndexKernels:
             pytest.param((17, 11), (13, 9), "all_invalid", id="all_invalid"),
         ],
     )
-    def test_warps_match_oracle(self, size, source_size, layout):
-        """Warps sample only the box of the valid pixels; the oracle samples
-        every pixel."""
+    def test_warps_match_oracle(self, monkeypatch, size, source_size, layout):
+        """Warps sample only the box of the valid pixels, in row bands; the
+        oracle samples every pixel.  No band size changes a bit."""
+        for band_pixels in BAND_SIZES:
+            with monkeypatch.context() as m:
+                m.setattr(raster, "_BAND_PIXELS", band_pixels)
+                self.check_warps(size, source_size, layout)
+
+    @staticmethod
+    def check_warps(size, source_size, layout):
         rng = np.random.default_rng(size[0])
         sw, sh = source_size
         grid = edge_heavy_grid(rng, size, source_size)
@@ -427,16 +459,31 @@ class TestFlatIndexKernels:
         assert out.data.tobytes() == want.astype(np.int32).tobytes()
         assert np.array_equal(mask, grid.valid)
 
-    def test_compose_matches_oracle(self):
+    def test_compose_matches_oracle(self, monkeypatch):
+        """Composition evaluates only the box of outer's valid pixels, in row
+        bands; the oracle evaluates every pixel.  No band size changes a
+        bit."""
         rng = np.random.default_rng(22)
         inner = edge_heavy_grid(rng, (23, 19), (29, 17), invalid_frac=0.1)
         outer = edge_heavy_grid(rng, (31, 21), inner.size, invalid_frac=0.05)
-        got = compose_grids(outer, inner)
-        want = reference_compose(outer, inner)
-        for name in ("sx", "sy", "valid"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        block = np.zeros(outer.valid.shape, bool)
+        block[3:11, 17:29] = outer.valid[3:11, 17:29]
+        outers = [
+            outer,
+            GridMap(outer.sx, outer.sy, block, outer.source_size),
+            GridMap(outer.sx, outer.sy, np.zeros_like(block), outer.source_size),
+        ]
+        for band_pixels in BAND_SIZES:
+            with monkeypatch.context() as m:
+                m.setattr(raster, "_BAND_PIXELS", band_pixels)
+                for grid in outers:
+                    got = compose_grids(grid, inner)
+                    want = reference_compose(grid, inner)
+                    for name in ("sx", "sy", "valid"):
+                        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         # the zero-weight rule decides some pixels: a neighbor-blind check
         # that all four corners be valid would reject more
+        got = compose_grids(outer, inner)
         idx, _, _ = reference_bilinear_support(outer.sx, outer.sy, inner.size)
         all_corners = outer.valid & inner.valid.reshape(-1)[idx].all(axis=0)
         assert (got.valid & ~all_corners).sum() > 10
