@@ -301,7 +301,7 @@ def fuse_forward(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask)
             x[c:] = native.data[:, band, cols]
             y = _forward_mat(kind, p, x.reshape(2 * c, -1), ws)
             np.copyto(out[:, band, cols], y.reshape(c, band_rows, width), where=mask[band, cols])
-    return ScoreMap(out)
+    return ScoreMap._adopt(out)
 
 
 def fuse_backward(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask, grad_out):

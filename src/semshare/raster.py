@@ -22,9 +22,9 @@ The per-pixel passes over a frame are box-bounded and cache-banded:
 _warp_planes and compose_grids evaluate only the bounding box of the
 valid pixels (_valid_box) and stream it in row bands of about
 _BAND_PIXELS pixels (_row_bands), so one band's support and temporaries
-stay in L2.  The flow solver's sweeps and fusion's inference use the same
-constant.  Every pixel sees the same arithmetic as in a whole-raster
-pass, so no result depends on the box or the band size.
+stay in L2.  The flow solver's sweeps, fusion's inference and the scene
+renderer use the same constant.  Every pixel sees the same arithmetic as
+in a whole-raster pass, so no result depends on the box or the band size.
 
 The module also holds the package's one binomial smoothing, _smooth
 (flow's pyramid and the score blur of synth.degrade_scores), and its one
@@ -45,8 +45,10 @@ IMAGE_FILL = 0.0
 _BAND_PIXELS = 12_288
 
 
-def _as_float_array(data, name):
-    arr = np.array(data, dtype=float)
+def _as_float_array(data, name, copy=True):
+    """`data` as a float64 array with finite values; copy=False keeps a
+    float64 array as it is (its caller hands it over)."""
+    arr = np.array(data, dtype=float) if copy else np.asarray(data, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{name} contains non-finite values")
     return arr
@@ -108,7 +110,17 @@ class ScoreMap(_Raster):
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = _as_float_array(data, "score map")
+        self._hold(_as_float_array(data, "score map"))
+
+    @classmethod
+    def _adopt(cls, arr):
+        """ScoreMap over `arr`, a fresh float64 array the package has just
+        built and hands over: the same checks, but no copy."""
+        scores = cls.__new__(cls)
+        scores._hold(_as_float_array(arr, "score map", copy=False))
+        return scores
+
+    def _hold(self, arr):
         if arr.ndim != 3 or arr.shape[0] < 2:
             raise DimensionError(f"score map needs shape (C>=2, H, W), got {arr.shape}")
         arr.flags.writeable = False
@@ -464,7 +476,7 @@ def warp_raster(src, grid: GridMap):
         # convex bilinear weights keep values in range; clip only guards
         # against last-ulp rounding so the Image invariant holds bit-safely
         return Image(np.clip(out, 0.0, 1.0, out=out)), mask
-    return ScoreMap(_warp_planes(src.data, grid, SCORE_FILL)), mask
+    return ScoreMap._adopt(_warp_planes(src.data, grid, SCORE_FILL)), mask
 
 
 def warp_labels(labels: LabelMap, grid: GridMap):

@@ -12,6 +12,13 @@ Scene content is desk-scale: a checkerboard-textured ground plane (class
 "road"), fronto-parallel textured billboards standing on the ground
 (classes person/car/barrier/cycle) and a textured background at infinity
 (class "background").  Everything is a pure function of (inputs, seed).
+
+The renderer shades each surface only on the pixels where it is placed,
+and the background only where nothing was hit, so a pixel costs about one
+texture sample instead of one per surface.  It works in row bands of
+raster._BAND_PIXELS pixels.  value_noise and the depth test are
+elementwise, so every pixel gets the bits that shading the whole raster
+would give it.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from .camera import (
 )
 from .errors import ConfigError, DataError
 from .raster import (
-    FlowField, GridMap, Image, LabelMap, ScoreMap, _in_bounds, _lattice, _sample_planes, _smooth,
+    FlowField, GridMap, Image, LabelMap, ScoreMap, _in_bounds, _lattice, _row_bands, _sample_planes,
+    _smooth,
 )
 
 CLASS_NAMES = ("background", "road", "person", "car", "barrier", "cycle")
@@ -49,23 +57,29 @@ _MAX_ROTATION_DEG = 5.0
 
 def value_noise(xs, ys, seed: int, scale: float) -> np.ndarray:
     """Smoothstep-interpolated lattice noise in [0, 1] at arbitrary float
-    coordinates (lattice wraps, so any coordinate range is fine)."""
+    coordinates (lattice wraps, so any coordinate range is fine).
+
+    Every output element depends only on its own coordinate pair, so the
+    renderer can shade a surface on just the pixels where it is placed.
+    The four lattice corners are read with flat takes at y * 64 + x."""
     rng = np.random.default_rng(seed)
-    lattice = rng.random((64, 64))
-    gx = np.asarray(xs, dtype=float) / scale
-    gy = np.asarray(ys, dtype=float) / scale
-    x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
-    fx = gx - x0
-    fy = gy - y0
+    lattice = rng.random((64, 64)).ravel()
+    # fx and fy first hold the lattice coordinates, then their fractions
+    fx = np.asarray(xs, dtype=float) / scale
+    fy = np.asarray(ys, dtype=float) / scale
+    x0 = np.floor(fx).astype(np.int64)
+    y0 = np.floor(fy).astype(np.int64)
+    fx -= x0
+    fy -= y0
     fx = fx * fx * (3.0 - 2.0 * fx)
     fy = fy * fy * (3.0 - 2.0 * fy)
     x0 %= 64
     y0 %= 64
     x1 = (x0 + 1) % 64
-    y1 = (y0 + 1) % 64
-    top = (1.0 - fx) * lattice[y0, x0] + fx * lattice[y0, x1]
-    bot = (1.0 - fx) * lattice[y1, x0] + fx * lattice[y1, x1]
+    y1 = (y0 + 1) % 64 * 64
+    y0 *= 64
+    top = (1.0 - fx) * lattice.take(y0 + x0) + fx * lattice.take(y0 + x1)
+    bot = (1.0 - fx) * lattice.take(y1 + x0) + fx * lattice.take(y1 + x1)
     return (1.0 - fy) * top + fy * bot
 
 
@@ -260,44 +274,57 @@ def _ground_hit(scene: SynthScene, origin, rel):
     return t, ox + t * rx, z, down & (t > 0.0) & (z > 0.0)
 
 
-def _render_view(scene: SynthScene, cam: Intrinsics, size, rotation, center):
-    """Ray-cast one camera: returns intensity, labels, world hit points
-    (inf for the background) and the world ray directions."""
-    w, h = size
-    dirs = _view_rays(cam, size, rotation)
+def _shade(scene: SynthScene, center, dirs, t_hit, labels, intensity):
+    """Depth-test and shade the pixels of one band of rays `dirs`, writing
+    into the band's views t_hit, labels and intensity."""
     dx, dy, dz = dirs
-
-    t_hit = np.full((h, w), np.inf)
-    labels = np.zeros((h, w), dtype=np.int32)
-    intensity = np.empty((h, w))
-
-    # background at infinity: texture over ray direction
-    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
-    bg_noise = value_noise(dx / norm * 64.0, dy / norm * 64.0, scene.texture_seed + 17, 9.0)
-    intensity[:] = 0.55 + 0.3 * (bg_noise - 0.5)
-
-    t_ground, gx, gz, ground_ok = _ground_hit(scene, center, dirs)
+    # the ground comes first, so it is placed wherever it is hit
+    t_ground, gx, gz, place = _ground_hit(scene, center, dirs)
+    gx, gz = gx[place], gz[place]
     checker = ((np.floor(gx / scene.ground_cell) + np.floor(gz / scene.ground_cell)) % 2.0) * 2.0 - 1.0
     fade = 1.0 / (1.0 + np.maximum(gz, 0.0) / 25.0)
     g_noise = value_noise(gx * 4.0, gz * 4.0, scene.texture_seed + 29, 3.0)
-    ground_val = 0.5 + 0.17 * checker * fade + 0.12 * (g_noise - 0.5)
-    place = ground_ok & (t_ground < t_hit)
-    t_hit = np.where(place, t_ground, t_hit)
-    labels = np.where(place, 1, labels)
-    intensity = np.where(place, ground_val, intensity)
+    t_hit[place] = t_ground[place]
+    labels[place] = 1
+    intensity[place] = 0.5 + 0.17 * checker * fade + 0.12 * (g_noise - 0.5)
 
     for box in scene.boxes:
         t_box, bx, by, on_box = _box_hit(scene, box, center, dirs)
-        inside = (dz > _EPS) & on_box
+        place = (dz > _EPS) & on_box & (t_box < t_hit)
         rng = np.random.default_rng(box.texture_seed)
         base = 0.35 + 0.4 * rng.random()
-        b_noise = value_noise(bx * 24.0, by * 24.0, box.texture_seed + 41, 5.0)
-        box_val = base + 0.24 * (b_noise - 0.5)
-        place = inside & (t_box < t_hit)
-        t_hit = np.where(place, t_box, t_hit)
-        labels = np.where(place, box.class_id, labels)
-        intensity = np.where(place, box_val, intensity)
+        b_noise = value_noise(bx[place] * 24.0, by[place] * 24.0, box.texture_seed + 41, 5.0)
+        t_hit[place] = t_box[place]
+        labels[place] = box.class_id
+        intensity[place] = base + 0.24 * (b_noise - 0.5)
 
+    # background at infinity: texture over ray direction
+    sky = ~np.isfinite(t_hit)
+    rx, ry, rz = dx[sky], dy[sky], dz[sky]
+    norm = np.sqrt(rx * rx + ry * ry + rz * rz)
+    bg_noise = value_noise(rx / norm * 64.0, ry / norm * 64.0, scene.texture_seed + 17, 9.0)
+    intensity[sky] = 0.55 + 0.3 * (bg_noise - 0.5)
+
+
+def _render_view(scene: SynthScene, cam: Intrinsics, size, rotation, center):
+    """Ray-cast one camera: returns intensity, labels, world hit points
+    (inf for the background) and the world ray directions.
+
+    The depth test places the ground, then the boxes in scene order, each
+    where it is hit nearer (strictly) than everything placed before.  A
+    surface is shaded only on the pixels where it is placed, and a later,
+    nearer box overwrites them; the background is shaded last, on the
+    pixels nothing hit.  Both run in row bands of about _BAND_PIXELS
+    pixels: the arrays of a surface's placed pixels change size with every
+    surface, and kept this small the allocator reuses their memory (on
+    whole rasters they made the peak RSS of repeated renders creep up)."""
+    w, h = size
+    dirs = _view_rays(cam, size, rotation)
+    t_hit = np.full((h, w), np.inf)
+    labels = np.zeros((h, w), dtype=np.int32)
+    intensity = np.empty((h, w))
+    for band in _row_bands(slice(0, h), w):
+        _shade(scene, center, dirs[:, band], t_hit[band], labels[band], intensity[band])
     finite = np.isfinite(t_hit)
     t_safe = np.where(finite, t_hit, 0.0)
     points = np.where(finite, np.reshape(center, (3, 1, 1)) + t_safe * dirs, np.inf)

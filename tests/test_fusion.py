@@ -277,6 +277,14 @@ class TestForward:
                 got = fuse_forward(head, propagated, native, np.zeros((h, w), bool))
                 assert got.data.tobytes() == native.data.tobytes()
 
+    def test_fused_scores_are_read_only_and_share_no_memory(self):
+        head = new_head("residual", 3, seed=4)
+        propagated, native, mask = random_maps(12, h=6, w=7, mask_all=False)
+        out = fuse_forward(head, propagated, native, mask)
+        assert not out.data.flags.writeable
+        for other in (propagated.data, native.data, mask):
+            assert not np.shares_memory(out.data, other)
+
     def test_shape_mismatch_rejected(self):
         head = new_head("basic", 3)
         propagated, native, mask = random_maps(11)

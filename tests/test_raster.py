@@ -141,6 +141,17 @@ class TestTypes:
         with pytest.raises(DataError):
             ScoreMap(np.full((2, 3, 3), np.inf))
 
+    def test_adopted_scoremap_keeps_the_checks_without_a_copy(self):
+        arr = np.zeros((2, 3, 3))
+        scores = ScoreMap._adopt(arr)
+        assert scores.data is arr and not arr.flags.writeable
+        bad = np.zeros((2, 3, 3))
+        bad[1, 2, 0] = np.nan
+        with pytest.raises(DataError):
+            ScoreMap._adopt(bad)
+        with pytest.raises(DimensionError):
+            ScoreMap._adopt(np.zeros((1, 3, 3)))
+
     def test_labelmap_validation(self):
         LabelMap(np.zeros((3, 3), dtype=int), 4)
         with pytest.raises(DataError):
@@ -304,6 +315,15 @@ class TestComposeGrids:
 
 
 class TestWarpRaster:
+    def test_warped_scores_are_read_only_and_share_no_memory(self):
+        rng = np.random.default_rng(3)
+        src = ScoreMap(rng.standard_normal((4, 9, 11)))
+        grid = translation_grid(src.size, 1.5, -0.25)
+        out, mask = warp_raster(src, grid)
+        assert not out.data.flags.writeable
+        for other in (src.data, grid.sx, grid.sy, grid.valid, mask):
+            assert not np.shares_memory(out.data, other)
+
     def test_identity_bit_exact(self):
         rng = np.random.default_rng(0)
         img = Image(rng.random((3, 8, 9)))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from semshare import synth
+from semshare import raster, synth
 from semshare.camera import homography_from_rig
 from semshare.errors import ConfigError, DataError
 from semshare.metrics import miou
-from semshare.raster import LabelMap, grid_from_flow, grid_from_homography, warp_labels, warp_raster
+from semshare.raster import Image, LabelMap, grid_from_flow, grid_from_homography, warp_labels, warp_raster
 from semshare.synth import (
     Box,
     RandomTransformSpec,
@@ -442,3 +442,169 @@ class TestTexture:
     def test_spans_unit_range(self):
         img = texture_image((64, 64), 8)
         assert img.data.min() == 0.0 and img.data.max() == 1.0
+
+
+def value_noise_oracle(xs, ys, seed, scale):
+    """value_noise with the lattice corners read by 2-D indexing."""
+    lattice = np.random.default_rng(seed).random((64, 64))
+    gx = np.asarray(xs, dtype=float) / scale
+    gy = np.asarray(ys, dtype=float) / scale
+    x0 = np.floor(gx).astype(np.int64)
+    y0 = np.floor(gy).astype(np.int64)
+    fx = gx - x0
+    fy = gy - y0
+    fx = fx * fx * (3.0 - 2.0 * fx)
+    fy = fy * fy * (3.0 - 2.0 * fy)
+    x0 %= 64
+    y0 %= 64
+    x1 = (x0 + 1) % 64
+    y1 = (y0 + 1) % 64
+    top = (1.0 - fx) * lattice[y0, x0] + fx * lattice[y0, x1]
+    bot = (1.0 - fx) * lattice[y1, x0] + fx * lattice[y1, x1]
+    return (1.0 - fy) * top + fy * bot
+
+
+def render_view_oracle(scene, cam, size, rotation, center):
+    """synth._render_view with whole-raster shading: every surface and the
+    background are shaded on every pixel, and np.where keeps the nearest."""
+    w, h = size
+    dirs = synth._view_rays(cam, size, rotation)
+    dx, dy, dz = dirs
+
+    t_hit = np.full((h, w), np.inf)
+    labels = np.zeros((h, w), dtype=np.int32)
+    intensity = np.empty((h, w))
+
+    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+    bg_noise = value_noise_oracle(dx / norm * 64.0, dy / norm * 64.0, scene.texture_seed + 17, 9.0)
+    intensity[:] = 0.55 + 0.3 * (bg_noise - 0.5)
+
+    t_ground, gx, gz, ground_ok = synth._ground_hit(scene, center, dirs)
+    checker = ((np.floor(gx / scene.ground_cell) + np.floor(gz / scene.ground_cell)) % 2.0) * 2.0 - 1.0
+    fade = 1.0 / (1.0 + np.maximum(gz, 0.0) / 25.0)
+    g_noise = value_noise_oracle(gx * 4.0, gz * 4.0, scene.texture_seed + 29, 3.0)
+    ground_val = 0.5 + 0.17 * checker * fade + 0.12 * (g_noise - 0.5)
+    place = ground_ok & (t_ground < t_hit)
+    t_hit = np.where(place, t_ground, t_hit)
+    labels = np.where(place, 1, labels)
+    intensity = np.where(place, ground_val, intensity)
+
+    for box in scene.boxes:
+        t_box, bx, by, on_box = synth._box_hit(scene, box, center, dirs)
+        inside = (dz > synth._EPS) & on_box
+        base = 0.35 + 0.4 * np.random.default_rng(box.texture_seed).random()
+        b_noise = value_noise_oracle(bx * 24.0, by * 24.0, box.texture_seed + 41, 5.0)
+        box_val = base + 0.24 * (b_noise - 0.5)
+        place = inside & (t_box < t_hit)
+        t_hit = np.where(place, t_box, t_hit)
+        labels = np.where(place, box.class_id, labels)
+        intensity = np.where(place, box_val, intensity)
+
+    finite = np.isfinite(t_hit)
+    t_safe = np.where(finite, t_hit, 0.0)
+    points = np.where(finite, np.reshape(center, (3, 1, 1)) + t_safe * dirs, np.inf)
+    image = Image(np.clip(intensity, 0.0, 1.0)[None])
+    return image, LabelMap(labels, scene.num_classes), points, dirs
+
+
+def overlap_scene():
+    """Boxes that overdraw one another in the wide view, out of depth
+    order; two of them stand at the same depth, where the first one drawn
+    keeps the pixels."""
+    boxes = (
+        Box(depth=8.0, x_center=0.3, width=2.0, height=1.4, class_id=3, texture_seed=11),
+        Box(depth=5.0, x_center=0.0, width=1.5, height=1.2, class_id=2, texture_seed=12),
+        Box(depth=5.0, x_center=0.4, width=1.2, height=1.0, class_id=4, texture_seed=13),
+        Box(depth=6.5, x_center=-0.5, width=1.6, height=1.3, class_id=5, texture_seed=14),
+    )
+    return SynthScene(
+        rig=default_rig((160, 120), yaw_deg=1.0),
+        baseline=(0.12, 0.0, 0.0),
+        ground_height=1.5,
+        ground_cell=0.7,
+        boxes=boxes,
+        texture_seed=3,
+    )
+
+
+class TestPlacedShading:
+    """The renderer shades each surface only where it is placed; its
+    output is byte for byte that of whole-raster shading."""
+
+    def assert_matches_oracle(self, monkeypatch, scene):
+        got = render_scene(scene)
+        with monkeypatch.context() as m:
+            m.setattr(synth, "_render_view", render_view_oracle)
+            want = render_scene(scene)
+        for name in ("wide_image", "narrow_image", "wide_labels", "narrow_labels"):
+            a, b = getattr(got, name).data, getattr(want, name).data
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        for name in ("grid_to_narrow", "grid_to_wide"):
+            for plane in ("sx", "sy", "valid"):
+                a, b = getattr(getattr(got, name), plane), getattr(getattr(want, name), plane)
+                assert a.tobytes() == b.tobytes(), (name, plane)
+
+    @pytest.mark.parametrize("planar", [False, True])
+    @pytest.mark.parametrize("size", [(192, 192), (384, 384), (640, 480), (97, 61)])
+    def test_matches_whole_raster_shading(self, monkeypatch, size, planar):
+        for seed in range(6000, 6004):
+            self.assert_matches_oracle(monkeypatch, make_scene(seed, size=size, planar=planar))
+
+    def test_matches_whole_raster_shading_where_boxes_overdraw(self, monkeypatch):
+        # at any band size: 1-row bands at 1 pixel, 6-row ones at 1000
+        scene = overlap_scene()
+        rig = scene.rig
+        dirs = synth._view_rays(rig.cam_wide, rig.image_size_wide, np.eye(3))
+        covered = sum(
+            synth._box_hit(scene, box, np.zeros(3), dirs)[3].astype(int) for box in scene.boxes
+        )
+        assert (covered >= 3).any()
+        for band_pixels in (1, 1000, raster._BAND_PIXELS):
+            with monkeypatch.context() as m:
+                m.setattr(raster, "_BAND_PIXELS", band_pixels)
+                self.assert_matches_oracle(monkeypatch, scene)
+
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_texture_samples_per_rendered_pixel(self, monkeypatch, planar):
+        # whole-raster shading takes 6 samples per pixel with 4 boxes
+        samples = []
+        value_noise = synth.value_noise
+
+        def counting(xs, ys, seed, scale):
+            samples.append(np.size(xs))
+            return value_noise(xs, ys, seed, scale)
+
+        monkeypatch.setattr(synth, "value_noise", counting)
+        pixels = 0
+        for seed in range(6000, 6010):
+            pair = render_scene(make_scene(seed, size=(192, 192), planar=planar))
+            pixels += pair.wide_labels.data.size + pair.narrow_labels.data.size
+        if planar:
+            assert sum(samples) == pixels
+        else:
+            assert sum(samples) < 1.5 * pixels
+
+
+class TestValueNoise:
+    def test_flat_take_matches_2d_indexing(self):
+        rng = np.random.default_rng(8)
+        scale = 5.0
+        wrap = 64 * scale
+        xs = np.concatenate([
+            rng.uniform(-3000.0, 3000.0, 4000),
+            np.arange(-2 * wrap, 2 * wrap + 1, scale),  # lattice points and the wrap
+            [0.0, -0.0, wrap, -wrap, 7 * wrap, 1e9, -1e9, 2.5e12, -2.5e12],
+        ])
+        ys = np.roll(xs, 17) * -1.0
+        got = synth.value_noise(xs, ys, 41, scale)
+        assert got.tobytes() == value_noise_oracle(xs, ys, 41, scale).tobytes()
+        assert got.min() >= 0.0 and got.max() <= 1.0
+        grid_x, grid_y = np.meshgrid(xs[:50], ys[:40])
+        assert (
+            synth.value_noise(grid_x, grid_y, 3, 9.0).tobytes()
+            == value_noise_oracle(grid_x, grid_y, 3, 9.0).tobytes()
+        )
+
+    def test_empty_input_gives_an_empty_array(self):
+        out = synth.value_noise(np.empty(0), np.empty(0), 17, 9.0)
+        assert out.shape == (0,) and out.dtype == np.float64
