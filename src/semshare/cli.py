@@ -39,7 +39,7 @@ from .formats import (
     write_mask,
     write_scores,
 )
-from .fusion import TrainConfig, new_head, train_fusion, write_head
+from .fusion import VARIANT_KINDS, TrainConfig, new_head, train_fusion, write_head
 from .metrics import miou, report_to_text
 from .pipeline import (
     ABLATION_SUITES,
@@ -212,13 +212,15 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.classes is not None and args.classes < 2:
+        raise ConfigError(f"--classes must be >= 2, got {args.classes}")
     pred = read_labels(args.pred)
     gt = read_labels(args.gt)
     if args.mask:
         mask = read_mask(args.mask)
     else:
         mask = np.ones((gt.height, gt.width), dtype=bool)
-    classes = args.classes or gt.num_classes
+    classes = gt.num_classes if args.classes is None else args.classes
     if pred.num_classes != classes:
         pred = LabelMap(pred.data, classes)
     if gt.num_classes != classes:
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-fusion", help="train a fusion head on the benchmark")
     p.add_argument("--bench", required=True)
-    p.add_argument("--variant", choices=("basic", "residual", "bottleneck"), default="basic")
+    p.add_argument("--variant", choices=VARIANT_KINDS, default="basic")
     p.add_argument("--branch", choices=("narrow", "wide"), default="narrow")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=ABLATION_SUITES)
     p.add_argument("--bench", required=True)
     p.add_argument("--out")
-    p.add_argument("--variant", choices=("basic", "residual", "bottleneck"), default="basic")
+    p.add_argument("--variant", choices=VARIANT_KINDS, default="basic")
     # training flags of the fusion and overlap suites; unset ones keep the preset
     p.add_argument("--seed", type=int)
     p.add_argument("--lr", type=float)

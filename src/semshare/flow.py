@@ -20,12 +20,16 @@ those planes.  The objective is evaluated in float64 on the float32
 iterates, so the recorded energies are float64, and the returned
 FlowField is float64 (with float32-representable values).
 
-A sweep runs band by band over row strips of about raster._BAND_PIXELS
-pixels (raster._band_rows):
-neighbor sums, the division by the neighbor counts, the per-pixel solve
-and the update for one band stay in cache, and each full-size plane is
-streamed once per sweep.  The sweep writes the next increment into a
-second buffer, and the two swap after every sweep; buffers and band
+The increment (du, dv) has a zero border, so every pixel's neighbor sum
+is the same four adds (left, right, up, down); an edge pixel adds +0.0
+for a missing neighbor.  x + 0.0 is x for every x but -0.0, and the
+increment holds no -0.0 (it starts at +0.0; only an underflow to zero
+could make one), so each sum has the bits of a sum over the existing
+neighbors.  A sweep walks the row bands of raster._row_bands: neighbor
+sums, the division by the neighbor counts, the per-pixel solve and the
+update for one band stay in cache, and each full-size plane is streamed
+once per sweep.  The sweep writes the next increment into a second
+bordered buffer, and the two swap after every sweep; buffers and band
 scratch are allocated once per level.  Each pixel sees the same
 operations in the same order as a whole-plane sweep, so the result does
 not depend on the band size.
@@ -63,8 +67,8 @@ from .raster import (
     FlowField,
     GridMap,
     Image,
-    _band_rows,
     _lattice,
+    _row_bands,
     _sample_planes,
     _smooth,
     _valid_box,
@@ -172,46 +176,27 @@ def _objective(ix, iy, it, du, dv, alpha2) -> float:
     return float(np.sum(data * data) + alpha2 * smooth)
 
 
-def _neighbor_sums(d, r0, r1, out):
-    """4-neighbor sums of rows r0..r1 of the stacked planes `d`, (2, H, W),
-    into `out`, (2, r1 - r0, W): zeros plus left, right, up and down, the
-    order of a whole-plane sum.  Rows are added as flat runs; a run's
-    first and last columns wrap into the neighboring row, so column 0
-    gets back its zero and column W - 1 its left-only value."""
-    h, w = d.shape[1:]
-    n = r1 - r0
-    flat = out.reshape(2, n * w)
-    rows = d[:, r0:r1].reshape(2, n * w)
-    out.fill(0.0)
-    flat[:, 1:] += rows[:, :-1]
-    out[:, :, 0] = 0.0
-    last = out[:, :, -1].copy()
-    flat[:, :-1] += rows[:, 1:]
-    out[:, :, -1] = last
-    top = max(r0, 1)
-    out[:, top - r0 :] += d[:, top - 1 : r1 - 1]
-    bottom = min(r1, h - 1)
-    out[:, : bottom - r0] += d[:, r0 + 1 : bottom + 1]
-
-
 def _jacobi_sweep(grad, it, counts, denom, d, d_next, scratch):
     """One block-Jacobi sweep from the increment d = (du, dv) into d_next,
-    band by band over row strips so a band's temporaries stay in cache."""
-    h = d.shape[1]
+    both (2, H + 2, W + 2) with a zero border, band by band over the row
+    bands of raster._row_bands so a band's temporaries stay in cache."""
+    h, w = it.shape
     bars, prods, frac = scratch[:2], scratch[2:4], scratch[4]
-    rows = frac.shape[0]
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
+    for band in _row_bands(slice(0, h), w):
+        r0, r1 = band.start + 1, band.stop + 1  # the band's rows in d
         n = r1 - r0
-        bar, prod, f, g = bars[:, :n], prods[:, :n], frac[:n], grad[:, r0:r1]
-        _neighbor_sums(d, r0, r1, bar)
-        np.divide(bar, counts[r0:r1], out=bar)  # (du_bar, dv_bar)
+        bar, prod, f, g = bars[:, :n], prods[:, :n], frac[:n], grad[:, band]
+        # left, right, up, down: the order of a whole-plane sum
+        np.add(d[:, r0:r1, :-2], d[:, r0:r1, 2:], out=bar)
+        bar += d[:, r0 - 1 : r1 - 1, 1:-1]
+        bar += d[:, r0 + 1 : r1 + 1, 1:-1]
+        np.divide(bar, counts[band], out=bar)  # (du_bar, dv_bar)
         np.multiply(g, bar, out=prod)
         np.add(prod[0], prod[1], out=f)
-        f += it[r0:r1]
-        f /= denom[r0:r1]
+        f += it[band]
+        f /= denom[band]
         np.multiply(g, f, out=prod)
-        np.subtract(bar, prod, out=d_next[:, r0:r1])
+        np.subtract(bar, prod, out=d_next[:, r0:r1, 1:-1])
 
 
 def _solve_level(target, source, u, v, cfg: FlowConfig, record_energy=False):
@@ -227,16 +212,19 @@ def _solve_level(target, source, u, v, cfg: FlowConfig, record_energy=False):
     alpha2 = cfg.smoothness_weight**2
     counts = _neighbor_counts((h, w), dtype)
     denom = alpha2 * counts + ix * ix + iy * iy
-    d = np.zeros((2, h, w), dtype)
-    d_next = np.empty((2, h, w), dtype)
-    scratch = np.empty((5, min(_band_rows(w), h), w), dtype)
-    energies = [_objective(ix, iy, it, d[0], d[1], alpha2)] if record_energy else None
+    d = np.zeros((2, h + 2, w + 2), dtype)
+    d_next = np.zeros((2, h + 2, w + 2), dtype)
+    inner = np.s_[:, 1:-1, 1:-1]
+    # the first band is the longest
+    scratch = np.empty((5, _row_bands(slice(0, h), w)[0].stop, w), dtype)
+    energies = [_objective(ix, iy, it, *d[inner], alpha2)] if record_energy else None
     for _ in range(cfg.iterations_per_level):
         _jacobi_sweep(grad, it, counts, denom, d, d_next, scratch)
         d, d_next = d_next, d
         if record_energy:
-            energies.append(_objective(ix, iy, it, d[0], d[1], alpha2))
-    return u + d[0], v + d[1], energies
+            energies.append(_objective(ix, iy, it, *d[inner], alpha2))
+    du, dv = d[inner]
+    return u + du, v + dv, energies
 
 
 def _estimate_flow(target: Image, source: Image, cfg: FlowConfig, record: bool):

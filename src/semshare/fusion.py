@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, TrainingError
 from .formats import KIND_FUSION_HEAD, pack_header, unpack_header
-from .raster import LabelMap, ScoreMap, _band_rows, _valid_box
+from .raster import LabelMap, ScoreMap, _row_bands, _valid_box
 
 VARIANT_KINDS = ("basic", "residual", "bottleneck")
 BOTTLENECK_EXPANSION = 2
@@ -55,13 +55,11 @@ class FusionVariant:
 
     @staticmethod
     def resolve(kind: str, num_classes: int) -> "FusionVariant":
-        if kind == "basic":
-            return FusionVariant("basic", 0)
-        if kind == "residual":
-            return FusionVariant("residual", 2 * num_classes)
-        if kind == "bottleneck":
-            return FusionVariant("bottleneck", math.ceil(num_classes / BOTTLENECK_EXPANSION))
-        raise ConfigError(f"unknown fusion variant {kind!r}")
+        hidden = {
+            "residual": 2 * num_classes,
+            "bottleneck": math.ceil(num_classes / BOTTLENECK_EXPANSION),
+        }.get(kind, 0)
+        return FusionVariant(kind, hidden)
 
 
 def _param_shapes(variant: FusionVariant, c: int):
@@ -161,9 +159,10 @@ def identity_head(num_classes: int) -> FusionHead:
 
 
 def _buf(ws: dict, name: str, shape, dtype) -> np.ndarray:
-    """ws[name], created with the given shape on first use."""
+    """ws[name], created on first use and made anew when the shape
+    differs (fuse_forward's last band can be shorter than the others)."""
     arr = ws.get(name)
-    if arr is None:
+    if arr is None or arr.shape != shape:
         arr = ws[name] = np.empty(shape, dtype)
     return arr
 
@@ -276,11 +275,11 @@ def fuse_forward(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask)
     unchanged.
 
     The head is evaluated only on the box of the valid pixels, streamed in
-    equal row bands of about _BAND_PIXELS pixels (the last band ends at the
-    box's end and overlaps the one before): each band's two maps are
-    stacked into one (2C, pixels) buffer and run through one reused
-    workspace.  The box is grown to at least 2 rows and columns where the
-    raster allows, because a one-pixel product runs as numpy's
+    the row bands of raster._row_bands: each band's two maps are stacked
+    into one (2C, pixels) buffer and run through one workspace (only the
+    last band can be shorter; _buf gives it buffers of its own).  The box
+    is grown to at least 2 rows and columns where the raster allows,
+    because a one-pixel product runs as numpy's
     matrix-vector product, whose rounding differs from the matrix
     product's.  So every pixel gets the bits of a whole-raster evaluation.
     """
@@ -291,16 +290,14 @@ def fuse_forward(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask)
         rows, cols = box
         c, kind, p = head.num_classes, head.variant.kind, head.params
         width = cols.stop - cols.start
-        band_rows = min(_band_rows(width), rows.stop - rows.start)
-        x = np.empty((2 * c, band_rows, width))
         ws = {}
-        for r0 in range(rows.start, rows.stop, band_rows):
-            r0 = min(r0, rows.stop - band_rows)  # so every band has the workspace's shape
-            band = slice(r0, r0 + band_rows)
+        for band in _row_bands(rows, width):
+            n = band.stop - band.start
+            x = _buf(ws, "x", (2 * c, n, width), out.dtype)
             x[:c] = propagated.data[:, band, cols]
             x[c:] = native.data[:, band, cols]
             y = _forward_mat(kind, p, x.reshape(2 * c, -1), ws)
-            np.copyto(out[:, band, cols], y.reshape(c, band_rows, width), where=mask[band, cols])
+            np.copyto(out[:, band, cols], y.reshape(c, n, width), where=mask[band, cols])
     return ScoreMap._adopt(out)
 
 
@@ -454,15 +451,11 @@ def train_fusion(head: FusionHead, dataset, cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 # Serialization (SEMSHARE container, kind 2)
 
-_VARIANT_TAGS = {"basic": 0, "residual": 1, "bottleneck": 2}
-_TAG_VARIANTS = {tag: kind for kind, tag in _VARIANT_TAGS.items()}
-
-
 def write_head(head: FusionHead, path) -> None:
-    """Container layout: width = class count, height = variant tag,
-    channels = hidden width; payload is the float32 parameter blocks in
-    canonical order."""
-    tag = _VARIANT_TAGS[head.variant.kind]
+    """Container layout: width = class count, height = variant tag (the
+    kind's index in VARIANT_KINDS), channels = hidden width; payload is the
+    float32 parameter blocks in canonical order."""
+    tag = VARIANT_KINDS.index(head.variant.kind)
     blobs = [
         np.ascontiguousarray(head.params[name].astype("<f4")).tobytes()
         for name, _ in _param_shapes(head.variant, head.num_classes)
@@ -479,9 +472,12 @@ def read_head(path) -> FusionHead:
     kind, num_classes, tag, hidden, payload = unpack_header(blob)
     if kind != KIND_FUSION_HEAD:
         raise DataError(f"{path} does not hold a fusion head")
-    if tag not in _TAG_VARIANTS:
+    if tag >= len(VARIANT_KINDS):
         raise DataError(f"unknown fusion variant tag {tag}")
-    variant = FusionVariant(_TAG_VARIANTS[tag], hidden)
+    try:  # a head no code could build is malformed data here
+        variant = FusionVariant(VARIANT_KINDS[tag], hidden)
+    except ConfigError as exc:
+        raise DataError(str(exc)) from exc
     params = {}
     offset = 0
     for name, shape in _param_shapes(variant, num_classes):
@@ -493,4 +489,7 @@ def read_head(path) -> FusionHead:
         offset += 4 * count
     if offset != len(payload):
         raise DataError("fusion head payload has trailing bytes")
-    return FusionHead(variant, num_classes, params)
+    try:
+        return FusionHead(variant, num_classes, params)
+    except ConfigError as exc:
+        raise DataError(str(exc)) from exc

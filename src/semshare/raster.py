@@ -21,10 +21,11 @@ compute the support once and gather each plane from it.
 The per-pixel passes over a frame are box-bounded and cache-banded:
 _warp_planes and compose_grids evaluate only the bounding box of the
 valid pixels (_valid_box) and stream it in row bands of about
-_BAND_PIXELS pixels (_row_bands), so one band's support and temporaries
-stay in L2.  The flow solver's sweeps, fusion's inference and the scene
-renderer use the same constant.  Every pixel sees the same arithmetic as
-in a whole-raster pass, so no result depends on the box or the band size.
+_BAND_PIXELS pixels, so one band's support and temporaries stay in L2.
+Every banded pass walks _row_bands: these two, the flow solver's sweeps,
+fusion's inference and the scene renderer.  Every pixel sees the same
+arithmetic as in a whole-raster pass, so no result depends on the box or
+the band size.
 
 The module also holds the package's one binomial smoothing, _smooth
 (flow's pyramid and the score blur of synth.degrade_scores), and its one
@@ -236,16 +237,11 @@ def _lattice(size, dtype=float):
     return xs.astype(dtype), ys.astype(dtype)
 
 
-def _band_rows(width):
-    """Rows per band of a banded pass over rows of `width` pixels:
-    _BAND_PIXELS // width, at least 1."""
-    return max(1, _BAND_PIXELS // width)
-
-
 def _row_bands(rows: slice, width):
     """Consecutive row slices, one band each, that cover `rows` of a pass
-    over rows of `width` pixels."""
-    step = _band_rows(width)
+    over rows of `width` pixels: _BAND_PIXELS // width rows per band, at
+    least 1; only the last band can be shorter."""
+    step = max(1, _BAND_PIXELS // width)
     return [slice(r0, min(r0 + step, rows.stop)) for r0 in range(rows.start, rows.stop, step)]
 
 

@@ -374,8 +374,6 @@ def _correspondence_grid(
 def render_scene(scene: SynthScene) -> ScenePair:
     """Rasterize both cameras and compute exact per-pixel correspondences
     from the true scene geometry (not the planar homography)."""
-    if not scene.boxes and scene.ground_height <= 0:
-        raise ConfigError("scene has no content")
     rig = scene.rig
     r_narrow = rig.rotation_wide_to_narrow.r
     base = np.asarray(scene.baseline, dtype=float)
@@ -449,7 +447,7 @@ def scene_from_text(text: str) -> SynthScene:
     try:
         # depth, x_center, width, height, class_id, texture_seed
         boxes = [
-            Box(*(float(v) for v in values[:4]), *(int(v) for v in values[4:]))
+            (*(float(v) for v in values[:4]), *(int(v) for v in values[4:]))
             for values in fields.take_all("box", 6)
         ]
         baseline = tuple(float(v) for v in fields.take("baseline", 3))
@@ -460,15 +458,18 @@ def scene_from_text(text: str) -> SynthScene:
     except ValueError as exc:
         raise DataError(f"scene file has a malformed number: {exc}") from exc
     fields.done()
-    return SynthScene(
-        rig=rig,
-        baseline=baseline,
-        ground_height=height,
-        ground_cell=cell,
-        boxes=tuple(boxes),
-        texture_seed=tex_seed,
-        num_classes=num_classes,
-    )
+    try:  # a scene no code could build is malformed data here
+        return SynthScene(
+            rig=rig,
+            baseline=baseline,
+            ground_height=height,
+            ground_cell=cell,
+            boxes=tuple(Box(*values) for values in boxes),
+            texture_seed=tex_seed,
+            num_classes=num_classes,
+        )
+    except ConfigError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def write_scene(scene: SynthScene, path) -> None:

@@ -280,6 +280,13 @@ class TestEvalCommand:
         write_labels(LabelMap(np.zeros((4, 4), dtype=int), 6), good)
         assert main(["eval", "--pred", str(bad), "--gt", str(good)]) == 3
 
+    @pytest.mark.parametrize("classes", ["0", "1"])
+    def test_fewer_than_two_classes_is_config_error(self, tmp_path, classes):
+        labels = tmp_path / "labels.bin"
+        write_labels(LabelMap(np.zeros((4, 4), dtype=int), 6), labels)
+        argv = ["eval", "--pred", str(labels), "--gt", str(labels), "--classes", classes]
+        assert main(argv) == 2
+
     def test_empty_mask_is_numeric_error(self, tmp_path):
         labels = tmp_path / "labels.bin"
         write_labels(LabelMap(np.zeros((4, 4), dtype=int), 6), labels)

@@ -309,6 +309,36 @@ class TestBandedSweep:
         )
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_increment_keeps_a_zero_border_and_no_negative_zero(self, monkeypatch, dtype):
+        """The neighbor sums add the border's +0.0 for a missing neighbor,
+        which keeps their bits only while the border stays zero and the
+        increment holds no -0.0.  Flat patches (zero gradient, so a
+        product that can be -0.0) keep exact zeros inside the raster."""
+        monkeypatch.setattr(flow, "_SOLVE_DTYPE", dtype)
+        monkeypatch.setattr(raster, "_BAND_PIXELS", 280)
+        target, source = noise_pair((40, 45), 1, seed=17)
+        t, s = target.data.copy(), source.data.copy()
+        t[:, 8:30, 6:24], s[:, 8:30, 6:24] = 0.3, 0.7
+        t[:, 30:42, 25:38], s[:, 30:42, 25:38] = 0.8, 0.2
+        zeros = []
+        sweep = flow._jacobi_sweep
+
+        def probe(grad, it, counts, denom, d, d_next, scratch):
+            sweep(grad, it, counts, denom, d, d_next, scratch)
+            ring = np.ones(d_next.shape[1:], bool)
+            ring[1:-1, 1:-1] = False
+            assert not d_next[:, ring].any()
+            assert not np.signbit(d_next[d_next == 0.0]).any()
+            zeros.append(np.count_nonzero(d_next[:, 1:-1, 1:-1] == 0.0))
+
+        monkeypatch.setattr(flow, "_jacobi_sweep", probe)
+        cfg = FlowConfig(num_levels=2, iterations_per_level=10)
+        estimate_flow(Image(t), Image(s), cfg)
+        assert len(zeros) == 2 * 10
+        assert zeros[0] > 0 and zeros[10] > 0
+
+
 class TestFloat32Solve:
     """The solve runs in float32; the field it returns is float64 and stays
     within 1e-3 px of the same solve in float64."""

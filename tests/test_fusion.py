@@ -252,9 +252,9 @@ class TestForward:
         """fuse_forward evaluates only the box of the mask, in row bands of
         raster._BAND_PIXELS; every pixel keeps the bits of one _forward_mat
         over the whole raster at any band size.  The off-centre box is 15 x
-        15: 1-row bands at 1 and 7 pixels, 6-row bands at 100 (the last one
-        overlaps), one band at the default.  A lone valid pixel's box is
-        grown to 2 x 2."""
+        15: 1-row bands at 1 and 7 pixels, 6-row bands at 100 (the last
+        one 3 rows), 7-row bands at 105 (the last one 1 row), one band at
+        the default.  A lone valid pixel's box is grown to 2 x 2."""
         c, h, w = 6, 37, 53
         rng = np.random.default_rng(31)
         head = new_head(kind, c, seed=12, init_scale=0.5)
@@ -267,7 +267,7 @@ class TestForward:
         block[[5, 19], [33, 47]] = True
         lone = np.zeros((h, w), bool)
         lone[36, 52] = True
-        for band_pixels in (1, 7, 100, raster._BAND_PIXELS):
+        for band_pixels in (1, 7, 100, 105, raster._BAND_PIXELS):
             with monkeypatch.context() as m:
                 m.setattr(raster, "_BAND_PIXELS", band_pixels)
                 for mask in (block, lone):

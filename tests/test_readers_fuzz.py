@@ -16,6 +16,8 @@ from semshare.camera import read_rig
 from semshare.cli import main
 from semshare.errors import DataError, SemShareError
 from semshare.formats import (
+    KIND_FUSION_HEAD,
+    pack_header,
     read_container,
     read_flo,
     read_image,
@@ -164,3 +166,44 @@ class TestReportedCases:
         scene.write_bytes(b"# semshare scene\n\xff\xfe\x00garbage\n")
         with pytest.raises(DataError):
             read_scene(scene)
+
+    # a file that parses but describes an impossible head or scene is a
+    # data error, though building the same head or scene in code is a
+    # config error
+    @pytest.mark.parametrize(
+        "header, payload",
+        [
+            # residual tag with hidden width 0
+            ((KIND_FUSION_HEAD, 6, 1, 0), b""),
+            # a basic head with 1 class: w (1, 2) and b (1,)
+            ((KIND_FUSION_HEAD, 1, 0, 0), bytes(12)),
+        ],
+        ids=["residual-hidden-0", "one-class"],
+    )
+    def test_impossible_head(self, valid, tmp_path, header, payload):
+        root, scene_dir = valid
+        head = tmp_path / "head.bin"
+        head.write_bytes(pack_header(*header) + payload)
+        with pytest.raises(DataError):
+            read_head(head)
+        assert main(cli_argv("head", head, root, scene_dir, tmp_path)) == 3
+
+    @pytest.mark.parametrize(
+        "key, field, value",
+        [("box", 5, "1"), ("num_classes", 1, "7")],
+        ids=["box-class-1", "num-classes-7"],
+    )
+    def test_impossible_scene(self, valid, tmp_path, key, field, value):
+        root, scene_dir = valid
+        work = tmp_path / "bench"
+        shutil.copytree(root, work)
+        scene = work / scene_dir.name / "scene.txt"
+        lines = scene.read_text().splitlines()
+        at = next(k for k, line in enumerate(lines) if line.split()[0] == key)
+        tokens = lines[at].split()
+        tokens[field] = value
+        lines[at] = " ".join(tokens)
+        scene.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError):
+            read_scene(scene)
+        assert main(cli_argv("scene", scene, work, work / scene_dir.name, tmp_path)) == 3
