@@ -276,24 +276,27 @@ def rig_to_text(rig: CameraRig) -> str:
 def rig_from_fields(fields: TextFields) -> CameraRig:
     """Take the rig keys from the fields of a rig or scene file."""
 
-    def parse_cam(prefix: str) -> tuple[Intrinsics, tuple[int, int]]:
+    def parse_cam(prefix: str) -> tuple[dict, tuple[int, int]]:
         params = {key: float(fields.take(f"{prefix}.{key}", 1)[0]) for key in _CAM_KEYS}
         w, h = (int(v) for v in fields.take(f"{prefix}.size", 2))
-        return Intrinsics(**params), (w, h)
+        return params, (w, h)
 
     try:
-        cam_narrow, size_narrow = parse_cam("narrow")
-        cam_wide, size_wide = parse_cam("wide")
+        narrow, size_narrow = parse_cam("narrow")
+        wide, size_wide = parse_cam("wide")
         rot = np.array([float(v) for v in fields.take("rotation", 9)]).reshape(3, 3)
     except ValueError as exc:
         raise DataError(f"{fields.what} has a malformed number: {exc}") from exc
-    return CameraRig(
-        cam_narrow=cam_narrow,
-        cam_wide=cam_wide,
-        rotation_wide_to_narrow=Rotation3(rot),
-        image_size_narrow=size_narrow,
-        image_size_wide=size_wide,
-    )
+    try:  # a camera no code could build is malformed data here
+        return CameraRig(
+            cam_narrow=Intrinsics(**narrow),
+            cam_wide=Intrinsics(**wide),
+            rotation_wide_to_narrow=Rotation3(rot),
+            image_size_narrow=size_narrow,
+            image_size_wide=size_wide,
+        )
+    except CalibrationError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def rig_from_text(text: str) -> CameraRig:

@@ -22,8 +22,9 @@ The per-pixel passes over a frame are box-bounded and cache-banded:
 _warp_planes and compose_grids evaluate only the bounding box of the
 valid pixels (_valid_box) and stream it in row bands of about
 _BAND_PIXELS pixels, so one band's support and temporaries stay in L2.
-Every banded pass walks _row_bands: these two, the flow solver's sweeps,
-fusion's inference and the scene renderer.  Every pixel sees the same
+Every banded pass walks _row_bands: these two, fusion's inference and
+the scene renderer.  _BAND_PIXELS also sets the smallest share of a
+level that the flow solver gives a thread of its own.  Every pixel sees the same
 arithmetic as in a whole-raster pass, so no result depends on the box or
 the band size.
 

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -57,8 +61,8 @@ def reference_neighbor_sum(plane):
 
 def reference_solve_level(target, source, u, v, cfg, record_energy=False):
     """flow._solve_level as a plain Jacobi loop: whole-plane neighbor sums
-    and fresh full-size temporaries every sweep, no bands, no buffers, in
-    the dtype of the planes it is given."""
+    and fresh full-size temporaries every sweep, no parts, no threads, no
+    buffers, in the dtype of the planes it is given."""
     h, w = target.shape
     dtype = target.dtype
     ys, xs = np.mgrid[0:h, 0:w].astype(dtype)
@@ -256,18 +260,62 @@ def noise_pair(size, channels, seed):
     return Image(np.stack(planes_t)), Image(np.stack(planes_s))
 
 
+@pytest.fixture
+def fast_switching():
+    """A 1 us thread switch interval, so the sweep's parts interleave at
+    almost every bytecode."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def bounded(fn, *args, timeout=120.0):
+    """fn(*args) run in a daemon thread and waited for at most `timeout`
+    seconds: its result, or its exception raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args)
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{fn.__name__} did not return within {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def force_parts(monkeypatch, cpus):
+    """Split every level into min(cpus, rows) parts."""
+    monkeypatch.setattr(flow, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(flow, "_BAND_PIXELS", 1)
+
+
+# band_pixels (None: the default) is flow._BAND_PIXELS for the run at this
+# host's CPU count, whose levels split into min(CPUs, pixels //
+# (2 * band_pixels), rows) parts; the ids name the row bands of
+# raster._row_bands at that setting
 BAND_CASES = pytest.mark.parametrize(
     "size, channels, levels, band_pixels",
     [
-        # 32-row bands: 100 = 3 * 32 + 4 rows, then a 50-row level
-        # shorter than its 64-row band
+        # one part by default; forced to 2, 3 and 64 parts, the 100-row
+        # level's parts have 50, 33-34 and 1-2 rows
         ((384, 100), 1, 4, None),
-        # odd height, every level shorter than one band
+        # odd height, every level one part at the default
         ((96, 97), 3, 5, None),
-        # a row wider than the band constant: 1-row bands
+        # one 16-row level of 196,800 px: up to 8 parts at the default,
+        # 16 1-row parts when forced
         ((12_300, 16), 1, 4, None),
+        # up to 30 parts at 45 rows by default, 45 1-row parts when forced
         ((40, 45), 3, 4, 30),
-        # 7-row bands, 45 = 6 * 7 + 3, then 23 = 3 * 7 + 2
+        # up to 3 parts of 15 rows by default, then one of 23 rows
         ((40, 45), 1, 4, 280),
     ],
     ids=["32-row-bands", "odd-height-rgb", "wider-than-band", "1-row-bands-rgb", "7-row-bands"],
@@ -275,48 +323,53 @@ BAND_CASES = pytest.mark.parametrize(
 
 
 class TestBandedSweep:
-    """The banded, double-buffered sweep gives the plain Jacobi loop's
-    flows and energies byte for byte, in the float32 of the solve and with
-    the solve dtype set to float64."""
+    """The row-split sweep gives the plain Jacobi loop's flows and energies
+    byte for byte, in the float32 of the solve and with the solve dtype set
+    to float64: at this host's CPU count, with the part count forced to 1,
+    2 and 3, and with more parts than CPUs (1-row parts)."""
 
     @BAND_CASES
     def test_matches_reference_loop_bytewise(
-        self, monkeypatch, size, channels, levels, band_pixels
+        self, monkeypatch, fast_switching, size, channels, levels, band_pixels
     ):
         assert flow._SOLVE_DTYPE is np.float32
         self.check_bytewise(monkeypatch, size, channels, levels, band_pixels)
 
     @BAND_CASES
     def test_float64_matches_reference_loop_bytewise(
-        self, monkeypatch, size, channels, levels, band_pixels
+        self, monkeypatch, fast_switching, size, channels, levels, band_pixels
     ):
         monkeypatch.setattr(flow, "_SOLVE_DTYPE", np.float64)
         self.check_bytewise(monkeypatch, size, channels, levels, band_pixels)
 
     @staticmethod
     def check_bytewise(monkeypatch, size, channels, levels, band_pixels):
-        if band_pixels is not None:
-            monkeypatch.setattr(raster, "_BAND_PIXELS", band_pixels)
         target, source = noise_pair(size, channels, seed=sum(size) + channels)
         cfg = FlowConfig(num_levels=levels)
-        got, got_diag = estimate_flow_detailed(target, source, cfg)
-        monkeypatch.setattr(flow, "_solve_level", reference_solve_level)
-        want, want_diag = estimate_flow_detailed(target, source, cfg)
-        assert np.abs(got.data).max() > 0.1
-        assert got.data.tobytes() == want.data.tobytes()
-        assert np.array(got_diag.coarsest_energies).tobytes() == (
-            np.array(want_diag.coarsest_energies).tobytes()
-        )
-
+        with monkeypatch.context() as m:
+            m.setattr(flow, "_solve_level", reference_solve_level)
+            want, want_diag = estimate_flow_detailed(target, source, cfg)
+        assert np.abs(want.data).max() > 0.1
+        for cpus in (None, 1, 2, 3, 64):
+            with monkeypatch.context() as m:
+                if cpus is None:
+                    m.setattr(flow, "_BAND_PIXELS", band_pixels or flow._BAND_PIXELS)
+                else:
+                    force_parts(m, cpus)
+                got, got_diag = bounded(estimate_flow_detailed, target, source, cfg)
+            assert got.data.tobytes() == want.data.tobytes(), cpus
+            assert np.array(got_diag.coarsest_energies).tobytes() == (
+                np.array(want_diag.coarsest_energies).tobytes()
+            ), cpus
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_increment_keeps_a_zero_border_and_no_negative_zero(self, monkeypatch, dtype):
         """The neighbor sums add the border's +0.0 for a missing neighbor,
         which keeps their bits only while the border stays zero and the
         increment holds no -0.0.  Flat patches (zero gradient, so a
-        product that can be -0.0) keep exact zeros inside the raster."""
+        product that can be -0.0) keep exact zeros inside the raster.
+        Every level here is one part, so each sweep covers the raster."""
         monkeypatch.setattr(flow, "_SOLVE_DTYPE", dtype)
-        monkeypatch.setattr(raster, "_BAND_PIXELS", 280)
         target, source = noise_pair((40, 45), 1, seed=17)
         t, s = target.data.copy(), source.data.copy()
         t[:, 8:30, 6:24], s[:, 8:30, 6:24] = 0.3, 0.7
@@ -324,8 +377,9 @@ class TestBandedSweep:
         zeros = []
         sweep = flow._jacobi_sweep
 
-        def probe(grad, it, counts, denom, d, d_next, scratch):
-            sweep(grad, it, counts, denom, d, d_next, scratch)
+        def probe(rows, grad, it, counts, denom, d, d_next, scratch):
+            assert (rows.start, rows.stop) == (0, it.shape[0])
+            sweep(rows, grad, it, counts, denom, d, d_next, scratch)
             ring = np.ones(d_next.shape[1:], bool)
             ring[1:-1, 1:-1] = False
             assert not d_next[:, ring].any()
@@ -339,6 +393,80 @@ class TestBandedSweep:
         assert zeros[0] > 0 and zeros[10] > 0
 
 
+class TestRowParts:
+    """How a level's rows are split between threads, and what a failing
+    part does to the solve."""
+
+    @pytest.mark.parametrize(
+        "cpus, shape, sizes",
+        [
+            (2, (384, 384), [192, 192]),
+            (2, (208, 216), [208]),  # fewer than 2 * _BAND_PIXELS per part
+            (1, (384, 384), [384]),
+            (3, (301, 384), [100, 100, 101]),
+            (64, (16, 12_300), [2] * 8),
+        ],
+    )
+    def test_part_count(self, monkeypatch, cpus, shape, sizes):
+        monkeypatch.setattr(flow, "_usable_cpus", lambda: cpus)
+        parts = flow._row_parts(*shape)
+        assert [p.stop - p.start for p in parts] == sizes
+        assert parts[0].start == 0 and parts[-1].stop == shape[0]
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        target, source = noise_pair((384, 384), 1, seed=5)
+        estimate_flow(target, source, FlowConfig(iterations_per_level=2))
+        assert started == []
+
+    @pytest.mark.parametrize(
+        "part, divide, expected",
+        [(1, None, ValueError), (1, "warn", RuntimeWarning), (1, "raise", FloatingPointError),
+         (0, None, ValueError)],
+        ids=["part-1-error", "part-1-numpy-warning", "part-1-numpy-raise", "part-0-error"],
+    )
+    def test_a_failing_part_raises_its_exception(
+        self, monkeypatch, fast_switching, part, divide, expected
+    ):
+        """The part's exception reaches the caller unchanged, and every
+        thread is joined.  A division by zero in a part follows the
+        caller's numpy error state: a warning (an exception under the
+        suite's filterwarnings = error) or, under np.errstate(divide=
+        "raise"), a FloatingPointError."""
+        force_parts(monkeypatch, 2)
+        raised, calls = [], []
+        sweep = flow._jacobi_sweep
+
+        def failing(rows, *args):
+            if (rows.start != 0) == part:
+                calls.append(rows)
+                if len(calls) == 3:
+                    try:
+                        if divide is None:
+                            raise ValueError("sweep 3 failed")
+                        np.float32(1.0) / np.float32(0.0)
+                    except Exception as exc:
+                        raised.append(exc)
+                        raise
+            sweep(rows, *args)
+
+        def solve():
+            with np.errstate(divide=divide or "warn"):
+                return estimate_flow_detailed(target, source, FlowConfig(num_levels=1))
+
+        monkeypatch.setattr(flow, "_jacobi_sweep", failing)
+        target, source = noise_pair((64, 64), 1, seed=3)
+        before = threading.active_count()
+        with pytest.raises(expected) as info:
+            bounded(solve)
+        assert len(raised) == 1 and info.value is raised[0]
+        assert threading.active_count() == before
+
+
 class TestFloat32Solve:
     """The solve runs in float32; the field it returns is float64 and stays
     within 1e-3 px of the same solve in float64."""
@@ -347,9 +475,9 @@ class TestFloat32Solve:
         seen = []
         sweep = flow._jacobi_sweep
 
-        def probe(*args):
-            seen.append({a.dtype for a in args})
-            return sweep(*args)
+        def probe(rows, *planes):
+            seen.append({a.dtype for a in planes})
+            return sweep(rows, *planes)
 
         monkeypatch.setattr(flow, "_jacobi_sweep", probe)
         target, source = noise_pair((64, 64), 3, seed=13)

@@ -126,6 +126,16 @@ def cli_argv(name, path, root, scene_dir, out):
     return None  # nothing on the command line reads .flo files
 
 
+def edit_key(text, key, field, value):
+    """`text` with token `field` of the first line of `key` set to `value`."""
+    lines = text.splitlines()
+    at = next(k for k, line in enumerate(lines) if line.split()[0] == key)
+    tokens = lines[at].split()
+    tokens[field] = value
+    lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("name", READERS)
 def test_readers_raise_only_semshare_errors(valid, tmp_path, name):
     root, scene_dir = valid
@@ -188,6 +198,34 @@ class TestReportedCases:
             read_head(head)
         assert main(cli_argv("head", head, root, scene_dir, tmp_path)) == 3
 
+    # (key, token, value): the edit, in a rig file and in a scene file
+    IMPOSSIBLE_RIGS = pytest.mark.parametrize(
+        "key, field, value",
+        [("narrow.fx", 1, "0.0"), ("narrow.fx", 1, "nan"), ("rotation", 2, "0.5"),
+         ("narrow.size", 1, "0")],
+        ids=["fx-zero", "fx-nan", "rotation-not-orthonormal", "size-zero"],
+    )
+
+    @IMPOSSIBLE_RIGS
+    def test_impossible_rig(self, valid, tmp_path, key, field, value):
+        root, scene_dir = valid
+        rig = tmp_path / "rig.txt"
+        rig.write_text(edit_key((scene_dir / "rig.txt").read_text(), key, field, value))
+        with pytest.raises(DataError):
+            read_rig(rig)
+        assert main(cli_argv("rig", rig, root, scene_dir, tmp_path)) == 3
+
+    @IMPOSSIBLE_RIGS
+    def test_impossible_rig_in_a_scene(self, valid, tmp_path, key, field, value):
+        root, scene_dir = valid
+        work = tmp_path / "bench"
+        shutil.copytree(root, work)
+        scene = work / scene_dir.name / "scene.txt"
+        scene.write_text(edit_key(scene.read_text(), key, field, value))
+        with pytest.raises(DataError):
+            read_scene(scene)
+        assert main(cli_argv("scene", scene, work, work / scene_dir.name, tmp_path)) == 3
+
     @pytest.mark.parametrize(
         "key, field, value",
         [("box", 5, "1"), ("num_classes", 1, "7")],
@@ -198,12 +236,7 @@ class TestReportedCases:
         work = tmp_path / "bench"
         shutil.copytree(root, work)
         scene = work / scene_dir.name / "scene.txt"
-        lines = scene.read_text().splitlines()
-        at = next(k for k, line in enumerate(lines) if line.split()[0] == key)
-        tokens = lines[at].split()
-        tokens[field] = value
-        lines[at] = " ".join(tokens)
-        scene.write_text("\n".join(lines) + "\n")
+        scene.write_text(edit_key(scene.read_text(), key, field, value))
         with pytest.raises(DataError):
             read_scene(scene)
         assert main(cli_argv("scene", scene, work, work / scene_dir.name, tmp_path)) == 3
