@@ -115,8 +115,13 @@ class FlowConfig:
             raise ConfigError(f"num_levels must be >= 1, got {self.num_levels}")
         if self.iterations_per_level < 1:
             raise ConfigError(f"iterations_per_level must be >= 1, got {self.iterations_per_level}")
-        if not self.smoothness_weight > 0.0:
-            raise ConfigError(f"smoothness_weight must be positive, got {self.smoothness_weight}")
+        weight = self.smoothness_weight
+        # a sweep's denominator holds weight**2 times up to 4 neighbors in _SOLVE_DTYPE
+        if not (weight > 0.0 and 4.0 * weight * weight <= float(np.finfo(_SOLVE_DTYPE).max)):
+            raise ConfigError(
+                f"smoothness_weight must be positive, with 4 * weight**2 finite in "
+                f"{np.dtype(_SOLVE_DTYPE).name}, got {weight}"
+            )
 
 
 @dataclass

@@ -81,10 +81,16 @@ def read_image(path) -> Image:
             raise DataError(f"only maxval 255 is supported, got {maxval}")
         if width < 1 or height < 1:
             raise DataError(f"bad NetPBM dimensions {width}x{height}")
-        payload = f.read(width * height * channels)
-        if len(payload) != width * height * channels:
-            raise DataError("truncated NetPBM payload")
-    raw = np.frombuffer(payload, dtype=np.uint8)
+        # the bytes the file holds, not the header's count, bound the read;
+        # trailing bytes are accepted
+        payload = f.read()
+        count = width * height * channels
+        if len(payload) < count:
+            raise DataError(
+                f"truncated NetPBM payload: {width}x{height}x{channels} needs {count} bytes, "
+                f"the file holds {len(payload)}"
+            )
+    raw = np.frombuffer(payload, dtype=np.uint8, count=count)
     if channels == 1:
         data = raw.reshape(height, width)[None]
     else:

@@ -117,8 +117,9 @@ def new_head(kind: str, num_classes: int, seed: int = 0, init_scale: float = 0.1
     """Seeded uniform initialization: weights in [-s, s] with
     s = init_scale / sqrt(fan_in), rounded to float32 like the head file
     and the trainer; biases start at zero."""
-    if not 0.0 < init_scale < math.inf:
-        raise ConfigError(f"init scale must be positive and finite, got {init_scale}")
+    # the weights are rounded to float32, so the scale must be finite there
+    if not 0.0 < init_scale <= float(np.finfo(np.float32).max):
+        raise ConfigError(f"init scale must be positive and finite in float32, got {init_scale}")
     variant = FusionVariant.resolve(kind, num_classes)
     rng = np.random.default_rng(seed)
     params = {}
@@ -342,6 +343,8 @@ class TrainConfig:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.batch_fraction <= 1.0:
             raise ConfigError(f"batch fraction must be in (0, 1], got {self.batch_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _flatten_dataset(head: FusionHead, dataset):
@@ -410,7 +413,9 @@ def train_fusion(head: FusionHead, dataset, cfg: TrainConfig):
     call, so steps after the first allocate nothing of batch size but the
     generator's index draw.  The returned head holds float32-representable
     values, which write_head stores exactly; inference (fuse_forward) and
-    the gradient checks run in float64.
+    the gradient checks run in float64.  A non-finite loss or parameter
+    raises TrainingError; the float32 overflow that leads there (a huge
+    learning rate, say) raises no numpy warning on the way.
     """
     if not dataset:
         raise ConfigError("training dataset is empty")
@@ -428,23 +433,24 @@ def train_fusion(head: FusionHead, dataset, cfg: TrainConfig):
         xb, yb = x_all, y_all
     x = xb.T
     losses = []
-    for _ in range(cfg.iterations):
-        if batch < n:
-            idx = rng.integers(0, n, size=batch)
-            np.take(x_all, idx, axis=0, out=xb, mode="clip")
-            np.take(y_all, idx, out=yb, mode="clip")
-        y = _forward_mat(kind, params, x, ws)
-        loss = _softmax_ce(y, yb, ws)
-        if not math.isfinite(loss):
-            raise TrainingError(f"training diverged: loss became {loss}")
-        losses.append(loss)
-        _backward_mat(kind, params, x, ws, y, grads)
-        for name, arr in params.items():
-            step = grads[name]
-            step *= cfg.learning_rate
-            arr -= step
-            if not np.all(np.isfinite(arr)):
-                raise TrainingError("training diverged: parameters became non-finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.iterations):
+            if batch < n:
+                idx = rng.integers(0, n, size=batch)
+                np.take(x_all, idx, axis=0, out=xb, mode="clip")
+                np.take(y_all, idx, out=yb, mode="clip")
+            y = _forward_mat(kind, params, x, ws)
+            loss = _softmax_ce(y, yb, ws)
+            if not math.isfinite(loss):
+                raise TrainingError(f"training diverged: loss became {loss}")
+            losses.append(loss)
+            _backward_mat(kind, params, x, ws, y, grads)
+            for name, arr in params.items():
+                step = grads[name]
+                step *= cfg.learning_rate
+                arr -= step
+                if not np.all(np.isfinite(arr)):
+                    raise TrainingError("training diverged: parameters became non-finite")
     return head.replace_params(params), losses
 
 

@@ -223,10 +223,11 @@ def write_benchmark(
     arguments are checked, and every scene is made, before anything is
     written; scene and flow sizes must be at least the flow pyramid's
     min_level_size on each side."""
-    if num_scenes < 1 or num_planar < 0 or num_flow_samples < 0:
+    if num_scenes < 1 or min(num_planar, num_flow_samples, seed) < 0:
         raise ConfigError(
-            f"benchmark needs at least one scene and no negative count, got {num_scenes} "
-            f"scenes, {num_planar} planar scenes and {num_flow_samples} flow samples"
+            f"benchmark needs at least one scene and no negative count or seed, got seed "
+            f"{seed}, {num_scenes} scenes, {num_planar} planar scenes and "
+            f"{num_flow_samples} flow samples"
         )
     if min(*scene_size, *flow_size) < FlowConfig.min_level_size:
         raise ConfigError(
@@ -298,6 +299,8 @@ def read_benchmark(root) -> Benchmark:
     except ValueError as exc:
         raise DataError(f"benchmark manifest has a malformed number: {exc}") from exc
     fields.done()
+    if min([seed] + [e.seed for e in scenes] + [t[2] for t in textures]) < 0:
+        raise DataError("benchmark manifest seeds must be non-negative")
     if not scenes and not textures:
         raise ConfigError(f"benchmark manifest {manifest!r} lists no content")
     return Benchmark(str(root), seed, scenes, textures)

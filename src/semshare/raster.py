@@ -15,18 +15,19 @@ _bilinear_support clamps the coordinates and returns the flat indices
 (y * w + x) of the four corners plus the fractional weights, and
 _gather_bilinear reads the corners of one plane with a flat take and
 blends them.  Callers that resample several planes on one lattice (the
-channels of a warp, a grid's two coordinate planes, a flow's u and v)
-compute the support once and gather each plane from it.
+channels of a warp, a grid's coordinate and validity planes, a flow's u
+and v) compute the support once and gather each plane from it.
 
 The per-pixel passes over a frame are box-bounded and cache-banded:
-_warp_planes and compose_grids evaluate only the bounding box of the
-valid pixels (_valid_box) and stream it in row bands of about
-_BAND_PIXELS pixels, so one band's support and temporaries stay in L2.
-Every banded pass walks _row_bands: these two, fusion's inference and
-the scene renderer.  _BAND_PIXELS also sets the smallest share of a
-level that the flow solver gives a thread of its own.  Every pixel sees the same
-arithmetic as in a whole-raster pass, so no result depends on the box or
-the band size.
+_warp_planes evaluates only the bounding box of the grid's valid pixels
+(_valid_box) and streams it in row bands of about _BAND_PIXELS pixels,
+so one band's support and temporaries stay in L2.  Raster warps, label
+warps and grid composition (a warp of the inner grid's planes) all go
+through it.  Every banded pass walks _row_bands: this one, fusion's
+inference and the scene renderer.  _BAND_PIXELS also sets the smallest
+share of a level that the flow solver gives a thread of its own.  Every
+pixel sees the same arithmetic as in a whole-raster pass, so no result
+depends on the box or the band size.
 
 The module also holds the package's one binomial smoothing, _smooth
 (flow's pyramid and the score blur of synth.degrade_scores), and its one
@@ -364,53 +365,38 @@ def sample_bilinear(plane, sx, sy):
 def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:
     """Chain two backward grids: result[p] = inner evaluated at outer[p].
 
-    inner's coordinate planes are sampled bilinearly at outer's coordinates;
-    a pixel stays valid only if outer[p] is valid and every inner support
-    pixel that carries nonzero bilinear weight is valid (corners with zero
-    weight cannot veto, so composing with an identity grid is neutral).
-
-    Only the box of outer's valid pixels is evaluated, in row bands; every
-    pixel outside it is invalid with 0 coordinates, as GridMap stores any
-    invalid pixel.
+    It is a warp through outer: _warp_planes samples inner's coordinate
+    planes and its invalid indicator (1 at an invalid pixel, else 0), so
+    only the box of outer's valid pixels is evaluated, in row bands.  A
+    pixel stays valid only if outer[p] is valid and the sampled indicator
+    is 0.  The bilinear weights are non-negative, so that holds exactly
+    when every inner support pixel with nonzero weight is valid (corners
+    with zero weight cannot veto, so composing with an identity grid is
+    neutral), unless a weight product underflows to 0, which needs an
+    outer coordinate in (0, ~1e-150) px.
     """
     if outer.source_size != inner.size:
         raise DimensionError(
             f"outer source size {outer.source_size} != inner target size {inner.size}"
         )
-    sx = np.zeros(outer.valid.shape)
-    sy = np.zeros(outer.valid.shape)
-    valid = np.zeros(outer.valid.shape, bool)
-    box = _valid_box(outer.valid)
-    if box is not None:
-        rows, cols = box
-        w, h = inner.source_size
-        for band in _row_bands(rows, cols.stop - cols.start):
-            support = _bilinear_support(outer.sx[band, cols], outer.sy[band, cols], inner.size)
-            bx = _gather_bilinear(inner.sx, support, out=sx[band, cols])
-            by = _gather_bilinear(inner.sy, support, out=sy[band, cols])
-            idx, fx, fy = support
-            ok = inner.valid.ravel().take(idx)  # validity at the four corners
-            zx = fx == 0.0  # fractional parts live in [0, 1): only the right and
-            zy = fy == 0.0  # lower corners can carry zero weight
-            ok[1] |= zx
-            ok[2] |= zy
-            ok[3] |= zx
-            ok[3] |= zy
-            np.logical_and(outer.valid[band, cols], ok.all(axis=0), out=valid[band, cols])
-            np.clip(bx, 0.0, float(w - 1), out=bx)
-            np.clip(by, 0.0, float(h - 1), out=by)
-    return GridMap(sx, sy, valid, inner.source_size)
+    bad = (~inner.valid).astype(float)
+    sx, sy, bad = _warp_planes((inner.sx, inner.sy, bad), outer, 0.0)
+    w, h = inner.source_size
+    np.clip(sx, 0.0, float(w - 1), out=sx)
+    np.clip(sy, 0.0, float(h - 1), out=sy)
+    return GridMap(sx, sy, outer.valid & (bad == 0.0), inner.source_size)
 
 
 def _sample_planes(planes, sx, sy, out=None):
-    """sample_bilinear of every plane of a (C, H, W) stack, from one
-    support, written into `out` when given."""
-    c, h, w = planes.shape
+    """sample_bilinear of every plane of `planes`, a sequence of
+    equal-shape 2D planes (a (C, H, W) stack is one), from one support,
+    written into `out` when given."""
+    h, w = planes[0].shape
     support = _bilinear_support(sx, sy, (w, h))
     if out is None:
-        out = np.empty((c,) + support[0].shape[1:], np.result_type(planes, support[1]))
-    for k in range(c):
-        _gather_bilinear(planes[k], support, out=out[k])
+        out = np.empty((len(planes),) + support[0].shape[1:], np.result_type(*planes, support[1]))
+    for plane, plane_out in zip(planes, out):
+        _gather_bilinear(plane, support, out=plane_out)
     return out
 
 
@@ -440,10 +426,11 @@ def _valid_box(valid, pad=0, min_size=1):
 
 
 def _warp_planes(planes, grid: GridMap, fill: float):
-    """Sample the planes through the grid inside the box of its valid
-    pixels, in row bands with one support each; every pixel outside the
-    box, and every invalid one, is fill."""
-    out = np.full((planes.shape[0],) + grid.valid.shape, fill, np.result_type(planes, grid.sx))
+    """Sample a sequence of equal-shape 2D planes through the grid inside
+    the box of its valid pixels, in row bands with one support each; every
+    pixel outside the box, and every invalid one, is fill.  Returns one
+    (len(planes), H, W) array."""
+    out = np.full((len(planes),) + grid.valid.shape, fill, np.result_type(*planes, grid.sx))
     box = _valid_box(grid.valid)
     if box is not None:
         rows, cols = box

@@ -174,6 +174,8 @@ class Box:
             raise ConfigError("box extent must be positive")
         if not 2 <= self.class_id < NUM_CLASSES:
             raise ConfigError(f"box class must be an obstacle class, got {self.class_id}")
+        if self.texture_seed < 0:
+            raise ConfigError(f"box texture seed must be >= 0, got {self.texture_seed}")
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,8 @@ class SynthScene:
             raise ConfigError(f"scenes use the fixed {NUM_CLASSES}-class label set")
         if self.ground_height <= 0.0 or self.ground_cell <= 0.0:
             raise ConfigError("ground parameters must be positive")
+        if self.texture_seed < 0:
+            raise ConfigError(f"scene texture seed must be >= 0, got {self.texture_seed}")
         for box in self.boxes:
             self._check_box_visible(box)
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 from dataclasses import replace
 
@@ -7,7 +8,9 @@ import pytest
 from semshare import cli
 from semshare.camera import write_rig
 from semshare.cli import main
-from semshare.formats import read_flo, read_scores, write_image, write_labels, write_scores
+from semshare.formats import (
+    read_flo, read_labels, read_scores, write_image, write_labels, write_scores,
+)
 from semshare.pipeline import FUSION_TRAIN, OVERLAP_TRAIN, AblationTable
 from semshare.raster import LabelMap
 from semshare.synth import degrade_scores, make_scene, render_scene, texture_image
@@ -89,6 +92,7 @@ class TestGenBench:
             ["--size", "8x8"],
             ["--flow-size", "8x8", "--flow-samples", "1"],
             ["--size", "1x1"],
+            ["--seed", "-1"],
         ],
     )
     def test_bad_counts_and_sizes_write_nothing(self, tmp_path, capsys, flags):
@@ -146,6 +150,16 @@ class TestFlowCommand:
             ["flow", "--target", str(tmp_path / "a.pgm"), "--source", str(tmp_path / "a.pgm"),
              "--out", str(tmp_path / "f.flo"), "--levels", "0"]
         ) == 2
+
+    # inf and 1e20 gave a zero flow and exit 0; 1e200 raised OverflowError
+    @pytest.mark.parametrize("alpha", ["inf", "1e20", "1e200"])
+    def test_smoothness_weight_out_of_range_is_config_error(self, tmp_path, alpha):
+        a = texture_image((32, 32), 7)
+        write_image(a, tmp_path / "a.pgm")
+        argv = ["flow", "--target", str(tmp_path / "a.pgm"), "--source", str(tmp_path / "a.pgm"),
+                "--out", str(tmp_path / "f.flo"), "--alpha", alpha]
+        assert main(argv) == 2
+        assert not (tmp_path / "f.flo").exists()
 
 
 class TestShareCommand:
@@ -344,3 +358,74 @@ class TestAblateTrainingFlags:
         monkeypatch.setattr(cli, "run_ablation", fake_run_ablation)
         assert main(["ablate", suite, "--bench", str(tmp_path), *flags]) == 0
         assert seen["train_cfg"] == expected
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """A 32x32 benchmark with 2 scenes and 1 flow sample, and score files
+    for its first scene."""
+    root = tmp_path_factory.mktemp("sweep")
+    bench = root / "bench"
+    assert main(["gen-bench", "--out", str(bench), "--scenes", "2", "--planar-scenes", "0",
+                 "--flow-samples", "1", "--size", "32x32", "--flow-size", "32x32"]) == 0
+    scene = bench / "scene_000"
+    for side, seed in (("wide", 1), ("narrow", 2)):
+        labels = read_labels(scene / f"{side}_labels.bin")
+        write_scores(degrade_scores(labels, sigma=0.3, seed=seed), root / f"{side}_scores.bin")
+    return root
+
+
+def sweep_argv(command, root, out):
+    """A command line for `command` that exits 0 on the sweep inputs."""
+    bench, scene = root / "bench", root / "bench" / "scene_000"
+    images = ["--wide-image", str(scene / "wide.pgm"), "--narrow-image", str(scene / "narrow.pgm")]
+    return {
+        "gen-bench": ["gen-bench", "--out", str(out / "bench"), "--scenes", "2",
+                      "--planar-scenes", "0", "--flow-samples", "1", "--size", "32x32",
+                      "--flow-size", "32x32"],
+        "flow": ["flow", "--target", str(scene / "narrow.pgm"), "--source", str(scene / "wide.pgm"),
+                 "--out", str(out / "f.flo")],
+        "share": ["share", "--rig", str(scene / "rig.txt"), *images,
+                  "--scores", str(root / "wide_scores.bin"), "--out", str(out / "s.bin")],
+        "train-fusion": ["train-fusion", "--bench", str(bench), "--out", str(out / "h.bin"),
+                         "--train-iterations", "2"],
+        "run": ["run", "--rig", str(scene / "rig.txt"), *images,
+                "--wide-scores", str(root / "wide_scores.bin"),
+                "--narrow-scores", str(root / "narrow_scores.bin"), "--out", str(out / "frame")],
+        "ablate": ["ablate", "fusion", "--bench", str(bench), "--train-iterations", "2"],
+        "eval": ["eval", "--pred", str(scene / "narrow_labels.bin"),
+                 "--gt", str(scene / "narrow_labels.bin")],
+    }[command]
+
+
+# no huge ints: --iterations or --scenes at 1e9 would run for hours
+SWEEP_VALUES = {int: ["-1", "0"], float: ["-1", "0", "nan", "inf", "1e200"]}
+
+
+def numeric_flags():
+    """(command, flag, value) for every int and float flag of every
+    subcommand, read from the parser."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            for value in SWEEP_VALUES.get(action.type, []):
+                yield command, action.option_strings[0], value
+
+
+def test_sweep_inputs_run_cleanly(sweep_inputs, tmp_path):
+    for command in ("gen-bench", "flow", "share", "train-fusion", "run", "ablate", "eval"):
+        out = tmp_path / command
+        out.mkdir()
+        assert main(sweep_argv(command, sweep_inputs, out)) == 0, command
+
+
+@pytest.mark.parametrize("command, flag, value", list(numeric_flags()))
+def test_numeric_flag_sweep_exits_with_a_documented_code(sweep_inputs, tmp_path, command, flag,
+                                                         value):
+    argv = sweep_argv(command, sweep_inputs, tmp_path) + [flag, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag with status 2
+        code = exc.code
+    assert code in (0, 2, 3, 4)

@@ -102,6 +102,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             FlowConfig(smoothness_weight=0.0)
 
+    # inf and 1e20 gave a zero flow (1e20 squared overflows float32);
+    # 1e200 squared overflows even a Python float
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), 1e20, 1e200])
+    def test_smoothness_weight_must_stay_finite_in_the_solve(self, weight):
+        with pytest.raises(ConfigError):
+            FlowConfig(smoothness_weight=weight)
+
+    def test_largest_smoothness_weight_is_accepted(self):
+        FlowConfig(smoothness_weight=float(np.sqrt(np.finfo(np.float32).max / 4.0)))
+
 
 def level_sizes(img, cfg):
     """Pyramid level sizes, finest first, as the flow estimator builds them."""

@@ -57,6 +57,14 @@ class TestNetPBM:
         img = read_image(path)
         assert img.data[0, 0, 1] == 1.0
 
+    def test_trailing_bytes_are_ignored(self, tmp_path):
+        path = tmp_path / "t.ppm"
+        with open(path, "wb") as f:
+            f.write(b"P6\n2 1\n255\n\x00\x80\xff\x10\x20\x30trailing")
+        img = read_image(path)
+        assert img.size == (2, 1)
+        assert np.array_equal(img.data[:, 0, 1] * 255.0, [16.0, 32.0, 48.0])
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P7\n1 1\n255\n\x00")

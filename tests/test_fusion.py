@@ -463,10 +463,14 @@ class TestTraining:
         for name in head.params:
             assert np.array_equal(trained.params[name], head.params[name])
 
-    @pytest.mark.parametrize("scale", [0.0, -0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("scale", [0.0, -0.1, float("nan"), float("inf"), 1e200])
     def test_new_head_rejects_bad_init_scale(self, scale):
         with pytest.raises(ConfigError):
             new_head("basic", 3, init_scale=scale)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            TrainConfig(seed=-1)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):

@@ -228,8 +228,8 @@ class TestReportedCases:
 
     @pytest.mark.parametrize(
         "key, field, value",
-        [("box", 5, "1"), ("num_classes", 1, "7")],
-        ids=["box-class-1", "num-classes-7"],
+        [("box", 5, "1"), ("num_classes", 1, "7"), ("box", 6, "-1"), ("texture_seed", 1, "-1")],
+        ids=["box-class-1", "num-classes-7", "box-seed-negative", "scene-seed-negative"],
     )
     def test_impossible_scene(self, valid, tmp_path, key, field, value):
         root, scene_dir = valid
@@ -240,3 +240,32 @@ class TestReportedCases:
         with pytest.raises(DataError):
             read_scene(scene)
         assert main(cli_argv("scene", scene, work, work / scene_dir.name, tmp_path)) == 3
+
+    # headers whose payload is larger than the file: the read is bounded by
+    # the file, so neither a huge allocation nor an index overflow happens
+    @pytest.mark.parametrize(
+        "header",
+        [b"P5\n100000000 100000000\n255\n", b"P5\n4000000000 4000000000\n255\n",
+         b"P6\n100000000 100000000\n255\n"],
+        ids=["pgm-1e8", "pgm-4e9", "ppm-1e8"],
+    )
+    def test_header_larger_than_file(self, valid, tmp_path, header):
+        root, scene_dir = valid
+        image = tmp_path / "huge.pgm"
+        image.write_bytes(header + bytes(64))
+        with pytest.raises(DataError):
+            read_image(image)
+        assert main(cli_argv("pgm", image, root, scene_dir, tmp_path)) == 3
+
+    @pytest.mark.parametrize(
+        "key, field", [("seed", 1), ("scene", 6), ("texture", 4)], ids=["bench", "scene", "texture"]
+    )
+    def test_negative_manifest_seed(self, valid, tmp_path, key, field):
+        root, _ = valid
+        work = tmp_path / "bench"
+        shutil.copytree(root, work)
+        manifest = work / "manifest.txt"
+        manifest.write_text(edit_key(manifest.read_text(), key, field, "-7"))
+        with pytest.raises(DataError):
+            read_benchmark(work)
+        assert main(["ablate", "overlap", "--bench", str(work)]) == 3

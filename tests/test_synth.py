@@ -201,6 +201,20 @@ class TestSceneRendering:
                 texture_seed=0,
             )
 
+    def test_negative_texture_seeds_rejected(self):
+        scene = make_scene(301)
+        with pytest.raises(ConfigError):
+            Box(depth=6.0, x_center=0.0, width=1.2, height=1.5, class_id=3, texture_seed=-1)
+        with pytest.raises(ConfigError):
+            SynthScene(
+                rig=scene.rig,
+                baseline=scene.baseline,
+                ground_height=scene.ground_height,
+                ground_cell=scene.ground_cell,
+                boxes=scene.boxes,
+                texture_seed=-1,
+            )
+
 
 def views(scene):
     """(camera, size, world-to-camera rotation, centre) of the wide and the
