@@ -188,19 +188,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    fields = ("learning_rate", "iterations", "batch_fraction", "seed")
+    given = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
     kwargs = {}
     if args.suite in ("fusion", "overlap"):
-        flags = {
-            "learning_rate": args.lr,
-            "iterations": args.train_iterations,
-            "batch_fraction": args.batch_fraction,
-            "seed": args.seed,
-        }
         preset = FUSION_TRAIN if args.suite == "fusion" else OVERLAP_TRAIN
-        kwargs["train_cfg"] = replace(
-            preset, **{name: value for name, value in flags.items() if value is not None}
-        )
-    if args.suite == "overlap":
+        kwargs["train_cfg"] = replace(preset, **given)
+    elif given:
+        raise ConfigError(f"ablate {args.suite} trains no head; it takes no training flags")
+    if args.variant is not None:
+        if args.suite != "overlap":
+            raise ConfigError(f"--variant applies only to ablate overlap, not {args.suite}")
         kwargs["variant"] = args.variant
     table = run_ablation(args.suite, args.bench, **kwargs)
     text = table.to_text()
@@ -302,11 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=ABLATION_SUITES)
     p.add_argument("--bench", required=True)
     p.add_argument("--out")
-    p.add_argument("--variant", choices=VARIANT_KINDS, default="basic")
-    # training flags of the fusion and overlap suites; unset ones keep the preset
+    # the overlap suite's head variant (basic when unset)
+    p.add_argument("--variant", choices=VARIANT_KINDS)
+    # fusion and overlap training flags, as TrainConfig fields; unset ones keep the preset
     p.add_argument("--seed", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--train-iterations", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--train-iterations", dest="iterations", type=int)
     p.add_argument("--batch-fraction", type=float)
     p.set_defaults(func=cmd_ablate)
 

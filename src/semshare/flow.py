@@ -52,10 +52,12 @@ tuning for 8-bit imagery.  The joint minimum of both images is subtracted
 up front: the data term only ever sees intensity differences, making the
 estimate invariant to a global intensity offset.
 
-All resampling here (the pyramid resize, the per-level warp and the flow
-upsampling) goes through raster's single bilinear kernel; u and v are
-upsampled from one support.  The pyramid smooths each level with
-raster's binomial smoothing (5 taps, _BINOMIAL5) before halving it.
+One pyramid of the stacked gray planes serves both images, and the flow
+is one (u, v) stack through the levels.  All resampling here (the pyramid
+resize, the per-level warp and the flow upsampling) goes through raster's
+_sample_planes, one support for every plane of a stack.  The pyramid
+smooths each level with raster's binomial smoothing (5 taps, _BINOMIAL5)
+before halving it.
 
 two_stage_map solves the residual flow only on the box of the stage-one
 footprint, padded by one coarsest-level pixel; the flow is zero outside
@@ -90,7 +92,6 @@ from .raster import (
     compose_grids,
     grid_from_flow,
     grid_from_homography,
-    sample_bilinear,
     warp_raster,
 )
 
@@ -150,21 +151,15 @@ def _resize_bilinear(planes: np.ndarray, new_hw: tuple[int, int]) -> np.ndarray:
     return _sample_planes(planes, xs[None, :], ys[:, None])
 
 
-def _downsample(plane: np.ndarray) -> np.ndarray:
-    h, w = plane.shape
-    return _resize_bilinear(_smooth(plane, _BINOMIAL5)[None], ((h + 1) // 2, (w + 1) // 2))[0]
-
-
-def _plane_pyramid(plane: np.ndarray, num_levels: int, min_size: int) -> list[np.ndarray]:
-    """Finest-to-coarsest pyramid of raw planes, halving each level; level 0
-    is `plane` itself."""
-    levels = [plane]
+def _plane_pyramid(planes: np.ndarray, num_levels: int, min_size: int) -> list[np.ndarray]:
+    """Finest-to-coarsest pyramid of a (C, H, W) stack of raw planes, each
+    level the previous one smoothed and halved; level 0 is `planes`."""
+    levels = [planes]
     while len(levels) < num_levels:
-        h, w = levels[-1].shape
-        nh, nw = (h + 1) // 2, (w + 1) // 2
-        if nh < min_size or nw < min_size:
+        half = tuple((n + 1) // 2 for n in levels[-1].shape[1:])
+        if min(half) < min_size:
             break
-        levels.append(_downsample(levels[-1]))
+        levels.append(_resize_bilinear(_smooth(levels[-1], _BINOMIAL5), half))
     return levels
 
 
@@ -252,14 +247,15 @@ def _sweep_part(rows, planes, d, d_next, sweeps, barrier, failures, after_sweep=
     return d
 
 
-def _solve_level(target, source, u, v, cfg: FlowConfig, record_energy=False):
-    """One coarse-to-fine stage: warp by (u, v), then Jacobi sweeps on the
-    increment, the rows split between the calling thread and the workers
-    of _row_parts."""
+def _solve_level(target, source, flow, cfg: FlowConfig, record_energy=False):
+    """One coarse-to-fine stage: warp by `flow`, a (u, v) stack, then
+    Jacobi sweeps on the increment, the rows split between the calling
+    thread and the workers of _row_parts; returns (flow + increment,
+    energies)."""
     h, w = target.shape
     dtype = target.dtype
     xs, ys = _lattice((w, h), dtype)
-    warped = sample_bilinear(source, xs + u, ys + v)
+    warped = _sample_planes((source,), xs + flow[0], ys + flow[1])[0]
     grad = np.stack(_central_diff(warped))
     ix, iy = grad
     it = warped - target
@@ -298,8 +294,7 @@ def _solve_level(target, source, u, v, cfg: FlowConfig, record_energy=False):
             worker.join()
     if failures:
         raise failures[0]
-    du, dv = d[inner]
-    return u + du, v + dv, energies
+    return flow + d[inner], energies
 
 
 def _estimate_flow(target: Image, source: Image, cfg: FlowConfig, record: bool):
@@ -311,33 +306,27 @@ def _estimate_flow(target: Image, source: Image, cfg: FlowConfig, record: bool):
         raise ConfigError(
             f"image {target.size} is smaller than min_level_size {cfg.min_level_size}"
         )
-    work_t = to_gray(target) * INTENSITY_SCALE
-    work_s = to_gray(source) * INTENSITY_SCALE
-    offset = min(float(work_t.min()), float(work_s.min()))
+    work = np.stack([to_gray(target), to_gray(source)]) * INTENSITY_SCALE
     # the offset is taken in float64; the solve runs in _SOLVE_DTYPE
-    work_t = (work_t - offset).astype(_SOLVE_DTYPE, copy=False)
-    work_s = (work_s - offset).astype(_SOLVE_DTYPE, copy=False)
+    work = (work - work.min()).astype(_SOLVE_DTYPE, copy=False)
+    pyramid = _plane_pyramid(work, cfg.num_levels, cfg.min_level_size)
 
-    pyr_t = _plane_pyramid(work_t, cfg.num_levels, cfg.min_level_size)
-    pyr_s = _plane_pyramid(work_s, cfg.num_levels, cfg.min_level_size)
-
-    coarsest = len(pyr_t) - 1
-    u = np.zeros_like(pyr_t[coarsest])
-    v = np.zeros_like(pyr_t[coarsest])
+    coarsest = len(pyramid) - 1
+    flow = np.zeros_like(pyramid[coarsest])
     coarsest_energies = None
     for level in range(coarsest, -1, -1):
-        t_plane, s_plane = pyr_t[level], pyr_s[level]
+        t_plane, s_plane = pyramid[level]
         if level != coarsest:
-            prev_h, prev_w = u.shape
+            prev_h, prev_w = flow.shape[1:]
             h, w = t_plane.shape
-            u, v = _resize_bilinear(np.stack([u, v]), (h, w))
-            u *= w / prev_w
-            v *= h / prev_h
+            flow = _resize_bilinear(flow, (h, w))
+            flow[0] *= w / prev_w
+            flow[1] *= h / prev_h
         at_coarsest = record and level == coarsest
-        u, v, energies = _solve_level(t_plane, s_plane, u, v, cfg, record_energy=at_coarsest)
+        flow, energies = _solve_level(t_plane, s_plane, flow, cfg, record_energy=at_coarsest)
         if at_coarsest:
             coarsest_energies = energies
-    return FlowField(np.stack([u, v])), coarsest_energies
+    return FlowField(flow), coarsest_energies
 
 
 def estimate_flow_detailed(target: Image, source: Image, cfg: FlowConfig):

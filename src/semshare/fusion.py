@@ -337,8 +337,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate >= 0.0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not 0.0 < self.batch_fraction <= 1.0:

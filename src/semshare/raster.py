@@ -8,15 +8,13 @@ Validity masks are first class; a grid pixel is valid exactly when its
 source coordinate lands inside the source raster (0..W-1 x 0..H-1,
 inclusive, pixel-center convention).
 
-sample_bilinear is the package's single bilinear kernel: grid warps,
-grid composition, flow's pyramid resize and solver warp, and the
-synthetic flow samples all resample through it.  It is two steps:
-_bilinear_support clamps the coordinates and returns the flat indices
-(y * w + x) of the four corners plus the fractional weights, and
-_gather_bilinear reads the corners of one plane with a flat take and
-blends them.  Callers that resample several planes on one lattice (the
-channels of a warp, a grid's coordinate and validity planes, a flow's u
-and v) compute the support once and gather each plane from it.
+_gather_bilinear is the package's one bilinear blend: it reads a plane's
+four corners at a support's flat indices (y * w + x) and blends them by
+its fractions.  Its two entries share one support among many planes:
+_sample_planes clamps coordinates to the planes (_bilinear_support), for
+flow's pyramid, warp and upsampling and the synthetic flow samples, and
+_warp_planes warps through a grid with fill (below).  synth.value_noise
+blends its wrapping lattice's corners through it, on its own support.
 
 The per-pixel passes over a frame are box-bounded and cache-banded:
 _warp_planes evaluates only the bounding box of the grid's valid pixels
@@ -351,17 +349,6 @@ def _gather_bilinear(plane, support, out=None):
     return np.add(c[0], c[2], out=out)
 
 
-def sample_bilinear(plane, sx, sy):
-    """Bilinearly sample a 2D plane at (sx, sy).
-
-    Coordinates are clamped to the plane (replicate border), and sx/sy
-    broadcast against each other, so a row of xs and a column of ys
-    sample a whole lattice.
-    """
-    h, w = plane.shape
-    return _gather_bilinear(plane, _bilinear_support(sx, sy, (w, h)))
-
-
 def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:
     """Chain two backward grids: result[p] = inner evaluated at outer[p].
 
@@ -388,9 +375,10 @@ def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:
 
 
 def _sample_planes(planes, sx, sy, out=None):
-    """sample_bilinear of every plane of `planes`, a sequence of
-    equal-shape 2D planes (a (C, H, W) stack is one), from one support,
-    written into `out` when given."""
+    """Bilinear samples at (sx, sy), clamped to the planes, of every plane
+    of `planes`, a sequence of equal-shape 2D planes (a (C, H, W) stack is
+    one), from one support, written into `out` when given.  sx and sy
+    broadcast: a row of xs and a column of ys sample a whole lattice."""
     h, w = planes[0].shape
     support = _bilinear_support(sx, sy, (w, h))
     if out is None:

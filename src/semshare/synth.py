@@ -34,8 +34,8 @@ from .camera import (
 )
 from .errors import ConfigError, DataError
 from .raster import (
-    FlowField, GridMap, Image, LabelMap, ScoreMap, _in_bounds, _lattice, _row_bands, _sample_planes,
-    _smooth,
+    FlowField, GridMap, Image, LabelMap, ScoreMap, _gather_bilinear, _in_bounds, _lattice, _row_bands,
+    _sample_planes, _smooth,
 )
 
 CLASS_NAMES = ("background", "road", "person", "car", "barrier", "cycle")
@@ -61,9 +61,10 @@ def value_noise(xs, ys, seed: int, scale: float) -> np.ndarray:
 
     Every output element depends only on its own coordinate pair, so the
     renderer can shade a surface on just the pixels where it is placed.
-    The four lattice corners are read with flat takes at y * 64 + x."""
+    The support's four lattice corners are the flat indices y * 64 + x,
+    and raster's one bilinear blend reads and blends them."""
     rng = np.random.default_rng(seed)
-    lattice = rng.random((64, 64)).ravel()
+    lattice = rng.random((64, 64))
     # fx and fy first hold the lattice coordinates, then their fractions
     fx = np.asarray(xs, dtype=float) / scale
     fy = np.asarray(ys, dtype=float) / scale
@@ -78,9 +79,7 @@ def value_noise(xs, ys, seed: int, scale: float) -> np.ndarray:
     x1 = (x0 + 1) % 64
     y1 = (y0 + 1) % 64 * 64
     y0 *= 64
-    top = (1.0 - fx) * lattice.take(y0 + x0) + fx * lattice.take(y0 + x1)
-    bot = (1.0 - fx) * lattice.take(y1 + x0) + fx * lattice.take(y1 + x1)
-    return (1.0 - fy) * top + fy * bot
+    return _gather_bilinear(lattice, (np.stack([y0 + x0, y0 + x1, y1 + x0, y1 + x1]), fx, fy))
 
 
 def texture_image(size, seed: int) -> Image:

@@ -360,6 +360,41 @@ class TestAblateTrainingFlags:
         assert seen["train_cfg"] == expected
 
 
+class TestAblateRejectsUnusedFlags:
+    @pytest.mark.parametrize(
+        "suite, flags",
+        [
+            ("flowquality", ["--train-iterations", "-3"]),
+            ("flow", ["--lr", "5", "--variant", "residual"]),
+            ("flow", ["--seed", "1"]),
+            ("flowquality", ["--batch-fraction", "0.5"]),
+            ("flow", ["--variant", "basic"]),
+            ("flowquality", ["--variant", "bottleneck"]),
+            ("fusion", ["--variant", "residual"]),
+        ],
+    )
+    def test_flags_a_suite_does_not_use_are_config_errors(
+        self, monkeypatch, tmp_path, capsys, suite, flags
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_ablation", lambda *a, **k: calls.append(a))
+        assert main(["ablate", suite, "--bench", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert calls == []
+
+    @pytest.mark.parametrize("flags, variant", [([], None), (["--variant", "residual"], "residual")])
+    def test_overlap_variant_is_passed_only_when_given(self, monkeypatch, tmp_path, flags, variant):
+        seen = {}
+
+        def fake_run_ablation(name, bench_root, **kwargs):
+            seen.update(kwargs)
+            return AblationTable(name, [], [])
+
+        monkeypatch.setattr(cli, "run_ablation", fake_run_ablation)
+        assert main(["ablate", "overlap", "--bench", str(tmp_path), *flags]) == 0
+        assert seen.get("variant") == variant
+
+
 @pytest.fixture(scope="module")
 def sweep_inputs(tmp_path_factory):
     """A 32x32 benchmark with 2 scenes and 1 flow sample, and score files
@@ -429,3 +464,5 @@ def test_numeric_flag_sweep_exits_with_a_documented_code(sweep_inputs, tmp_path,
     except SystemExit as exc:  # argparse rejects a flag with status 2
         code = exc.code
     assert code in (0, 2, 3, 4)
+    if value in ("nan", "inf"):  # only float flags take these
+        assert code == 2

@@ -25,7 +25,6 @@ from semshare.raster import (
     Image,
     compose_grids,
     grid_from_flow,
-    sample_bilinear,
 )
 
 
@@ -59,14 +58,15 @@ def reference_neighbor_sum(plane):
     return out
 
 
-def reference_solve_level(target, source, u, v, cfg, record_energy=False):
+def reference_solve_level(target, source, flow_uv, cfg, record_energy=False):
     """flow._solve_level as a plain Jacobi loop: whole-plane neighbor sums
     and fresh full-size temporaries every sweep, no parts, no threads, no
     buffers, in the dtype of the planes it is given."""
     h, w = target.shape
     dtype = target.dtype
+    u, v = flow_uv
     ys, xs = np.mgrid[0:h, 0:w].astype(dtype)
-    warped = sample_bilinear(source, xs + u, ys + v)
+    warped = raster._sample_planes((source,), xs + u, ys + v)[0]
     ix, iy = flow._central_diff(warped)
     it = warped - target
     alpha2 = cfg.smoothness_weight**2
@@ -83,7 +83,7 @@ def reference_solve_level(target, source, u, v, cfg, record_energy=False):
         dv = dv_bar - iy * frac
         if record_energy:
             energies.append(flow._objective(ix, iy, it, du, dv, alpha2))
-    return u + du, v + dv, energies
+    return np.stack([u + du, v + dv]), energies
 
 
 class TestConfig:
@@ -115,8 +115,8 @@ class TestConfig:
 
 def level_sizes(img, cfg):
     """Pyramid level sizes, finest first, as the flow estimator builds them."""
-    levels = _plane_pyramid(img.data[0], cfg.num_levels, cfg.min_level_size)
-    return [(p.shape[1], p.shape[0]) for p in levels]
+    levels = _plane_pyramid(img.data[:1], cfg.num_levels, cfg.min_level_size)
+    return [(p.shape[2], p.shape[1]) for p in levels]
 
 
 class TestPyramid:
@@ -141,10 +141,22 @@ class TestPyramid:
             estimate_flow_detailed(img, img, FlowConfig())
 
     def test_constant_image_stays_constant(self):
-        levels = _plane_pyramid(np.full((64, 64), 0.5), 4, 16)
+        levels = _plane_pyramid(np.full((1, 64, 64), 0.5), 4, 16)
         assert len(levels) == 3
         for lvl in levels:
             assert np.allclose(lvl, 0.5, atol=1e-12)
+
+    def test_stack_levels_equal_each_planes_own_pyramid_bytewise(self):
+        rng = np.random.default_rng(25)
+        stack = (rng.random((2, 97, 61)) * 255.0).astype(np.float32)
+        levels = _plane_pyramid(stack, 4, 16)
+        assert [lvl.shape for lvl in levels] == [(2, 97, 61), (2, 49, 31), (2, 25, 16)]
+        for k in range(2):
+            alone = _plane_pyramid(stack[k : k + 1], 4, 16)
+            assert len(alone) == len(levels)
+            for lvl, own in zip(levels, alone):
+                assert lvl.dtype == own.dtype == np.float32
+                assert lvl[k].tobytes() == own[0].tobytes()
 
 
 class TestEstimateFlow:
@@ -188,16 +200,14 @@ class TestEstimateFlow:
         assert np.array_equal(base.data, offset.data)
 
     def test_halving_halves_flow(self):
-        from semshare.flow import _downsample
-
         w = h = 128
         big = value_noise((w + 16, h + 16), 7, octaves=((32, 0.6), (16, 0.4)))
         source = big[8 : 8 + h, 8 : 8 + w]
         target = big[8 : 8 + h, 14 : 14 + w]  # 6 px shift
         full_flow = estimate_flow(Image(target[None]), Image(source[None]))
         half_flow = estimate_flow(
-            Image(np.clip(_downsample(target), 0, 1)[None]),
-            Image(np.clip(_downsample(source), 0, 1)[None]),
+            Image(np.clip(_plane_pyramid(target[None], 2, 16)[1], 0, 1)),
+            Image(np.clip(_plane_pyramid(source[None], 2, 16)[1], 0, 1)),
         )
         interior = np.zeros((h, w), bool)
         interior[12:-12, 12:-12] = True

@@ -472,6 +472,12 @@ class TestTraining:
         with pytest.raises(ConfigError):
             TrainConfig(seed=-1)
 
+    # inf passed the >= 0 check and diverged in the first step
+    @pytest.mark.parametrize("rate", [-0.1, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ConfigError):
+            TrainConfig(learning_rate=rate)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train_fusion(new_head("basic", 3), [], TrainConfig())

@@ -14,7 +14,6 @@ from semshare.raster import (
     grid_from_flow,
     grid_from_homography,
     identity_grid,
-    sample_bilinear,
     warp_labels,
     warp_raster,
 )
@@ -365,7 +364,7 @@ class TestWarpRaster:
         # replicated corners
         far_x = rng.uniform(-3, 10, size=(4, 4))
         far_y = rng.uniform(-3, 9, size=(4, 4))
-        out = sample_bilinear(plane, far_x, far_y)
+        out = raster._sample_planes((plane,), far_x, far_y)[0]
         for y in range(4):
             for x in range(4):
                 assert out[y, x] == pytest.approx(
@@ -374,7 +373,7 @@ class TestWarpRaster:
         # a row of xs against a column of ys samples the whole lattice
         xs = np.array([-0.5, 0.0, 2.25, 6.0, 7.5])
         ys = np.array([-1.0, 1.5, 5.0])
-        out = sample_bilinear(plane, xs[None, :], ys[:, None])
+        out = raster._sample_planes((plane,), xs[None, :], ys[:, None])[0]
         assert out.shape == (3, 5)
         for y in range(3):
             for x in range(5):
@@ -425,12 +424,12 @@ class TestFlatIndexKernels:
         sy = rng.uniform(-4, 12, size=(7, 11))
         sx[0, :3] = [-1.0, 12.0, 12.5]
         sy[1, :3] = [8.0, 9.0, -0.5]
-        got = sample_bilinear(plane, sx, sy)
+        got = raster._sample_planes((plane,), sx, sy)[0]
         assert got.tobytes() == reference_sample(plane, sx, sy).tobytes()
         xs = np.array([-2.0, 0.0, 0.5, 6.25, 12.0, 14.0])
         ys = np.array([-1.0, 0.0, 3.75, 8.0, 8.5])
         for lx, ly in ((xs[None, :], ys[:, None]), (xs[:, None], ys[None, :])):
-            got = sample_bilinear(plane, lx, ly)
+            got = raster._sample_planes((plane,), lx, ly)[0]
             assert got.shape == np.broadcast_shapes(lx.shape, ly.shape)
             assert got.tobytes() == reference_sample(plane, lx, ly).tobytes()
 
@@ -551,7 +550,7 @@ class TestKernelDtypes:
         stacked = raster._sample_planes(planes, sx, sy)
         assert stacked.dtype == np.float32
         for k in range(3):
-            single = sample_bilinear(planes[k], sx, sy)
+            single = raster._sample_planes((planes[k],), sx, sy)[0]
             assert single.dtype == np.float32
             assert single.tobytes() == stacked[k].tobytes()
             assert single.tobytes() == reference_sample(planes[k], sx, sy).tobytes()

@@ -87,6 +87,15 @@ def mutations(blob, seed):
             yield bytes(out)
 
 
+def rewrite(path, blob):
+    """Replace the file at `path` by a new one holding `blob`.  Removing
+    the file first is much faster on some filesystems than truncating it
+    with open(path, "wb")."""
+    os.remove(path)
+    with open(path, "wb") as f:
+        f.write(blob)
+
+
 def broken_inputs(path, reader, seed):
     """Write each mutation over `path`, a scratch copy, and yield it while
     it holds a mutation the reader rejects; any exception other than a
@@ -94,14 +103,12 @@ def broken_inputs(path, reader, seed):
     with open(path, "rb") as f:
         blob = f.read()
     for blob_k in mutations(blob, seed):
-        with open(path, "wb") as f:
-            f.write(blob_k)
+        rewrite(path, blob_k)
         try:
             reader(str(path))
         except SemShareError:
             yield path
-    with open(path, "wb") as f:
-        f.write(blob)
+    rewrite(path, blob)
 
 
 def cli_argv(name, path, root, scene_dir, out):
