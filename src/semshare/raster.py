@@ -333,20 +333,20 @@ def _bilinear_support(sx, sy, source_size):
 
 
 def _gather_bilinear(plane, support, out=None):
-    """Bilinear interpolation of a 2D plane on a support from
-    _bilinear_support, written into `out` when given."""
+    """Bilinear interpolation of a 2D plane on a support (idx, fx, fy) whose
+    idx holds the four corners' flat indices, written into `out` if given."""
     idx, fx, fy = support
-    c = plane.ravel().take(idx)
+    flat = plane.ravel()
     wx = 1.0 - fx
-    c[0] *= wx
-    c[1] *= fx
-    c[0] += c[1]  # top row
-    c[2] *= wx
-    c[3] *= fx
-    c[2] += c[3]  # bottom row
-    c[0] *= 1.0 - fy
-    c[2] *= fy
-    return np.add(c[0], c[2], out=out)
+    rows = []
+    for left, right, wy in ((idx[0], idx[1], 1.0 - fy), (idx[2], idx[3], fy)):
+        row, c = flat.take(left), flat.take(right)
+        row *= wx
+        c *= fx
+        row += c
+        row *= wy
+        rows.append(row)
+    return np.add(*rows, out=out)
 
 
 def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:

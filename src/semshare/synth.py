@@ -79,7 +79,7 @@ def value_noise(xs, ys, seed: int, scale: float) -> np.ndarray:
     x1 = (x0 + 1) % 64
     y1 = (y0 + 1) % 64 * 64
     y0 *= 64
-    return _gather_bilinear(lattice, (np.stack([y0 + x0, y0 + x1, y1 + x0, y1 + x1]), fx, fy))
+    return _gather_bilinear(lattice, ((y0 + x0, y0 + x1, y1 + x0, y1 + x1), fx, fy))
 
 
 def texture_image(size, seed: int) -> Image:
