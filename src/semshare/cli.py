@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -43,8 +42,6 @@ from .fusion import VARIANT_KINDS, TrainConfig, new_head, train_fusion, write_he
 from .metrics import miou, report_to_text
 from .pipeline import (
     ABLATION_SUITES,
-    FUSION_TRAIN,
-    OVERLAP_TRAIN,
     PipelineConfig,
     read_benchmark,
     run_ablation,
@@ -190,17 +187,7 @@ def cmd_run(args) -> int:
 def cmd_ablate(args) -> int:
     fields = ("learning_rate", "iterations", "batch_fraction", "seed")
     given = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
-    kwargs = {}
-    if args.suite in ("fusion", "overlap"):
-        preset = FUSION_TRAIN if args.suite == "fusion" else OVERLAP_TRAIN
-        kwargs["train_cfg"] = replace(preset, **given)
-    elif given:
-        raise ConfigError(f"ablate {args.suite} trains no head; it takes no training flags")
-    if args.variant is not None:
-        if args.suite != "overlap":
-            raise ConfigError(f"--variant applies only to ablate overlap, not {args.suite}")
-        kwargs["variant"] = args.variant
-    table = run_ablation(args.suite, args.bench, **kwargs)
+    table = run_ablation(args.suite, args.bench, given, args.variant)
     text = table.to_text()
     if args.out:
         with open(args.out, "w", encoding="ascii") as f:

@@ -105,6 +105,10 @@ _SOLVE_DTYPE = np.float32
 
 @dataclass(frozen=True)
 class FlowConfig:
+    """Flow estimator settings.  smoothness_weight lies in about [6.12e-19,
+    9.22e18], so that 4 * weight**2 and a flat corner pixel's first
+    quotient, INTENSITY_SCALE / (2 * weight**2), stay finite in float32."""
+
     num_levels: int = 4
     iterations_per_level: int = 50
     smoothness_weight: float = 15.0
@@ -117,11 +121,12 @@ class FlowConfig:
         if self.iterations_per_level < 1:
             raise ConfigError(f"iterations_per_level must be >= 1, got {self.iterations_per_level}")
         weight = self.smoothness_weight
-        # a sweep's denominator holds weight**2 times up to 4 neighbors in _SOLVE_DTYPE
-        if not (weight > 0.0 and 4.0 * weight * weight <= float(np.finfo(_SOLVE_DTYPE).max)):
+        top = float(np.finfo(_SOLVE_DTYPE).max)
+        lowest = (INTENSITY_SCALE / (2.0 * top)) ** 0.5
+        if not (lowest <= weight and 4.0 * weight * weight <= top):
             raise ConfigError(
-                f"smoothness_weight must be positive, with 4 * weight**2 finite in "
-                f"{np.dtype(_SOLVE_DTYPE).name}, got {weight}"
+                f"smoothness_weight must be at least {lowest:.3g}, with 4 * weight**2 finite "
+                f"in {np.dtype(_SOLVE_DTYPE).name}, got {weight}"
             )
 
 

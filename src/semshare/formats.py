@@ -23,6 +23,7 @@ CONTAINER_VERSION = 1
 KIND_SCORE = 0
 KIND_LABEL = 1
 KIND_FUSION_HEAD = 2
+_MAX_LABEL_CLASSES = 256  # labels are uint8 on disk
 
 _HEADER = struct.Struct("<8s5I")
 
@@ -169,8 +170,8 @@ def write_scores(scores: ScoreMap, path) -> None:
 
 
 def write_labels(labels: LabelMap, path) -> None:
-    if labels.num_classes > 256:
-        raise DataError("label container stores at most 256 classes")
+    if labels.num_classes > _MAX_LABEL_CLASSES:
+        raise DataError(f"label container stores at most {_MAX_LABEL_CLASSES} classes")
     with open(path, "wb") as f:
         f.write(pack_header(KIND_LABEL, labels.width, labels.height, labels.num_classes))
         f.write(labels.data.astype(np.uint8).tobytes())
@@ -188,6 +189,9 @@ def read_container(path):
         data = np.frombuffer(payload, dtype="<f4").reshape(channels, height, width)
         return ScoreMap(data.astype(float))
     if kind == KIND_LABEL:
+        if channels > _MAX_LABEL_CLASSES:
+            raise DataError(f"label container stores at most {_MAX_LABEL_CLASSES} classes, "
+                            f"header says {channels}")
         if len(payload) != width * height:
             raise DataError(f"label payload size {len(payload)} != expected {width * height}")
         data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)

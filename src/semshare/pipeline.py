@@ -7,12 +7,15 @@ narrow fusion, backward share (fused narrow scores into the wide frame),
 wide fusion.  Both shares are one function, `share`, run in either
 direction.  Invalid pixels always fall back to the native scores, so
 the wide branch never changes outside the overlap region.
+
+The ablation suites run through run_ablation, which alone holds their
+training presets and the rules on which suite takes which argument.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +23,8 @@ from .camera import CameraRig, TextFields, read_ascii, read_rig, write_rig
 from .errors import ConfigError, DataError, MetricUndefinedError, PipelineStageError, SemShareError
 from .flow import FlowConfig, two_stage_map_detailed
 from .formats import read_image, write_image, write_labels
-from .fusion import FusionHead, TrainConfig, fuse_forward, identity_head, new_head, read_head, train_fusion
+from .fusion import VARIANT_KINDS, FusionHead, TrainConfig, fuse_forward, identity_head, new_head
+from .fusion import read_head, train_fusion
 from .metrics import ConfusionMatrix, aepe, l1_photometric, smoothness, ssim_loss
 from .raster import (
     FlowField,
@@ -53,6 +57,7 @@ NATIVE_WIDE_SIGMA = 0.55
 NATIVE_WIDE_BLUR = 1
 FUSION_TRAIN = TrainConfig(learning_rate=0.25, iterations=3000, batch_fraction=0.1, seed=7)
 OVERLAP_TRAIN = TrainConfig(learning_rate=0.25, iterations=2000, batch_fraction=0.1, seed=9)
+_TRAIN_PRESETS = {"fusion": FUSION_TRAIN, "overlap": OVERLAP_TRAIN}
 
 ABLATION_SUITES = ("flow", "fusion", "overlap", "flowquality")
 
@@ -337,9 +342,10 @@ def _load_pair(bench: Benchmark, entry: BenchmarkEntry):
     return scene, render_scene(scene)
 
 
-def _pooled_report(label_pairs):
-    """IoU report over the pooled confusion of every pair; pairs with an
-    empty mask (scenes whose views share no pixels) are skipped."""
+def _miou_row(name, label_pairs):
+    """Table row `name` holding the mIoU over the pooled confusion of every
+    pair, and that mean; pairs with an empty mask (scenes whose views share
+    no pixels) are skipped."""
     cm = None
     for pred, gt, mask in label_pairs:
         if not np.any(mask):
@@ -348,7 +354,8 @@ def _pooled_report(label_pairs):
         cm = part if cm is None else cm.add(part)
     if cm is None:
         raise MetricUndefinedError("every scene has an empty evaluation mask")
-    return cm.iou_report()
+    report = cm.iou_report()
+    return (name, {"miou": (report.mean_iou, report.pixels)}), report.mean_iou
 
 
 def ablate_flow(bench: Benchmark) -> AblationTable:
@@ -368,14 +375,9 @@ def ablate_flow(bench: Benchmark) -> AblationTable:
         mask = m_pt & m_two
         pt_pairs.append((lab_pt, pair.narrow_labels, mask))
         two_pairs.append((lab_two, pair.narrow_labels, mask))
-    r_pt = _pooled_report(pt_pairs)
-    r_two = _pooled_report(two_pairs)
-    rows = [
-        ("pt", {"miou": (r_pt.mean_iou, r_pt.pixels)}),
-        ("pt+flow", {"miou": (r_two.mean_iou, r_two.pixels)}),
-    ]
-    deltas = [("pt+flow-pt", "miou", r_two.mean_iou - r_pt.mean_iou)]
-    return AblationTable("flow", rows, deltas)
+    pt_row, pt = _miou_row("pt", pt_pairs)
+    two_row, two = _miou_row("pt+flow", two_pairs)
+    return AblationTable("flow", [pt_row, two_row], [("pt+flow-pt", "miou", two - pt)])
 
 
 def _fusion_dataset(bench, entries, flow_cfg, train_seed_base):
@@ -400,10 +402,9 @@ def _fusion_dataset(bench, entries, flow_cfg, train_seed_base):
     return items
 
 
-def ablate_fusion(bench: Benchmark, train_cfg: TrainConfig | None = None) -> AblationTable:
+def ablate_fusion(bench: Benchmark, train_cfg: TrainConfig) -> AblationTable:
     """Head-to-head comparison of the fusion wirings against propagated
     scores alone, trained on half the scenes and evaluated on the rest."""
-    train_cfg = train_cfg or FUSION_TRAIN
     entries = bench.nonplanar()
     if len(entries) < 2:
         raise ConfigError("fusion ablation needs at least two non-planar scenes")
@@ -411,17 +412,14 @@ def ablate_fusion(bench: Benchmark, train_cfg: TrainConfig | None = None) -> Abl
     items = _fusion_dataset(bench, entries, FlowConfig(), train_seed_base=bench.seed)
     train_items, eval_items = items[:half], items[half:]
 
-    r_none = _pooled_report([(p.argmax_labels(), gt, m) for p, n, m, gt in eval_items])
-    rows = [("none", {"miou": (r_none.mean_iou, r_none.pixels)})]
-    deltas = []
-    for kind in ("basic", "residual", "bottleneck"):
+    none_row, none = _miou_row("none", [(p.argmax_labels(), gt, m) for p, n, m, gt in eval_items])
+    rows, deltas = [none_row], []
+    for kind in VARIANT_KINDS:
         head, _ = train_fusion(new_head(kind, NUM_CLASSES, seed=11), train_items, train_cfg)
-        fused = [
-            (fuse_forward(head, p, n, m).argmax_labels(), gt, m) for p, n, m, gt in eval_items
-        ]
-        report = _pooled_report(fused)
-        rows.append((kind, {"miou": (report.mean_iou, report.pixels)}))
-        deltas.append((f"{kind}-none", "miou", report.mean_iou - r_none.mean_iou))
+        fused = [(fuse_forward(head, p, n, m).argmax_labels(), gt, m) for p, n, m, gt in eval_items]
+        row, value = _miou_row(kind, fused)
+        rows.append(row)
+        deltas.append((f"{kind}-none", "miou", value - none))
     return AblationTable("fusion", rows, deltas)
 
 
@@ -448,13 +446,10 @@ def _overlap_dataset(bench, entries, flow_cfg):
     return items
 
 
-def ablate_overlap(
-    bench: Benchmark, train_cfg: TrainConfig | None = None, variant: str = "basic"
-) -> AblationTable:
+def ablate_overlap(bench: Benchmark, train_cfg: TrainConfig, variant: str) -> AblationTable:
     """Wide-branch refinement in the overlap region: back-propagated narrow
     scores (generated at lower degradation) fused with the native wide
     scores, against the native wide scores alone."""
-    train_cfg = train_cfg or OVERLAP_TRAIN
     entries = bench.nonplanar()
     if len(entries) < 2:
         raise ConfigError("overlap ablation needs at least two non-planar scenes")
@@ -462,17 +457,14 @@ def ablate_overlap(
     items = _overlap_dataset(bench, entries, FlowConfig())
     train_items, eval_items = items[:half], items[half:]
 
-    r_native = _pooled_report([(n.argmax_labels(), gt, m) for b, n, m, gt in eval_items])
-    head, _ = train_fusion(new_head(variant, NUM_CLASSES, seed=13), train_items, train_cfg)
-    r_refined = _pooled_report(
-        [(fuse_forward(head, b, n, m).argmax_labels(), gt, m) for b, n, m, gt in eval_items]
+    native_row, native = _miou_row(
+        "native", [(n.argmax_labels(), gt, m) for b, n, m, gt in eval_items]
     )
-    rows = [
-        ("native", {"miou": (r_native.mean_iou, r_native.pixels)}),
-        ("refined", {"miou": (r_refined.mean_iou, r_refined.pixels)}),
-    ]
-    deltas = [("refined-native", "miou", r_refined.mean_iou - r_native.mean_iou)]
-    return AblationTable("overlap", rows, deltas)
+    head, _ = train_fusion(new_head(variant, NUM_CLASSES, seed=13), train_items, train_cfg)
+    fused = [(fuse_forward(head, b, n, m).argmax_labels(), gt, m) for b, n, m, gt in eval_items]
+    refined_row, refined = _miou_row("refined", fused)
+    deltas = [("refined-native", "miou", refined - native)]
+    return AblationTable("overlap", [native_row, refined_row], deltas)
 
 
 def ablate_flowquality(bench: Benchmark) -> AblationTable:
@@ -482,8 +474,7 @@ def ablate_flowquality(bench: Benchmark) -> AblationTable:
 
     if not bench.textures:
         raise ConfigError("benchmark has no flow textures")
-    zero_metrics = {"aepe": [], "l1": [], "ssim": [], "smooth": []}
-    est_metrics = {"aepe": [], "l1": [], "ssim": [], "smooth": []}
+    samples = {"zero": [], "estimated": []}  # per texture: aepe, l1, ssim, smooth
     pixels = 0
     for index, rel, tex_seed in bench.textures:
         img = read_image(os.path.join(bench.root, rel))
@@ -495,38 +486,45 @@ def ablate_flowquality(bench: Benchmark) -> AblationTable:
         eval_mask = crop & mask
         pixels += int(eval_mask.sum())
         est = estimate_flow(warped, img, FlowConfig(num_levels=5))
-        zero = FlowField.zero(img.size)
-        zero_metrics["aepe"].append(aepe(gt_flow, zero, eval_mask))
-        est_metrics["aepe"].append(aepe(gt_flow, est, eval_mask))
-        zero_metrics["l1"].append(l1_photometric(warped, img, eval_mask))
         rewarped, _ = warp_raster(img, grid_from_flow(est))
-        est_metrics["l1"].append(l1_photometric(warped, rewarped, eval_mask))
-        zero_metrics["ssim"].append(ssim_loss(warped, img))
-        est_metrics["ssim"].append(ssim_loss(warped, rewarped))
-        zero_metrics["smooth"].append(smoothness(zero))
-        est_metrics["smooth"].append(smoothness(est))
-    rows = []
-    for name, metrics in (("zero", zero_metrics), ("estimated", est_metrics)):
-        rows.append((name, {k: (float(np.mean(v)), pixels) for k, v in metrics.items()}))
-    deltas = [
-        (
-            "estimated-zero",
-            "aepe",
-            float(np.mean(est_metrics["aepe"]) - np.mean(zero_metrics["aepe"])),
-        )
+        zero = FlowField.zero(img.size)
+        for name, flow, image in (("zero", zero, img), ("estimated", est, rewarped)):
+            samples[name].append((
+                aepe(gt_flow, flow, eval_mask),
+                l1_photometric(warped, image, eval_mask),
+                ssim_loss(warped, image),
+                smoothness(flow),
+            ))
+    means = {
+        name: [float(np.mean(col)) for col in zip(*values)] for name, values in samples.items()
+    }
+    rows = [
+        (name, {k: (mean, pixels) for k, mean in zip(("aepe", "l1", "ssim", "smooth"), row)})
+        for name, row in means.items()
     ]
+    deltas = [("estimated-zero", "aepe", means["estimated"][0] - means["zero"][0])]
     return AblationTable("flowquality", rows, deltas)
 
 
-def run_ablation(suite: str, bench_root, **kwargs) -> AblationTable:
-    """Dispatch one named ablation suite against a generated benchmark."""
+def run_ablation(suite: str, bench_root, train=None, variant=None) -> AblationTable:
+    """Run one named ablation suite against a generated benchmark.  `train`
+    maps TrainConfig field names to values replacing the suite's preset
+    (FUSION_TRAIN, OVERLAP_TRAIN); `variant` is the overlap head's kind
+    ("basic" when None).  An argument the suite does not use is a
+    ConfigError, raised before the benchmark is read."""
+    if suite not in ABLATION_SUITES:
+        raise ConfigError(f"unknown ablation suite {suite!r}; choose from {ABLATION_SUITES}")
+    if train and suite not in _TRAIN_PRESETS:
+        raise ConfigError(f"ablate {suite} trains no head; it takes no training flags")
+    if variant is not None and suite != "overlap":
+        raise ConfigError(f"--variant applies only to ablate overlap, not {suite}")
+    if suite in _TRAIN_PRESETS:
+        train_cfg = replace(_TRAIN_PRESETS[suite], **(train or {}))
     bench = read_benchmark(bench_root)
     if suite == "flow":
         return ablate_flow(bench)
-    if suite == "fusion":
-        return ablate_fusion(bench, kwargs.get("train_cfg"))
-    if suite == "overlap":
-        return ablate_overlap(bench, kwargs.get("train_cfg"), kwargs.get("variant", "basic"))
     if suite == "flowquality":
         return ablate_flowquality(bench)
-    raise ConfigError(f"unknown ablation suite {suite!r}; choose from {ABLATION_SUITES}")
+    if suite == "fusion":
+        return ablate_fusion(bench, train_cfg)
+    return ablate_overlap(bench, train_cfg, variant or "basic")

@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_formats import patch_label_classes
 
-from semshare import cli
+from semshare import cli, pipeline
 from semshare.camera import write_rig
 from semshare.cli import main
 from semshare.formats import (
@@ -294,6 +295,12 @@ class TestEvalCommand:
         write_labels(LabelMap(np.zeros((4, 4), dtype=int), 6), good)
         assert main(["eval", "--pred", str(bad), "--gt", str(good)]) == 3
 
+    def test_label_file_above_256_classes_is_data_error(self, tmp_path):
+        good, labels = tmp_path / "good.bin", tmp_path / "labels.bin"
+        write_labels(LabelMap(np.zeros((4, 4), dtype=int), 6), good)
+        labels.write_bytes(patch_label_classes(good.read_bytes(), 257))
+        assert main(["eval", "--pred", str(good), "--gt", str(labels)]) == 3
+
     @pytest.mark.parametrize("classes", ["0", "1"])
     def test_fewer_than_two_classes_is_config_error(self, tmp_path, classes):
         labels = tmp_path / "labels.bin"
@@ -337,6 +344,25 @@ class TestDirectoryAsInput:
         assert err.startswith("data error:") and "Traceback" not in err
 
 
+def fake_training_suites(monkeypatch):
+    """Replace the benchmark read and the fusion and overlap drivers of
+    `pipeline`; returns the dict that the fake drivers fill with the
+    training config and head variant they are given."""
+    seen = {}
+
+    def fake_driver(suite):
+        def driver(bench, train_cfg, variant=None):
+            seen.update(train_cfg=train_cfg, variant=variant)
+            return AblationTable(suite, [], [])
+
+        return driver
+
+    monkeypatch.setattr(pipeline, "read_benchmark", lambda root: None)
+    monkeypatch.setattr(pipeline, "ablate_fusion", fake_driver("fusion"))
+    monkeypatch.setattr(pipeline, "ablate_overlap", fake_driver("overlap"))
+    return seen
+
+
 class TestAblateTrainingFlags:
     @pytest.mark.parametrize(
         "suite, flags, expected",
@@ -349,13 +375,7 @@ class TestAblateTrainingFlags:
         ],
     )
     def test_given_flags_replace_preset_fields(self, monkeypatch, tmp_path, suite, flags, expected):
-        seen = {}
-
-        def fake_run_ablation(name, bench_root, **kwargs):
-            seen.update(kwargs)
-            return AblationTable(name, [], [])
-
-        monkeypatch.setattr(cli, "run_ablation", fake_run_ablation)
+        seen = fake_training_suites(monkeypatch)
         assert main(["ablate", suite, "--bench", str(tmp_path), *flags]) == 0
         assert seen["train_cfg"] == expected
 
@@ -377,22 +397,16 @@ class TestAblateRejectsUnusedFlags:
         self, monkeypatch, tmp_path, capsys, suite, flags
     ):
         calls = []
-        monkeypatch.setattr(cli, "run_ablation", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(pipeline, "read_benchmark", lambda root: calls.append(root))
         assert main(["ablate", suite, "--bench", str(tmp_path), *flags]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert calls == []
 
     @pytest.mark.parametrize("flags, variant", [([], None), (["--variant", "residual"], "residual")])
     def test_overlap_variant_is_passed_only_when_given(self, monkeypatch, tmp_path, flags, variant):
-        seen = {}
-
-        def fake_run_ablation(name, bench_root, **kwargs):
-            seen.update(kwargs)
-            return AblationTable(name, [], [])
-
-        monkeypatch.setattr(cli, "run_ablation", fake_run_ablation)
+        seen = fake_training_suites(monkeypatch)
         assert main(["ablate", "overlap", "--bench", str(tmp_path), *flags]) == 0
-        assert seen.get("variant") == variant
+        assert seen["variant"] == (variant or "basic")  # run_ablation resolves an unset variant
 
 
 @pytest.fixture(scope="module")
@@ -434,7 +448,7 @@ def sweep_argv(command, root, out):
 
 
 # no huge ints: --iterations or --scenes at 1e9 would run for hours
-SWEEP_VALUES = {int: ["-1", "0"], float: ["-1", "0", "nan", "inf", "1e200"]}
+SWEEP_VALUES = {int: ["-1", "0"], float: ["-1", "0", "nan", "inf", "1e200", "1e-30", "5e-324"]}
 
 
 def numeric_flags():
@@ -465,4 +479,6 @@ def test_numeric_flag_sweep_exits_with_a_documented_code(sweep_inputs, tmp_path,
         code = exc.code
     assert code in (0, 2, 3, 4)
     if value in ("nan", "inf"):  # only float flags take these
+        assert code == 2
+    if flag == "--alpha" and value in ("1e-30", "5e-324"):  # the solve would overflow float32
         assert code == 2

@@ -112,6 +112,17 @@ class TestConfig:
     def test_largest_smoothness_weight_is_accepted(self):
         FlowConfig(smoothness_weight=float(np.sqrt(np.finfo(np.float32).max / 4.0)))
 
+    # below this weight a flat corner pixel's first quotient, 255 / (2 * weight**2),
+    # overflows float32: 1e-30 gave a NaN flow and an IndexError out of `run`
+    @pytest.mark.parametrize("levels", [1, 4])
+    def test_smallest_smoothness_weight_gives_a_finite_flow(self, levels):
+        lowest = (255.0 / (2.0 * float(np.finfo(np.float32).max))) ** 0.5
+        with pytest.raises(ConfigError):
+            FlowConfig(smoothness_weight=0.99 * lowest)
+        cfg = FlowConfig(num_levels=levels, smoothness_weight=lowest)
+        black, white = Image(np.zeros((64, 64))), Image(np.ones((64, 64)))
+        assert np.all(np.isfinite(estimate_flow(black, white, cfg).data))
+
 
 def level_sizes(img, cfg):
     """Pyramid level sizes, finest first, as the flow estimator builds them."""

@@ -3,6 +3,7 @@ import pytest
 
 from semshare.errors import DataError
 from semshare.formats import (
+    _HEADER,
     read_container,
     read_flo,
     read_image,
@@ -120,6 +121,12 @@ class TestFlo:
             read_flo(path)
 
 
+def patch_label_classes(blob, classes):
+    """A container blob whose header's class count (its last u32) is `classes`."""
+    end = _HEADER.size
+    return blob[: end - 4] + classes.to_bytes(4, "little") + blob[end:]
+
+
 class TestContainer:
     def test_score_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -138,6 +145,16 @@ class TestContainer:
         back = read_labels(path)
         assert np.array_equal(back.data, labels.data)
         assert back.num_classes == 6
+
+    # labels are uint8 on disk; a 2**32 - 1 class header once read back as a
+    # LabelMap whose confusion matrix would not fit in memory
+    @pytest.mark.parametrize("classes", [257, 2**32 - 1])
+    def test_label_header_above_256_classes_rejected(self, tmp_path, classes):
+        path = tmp_path / "l.bin"
+        write_labels(LabelMap(np.zeros((4, 4), dtype=int), 6), path)
+        path.write_bytes(patch_label_classes(file_bytes(path), classes))
+        with pytest.raises(DataError):
+            read_labels(path)
 
     def test_kind_dispatch(self, tmp_path):
         write_labels(LabelMap(np.zeros((2, 2), dtype=int), 3), tmp_path / "l.bin")

@@ -5,7 +5,7 @@ import pytest
 from test_flow import reference_solve_level
 from test_raster import reference_bilinear_support, reference_gather_bilinear
 
-from semshare import flow, raster
+from semshare import flow, pipeline, raster
 from semshare.camera import CameraRig, Rotation3, homography_from_rig, write_rig
 from semshare.cli import main
 from semshare.errors import ConfigError, DataError, MetricUndefinedError, PipelineStageError
@@ -398,23 +398,15 @@ class TestBenchmarkAndAblations:
         assert a.to_text() == b.to_text()
 
     def test_fusion_suite_rows(self, tiny_benchmark):
-        from semshare.fusion import TrainConfig
-
         table = run_ablation(
-            "fusion",
-            tiny_benchmark,
-            train_cfg=TrainConfig(learning_rate=0.25, iterations=120, batch_fraction=0.2, seed=7),
+            "fusion", tiny_benchmark, train={"iterations": 120, "batch_fraction": 0.2}
         )
         names = [name for name, _ in table.rows]
         assert names == ["none", "basic", "residual", "bottleneck"]
 
     def test_overlap_suite_rows_and_direction(self, tiny_benchmark):
-        from semshare.fusion import TrainConfig
-
         table = run_ablation(
-            "overlap",
-            tiny_benchmark,
-            train_cfg=TrainConfig(learning_rate=0.25, iterations=200, batch_fraction=0.2, seed=9),
+            "overlap", tiny_benchmark, train={"iterations": 200, "batch_fraction": 0.2}
         )
         names = [name for name, _ in table.rows]
         assert names == ["native", "refined"]
@@ -432,6 +424,27 @@ class TestBenchmarkAndAblations:
     def test_unknown_suite_rejected(self, tiny_benchmark):
         with pytest.raises(ConfigError):
             run_ablation("nonsense", tiny_benchmark)
+
+    @pytest.mark.parametrize(
+        "suite, train, variant",
+        [
+            ("flow", {"seed": 1}, None),
+            ("flowquality", {"seed": 1}, None),
+            ("flow", None, "residual"),
+            ("fusion", None, "residual"),
+            ("flowquality", None, "residual"),
+        ],
+    )
+    def test_arguments_a_suite_does_not_use_are_rejected_unread(
+        self, tiny_benchmark, monkeypatch, suite, train, variant
+    ):
+        with pytest.raises(ConfigError):
+            run_ablation(suite, tiny_benchmark, train, variant)
+        reads = []
+        monkeypatch.setattr(pipeline, "read_benchmark", lambda root: reads.append(root))
+        with pytest.raises(ConfigError):
+            run_ablation(suite, tiny_benchmark, train, variant)
+        assert reads == []
 
     def test_table_text_parsable(self, tiny_benchmark):
         table = run_ablation("flow", tiny_benchmark)
