@@ -29,22 +29,20 @@ neighbors.  The sweep writes the next increment into a second bordered
 buffer, and the two swap after every sweep.
 
 Every pixel of a sweep depends only on the previous increment, so a
-level's rows are split into contiguous parts (_row_parts): one per CPU
-the process may run on, but at most one per row and one per 2 *
-raster._BAND_PIXELS pixels.  The calling thread sweeps the first part,
-and one worker thread per other part, started for the level and joined
-before it returns, sweeps the rest.  After each sweep every part waits
-at one threading.Barrier, so no part reads the buffer the others are
-still writing, and then the buffers swap.  A failing part aborts the
-barrier, and its exception reaches the caller.  A part is swept as one
-block: numpy releases the interpreter lock only inside each call, and
-the many small calls of a banded sweep hand the lock back and forth
-between the threads, so two threads sweeping in bands were no faster
-than one; on one thread a block was as fast as bands.  Small levels stay
-serial: at 108^2, 50 sweeps took 2.9 ms on two threads against 1.7 ms on
-one (2-core host), and all but the finest level of a 384^2 solve are
-small.  Each pixel sees the same operations in the same order whatever
-the part count, so flows and energies do not depend on it.
+level's rows are split into raster._row_parts, swept on one thread each
+by raster._run_parts.  After each sweep every part waits at the helper's
+barrier,
+so no part reads the buffer the others are still writing, and then the
+buffers swap; a failing part breaks the barrier, and its exception
+reaches the caller.  A part is swept as one block: numpy releases the
+interpreter lock only inside each call, and the many small calls of a
+banded sweep hand the lock back and forth between the threads, so two
+threads sweeping in bands were no faster than one; on one thread a block
+was as fast as bands.  Small levels stay serial: at 108^2, 50 sweeps took
+2.9 ms on two threads against 1.7 ms on one (2-core host), and all but
+the finest level of a 384^2 solve are small.  Each pixel sees the same
+operations in the same order whatever the part count, so flows and
+energies do not depend on it.
 
 The data term operates on a 0..255 intensity scale (inputs are [0, 1]
 rasters), so the default smoothness weight of 15 matches the classical
@@ -70,9 +68,6 @@ is composed with the stage-one grid on the footprint's box only.
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -81,11 +76,12 @@ import numpy as np
 from .camera import CameraRig, homography_from_rig
 from .errors import ConfigError, DimensionError
 from .raster import (
-    _BAND_PIXELS,
     FlowField,
     GridMap,
     Image,
     _lattice,
+    _row_parts,
+    _run_parts,
     _sample_planes,
     _smooth,
     _valid_box,
@@ -215,48 +211,10 @@ def _jacobi_sweep(rows, grad, it, counts, denom, d, d_next, scratch):
     np.subtract(bar, prod, out=d_next[:, r0:r1, 1:-1])
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _row_parts(h, w):
-    """Contiguous row slices, one per thread, that cover an h x w level:
-    one per usable CPU, but at most one per 2 * _BAND_PIXELS pixels and one
-    per row; part sizes differ by at most one row."""
-    k = max(1, min(_usable_cpus(), h * w // (2 * _BAND_PIXELS), h))
-    bounds = [h * i // k for i in range(k + 1)]
-    return [slice(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
-
-
-def _sweep_part(rows, planes, d, d_next, sweeps, barrier, failures, after_sweep=None):
-    """Sweep `rows` `sweeps` times, waiting at `barrier` after each sweep
-    for the other parts, and return the buffer holding the last increment.
-    after_sweep(d) runs on the increment of every sweep, before the next
-    one.  A failure is kept in `failures`, not raised, and aborts the
-    barrier, so every other part stops at its next wait."""
-    grad, it, counts, denom = planes
-    try:
-        scratch = np.empty((5, rows.stop - rows.start, it.shape[1]), it.dtype)
-        for _ in range(sweeps):
-            _jacobi_sweep(rows, grad, it, counts, denom, d, d_next, scratch)
-            barrier.wait()
-            d, d_next = d_next, d
-            if after_sweep is not None:
-                after_sweep(d)
-    except BaseException as exc:  # re-raised by _solve_level in the caller's thread
-        failures.append(exc)
-        barrier.abort()
-    return d
-
-
 def _solve_level(target, source, flow, cfg: FlowConfig, record_energy=False):
     """One coarse-to-fine stage: warp by `flow`, a (u, v) stack, then
-    Jacobi sweeps on the increment, the rows split between the calling
-    thread and the workers of _row_parts; returns (flow + increment,
-    energies)."""
+    Jacobi sweeps on the increment, the rows split between the threads of
+    raster._run_parts; returns (flow + increment, energies)."""
     h, w = target.shape
     dtype = target.dtype
     xs, ys = _lattice((w, h), dtype)
@@ -267,38 +225,27 @@ def _solve_level(target, source, flow, cfg: FlowConfig, record_energy=False):
     alpha2 = cfg.smoothness_weight**2
     counts = _neighbor_counts((h, w), dtype)
     denom = alpha2 * counts + ix * ix + iy * iy
-    planes = (grad, it, counts, denom)
-    d = np.zeros((2, h + 2, w + 2), dtype)
-    d_next = np.zeros((2, h + 2, w + 2), dtype)
+    increments = np.zeros((2, 2, h + 2, w + 2), dtype)  # d and d_next, zero-bordered
     inner = np.s_[:, 1:-1, 1:-1]
-    energies, record = None, None
-    if record_energy:
-        energies = [_objective(ix, iy, it, *d[inner], alpha2)]
+    energies = [_objective(ix, iy, it, *increments[0][inner], alpha2)] if record_energy else None
 
-        def record(d):
-            energies.append(_objective(ix, iy, it, *d[inner], alpha2))
+    def sweep(parts, barrier):
+        """Sweep this thread's part (one) cfg.iterations_per_level times,
+        waiting at `barrier` after each sweep for the other parts.  The
+        part from row 0 records the energy of every increment before the
+        next sweep."""
+        for rows in parts:
+            d, d_next = increments
+            scratch = np.empty((5, rows.stop - rows.start, w), dtype)
+            for _ in range(cfg.iterations_per_level):
+                _jacobi_sweep(rows, grad, it, counts, denom, d, d_next, scratch)
+                barrier.wait()
+                d, d_next = d_next, d
+                if energies is not None and rows.start == 0:
+                    energies.append(_objective(ix, iy, it, *d[inner], alpha2))
 
-    parts = _row_parts(h, w)
-    barrier = threading.Barrier(len(parts))
-    failures = []
-    sweep = (planes, d, d_next, cfg.iterations_per_level, barrier, failures)
-    workers = []
-    try:
-        for rows in parts[1:]:
-            # in a copy of the caller's context, numpy's error state included
-            run = contextvars.copy_context().run
-            worker = threading.Thread(target=run, args=(_sweep_part, rows, *sweep))
-            worker.start()
-            workers.append(worker)
-        d = _sweep_part(parts[0], *sweep, record)
-    except BaseException:
-        barrier.abort()  # a worker failed to start: free the started ones
-        raise
-    finally:
-        for worker in workers:
-            worker.join()
-    if failures:
-        raise failures[0]
+    _run_parts(sweep, _row_parts(slice(0, h), w), barrier=True)
+    d = increments[cfg.iterations_per_level % 2]  # the buffers swap after every sweep
     return flow + d[inner], energies
 
 

@@ -15,7 +15,8 @@ at every pixel.  Three wirings are provided:
 Pixels flagged invalid bypass fusion entirely: the native scores pass
 through unchanged and no gradient flows from them.  Inference evaluates
 the head only on the box of the valid pixels, in row bands of about
-raster._BAND_PIXELS pixels.
+raster._BAND_PIXELS pixels that raster._run_parts shares out between
+threads.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, TrainingError
 from .formats import KIND_FUSION_HEAD, pack_header, unpack_header
-from .raster import LabelMap, ScoreMap, _row_bands, _valid_box
+from .raster import LabelMap, ScoreMap, _row_bands, _run_parts, _thread_count, _valid_box
 
 VARIANT_KINDS = ("basic", "residual", "bottleneck")
 BOTTLENECK_EXPANSION = 2
@@ -278,11 +279,20 @@ def fuse_forward(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask)
     The head is evaluated only on the box of the valid pixels, streamed in
     the row bands of raster._row_bands: each band's two maps are stacked
     into one (2C, pixels) buffer and run through one workspace (only the
-    last band can be shorter; _buf gives it buffers of its own).  The box
-    is grown to at least 2 rows and columns where the raster allows,
-    because a one-pixel product runs as numpy's
-    matrix-vector product, whose rounding differs from the matrix
-    product's.  So every pixel gets the bits of a whole-raster evaluation.
+    last band can be shorter; _buf gives it buffers of its own).  The
+    threads of raster._run_parts take the bands from one queue, each with
+    a workspace of its own.  The box is grown to at least 2 rows and
+    columns where the raster allows, because a one-pixel product runs as
+    numpy's matrix-vector product, whose rounding differs from the matrix
+    product's.
+
+    A pixel's bits can still depend on its column in a band's product: a
+    BLAS kernel can round the last columns of a product, past its last
+    full column block, differently from the others (with a one-thread
+    OpenBLAS, 79 of the 463,188 scores of a residual head on a 242 x 319
+    box differed from one whole-box product).  The bands are the same
+    whatever thread runs them, so the output does not depend on the
+    thread count.
     """
     mask = _check_inputs(head, propagated, native, mask)
     out = native.data.copy()
@@ -291,14 +301,18 @@ def fuse_forward(head: FusionHead, propagated: ScoreMap, native: ScoreMap, mask)
         rows, cols = box
         c, kind, p = head.num_classes, head.variant.kind, head.params
         width = cols.stop - cols.start
-        ws = {}
-        for band in _row_bands(rows, width):
-            n = band.stop - band.start
-            x = _buf(ws, "x", (2 * c, n, width), out.dtype)
-            x[:c] = propagated.data[:, band, cols]
-            x[c:] = native.data[:, band, cols]
-            y = _forward_mat(kind, p, x.reshape(2 * c, -1), ws)
-            np.copyto(out[:, band, cols], y.reshape(c, n, width), where=mask[band, cols])
+
+        def fuse_bands(bands):
+            ws = {}  # one workspace per thread
+            for band in bands:
+                n = band.stop - band.start
+                x = _buf(ws, "x", (2 * c, n, width), out.dtype)
+                x[:c] = propagated.data[:, band, cols]
+                x[c:] = native.data[:, band, cols]
+                y = _forward_mat(kind, p, x.reshape(2 * c, -1), ws)
+                np.copyto(out[:, band, cols], y.reshape(c, n, width), where=mask[band, cols])
+
+        _run_parts(fuse_bands, _row_bands(rows, width), _thread_count(rows, width))
     return ScoreMap._adopt(out)
 
 

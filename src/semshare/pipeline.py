@@ -510,16 +510,23 @@ def run_ablation(suite: str, bench_root, train=None, variant=None) -> AblationTa
     """Run one named ablation suite against a generated benchmark.  `train`
     maps TrainConfig field names to values replacing the suite's preset
     (FUSION_TRAIN, OVERLAP_TRAIN); `variant` is the overlap head's kind
-    ("basic" when None).  An argument the suite does not use is a
-    ConfigError, raised before the benchmark is read."""
+    ("basic" when None).  An argument the suite does not use, a `train`
+    entry TrainConfig does not take (an unknown name, a value of the wrong
+    type) and an unknown variant are ConfigErrors, raised before the
+    benchmark is read."""
     if suite not in ABLATION_SUITES:
         raise ConfigError(f"unknown ablation suite {suite!r}; choose from {ABLATION_SUITES}")
     if train and suite not in _TRAIN_PRESETS:
         raise ConfigError(f"ablate {suite} trains no head; it takes no training flags")
     if variant is not None and suite != "overlap":
         raise ConfigError(f"--variant applies only to ablate overlap, not {suite}")
+    if variant is not None and variant not in VARIANT_KINDS:
+        raise ConfigError(f"unknown fusion variant {variant!r}; choose from {VARIANT_KINDS}")
     if suite in _TRAIN_PRESETS:
-        train_cfg = replace(_TRAIN_PRESETS[suite], **(train or {}))
+        try:
+            train_cfg = replace(_TRAIN_PRESETS[suite], **(train or {}))
+        except TypeError as exc:  # an unknown name, or a value of the wrong type
+            raise ConfigError(f"ablate {suite}: bad training settings {train}: {exc}") from exc
     bench = read_benchmark(bench_root)
     if suite == "flow":
         return ablate_flow(bench)

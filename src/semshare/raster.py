@@ -16,16 +16,35 @@ flow's pyramid, warp and upsampling and the synthetic flow samples, and
 _warp_planes warps through a grid with fill (below).  synth.value_noise
 blends its wrapping lattice's corners through it, on its own support.
 
-The per-pixel passes over a frame are box-bounded and cache-banded:
-_warp_planes evaluates only the bounding box of the grid's valid pixels
-(_valid_box) and streams it in row bands of about _BAND_PIXELS pixels,
-so one band's support and temporaries stay in L2.  Raster warps, label
-warps and grid composition (a warp of the inner grid's planes) all go
-through it.  Every banded pass walks _row_bands: this one, fusion's
-inference and the scene renderer.  _BAND_PIXELS also sets the smallest
-share of a level that the flow solver gives a thread of its own.  Every
-pixel sees the same arithmetic as in a whole-raster pass, so no result
-depends on the box or the band size.
+The per-pixel passes over a frame are box-bounded, cache-banded and
+shared between threads.  _warp_planes evaluates only the bounding box of
+the grid's valid pixels (_valid_box) and streams it in row bands of about
+_BAND_PIXELS pixels (_row_bands), so one band's support and temporaries
+stay in L2; raster warps, label warps and grid composition (a warp of the
+inner grid's planes) all go through it.  Every banded pass walks
+_row_bands: this one, fusion's inference and the scene renderer.  Every
+warped pixel sees the same arithmetic as in a whole-raster pass, so no
+warp depends on the box, the band size or the thread count.
+
+_run_parts is the package's one thread helper.  A pass runs on
+_thread_count threads: one per CPU the process may run on, but at most
+one per row and one per 2 * _BAND_PIXELS pixels.  The calling thread and
+one worker per other thread, joined before the return, take the pass's
+parts from one queue, each the next free part whenever it is done with
+one, so a thread whose CPU is busy with other work takes fewer.  The
+workers run in a copy of the caller's contextvars context (numpy's
+error state follows the caller), and the first failure is raised in the
+caller.  The banded passes hand out their bands, so every band, and each
+of fusion's matrix products, is the serial pass's whatever thread runs
+it.  numpy releases the interpreter lock only inside each call, so
+threads gain where the calls are large: _warp_planes (both score warps,
+the stage-one image warp, compose_grids and warp_labels),
+fusion.fuse_forward and the flow solver's sweeps (one part per thread
+there, with a barrier) use the helper.  The scene renderer stays serial:
+its many small numpy calls per band hand the lock back and forth, and two
+threads of bands gained nothing (2-core host, medians of 15 alternating
+rounds of two renders: 28.3 -> 28.7 and 32.0 -> 36.0 ms at 384^2, 7.7 ->
+7.6 and 8.8 -> 8.7 ms at 192^2).
 
 The module also holds the package's one binomial smoothing, _smooth
 (flow's pyramid and the score blur of synth.degrade_scores), and its one
@@ -33,6 +52,11 @@ pixel lattice, _lattice.
 """
 
 from __future__ import annotations
+
+import collections
+import contextvars
+import os
+import threading
 
 import numpy as np
 
@@ -245,6 +269,86 @@ def _row_bands(rows: slice, width):
     return [slice(r0, min(r0 + step, rows.stop)) for r0 in range(rows.start, rows.stop, step)]
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_count(rows: slice, width):
+    """Threads for a pass over `rows` of rows of `width` pixels: one per
+    usable CPU, but at most one per row and one per 2 * _BAND_PIXELS
+    pixels."""
+    n = rows.stop - rows.start
+    return max(1, min(_usable_cpus(), n * width // (2 * _BAND_PIXELS), n))
+
+
+def _row_parts(rows: slice, width):
+    """_thread_count(rows, width) contiguous row slices that cover `rows`,
+    one per thread; their sizes differ by at most one row."""
+    n, k = rows.stop - rows.start, _thread_count(rows, width)
+    bounds = [rows.start + n * i // k for i in range(k + 1)]
+    return [slice(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
+
+
+def _run_parts(fn, parts, threads=None, barrier=False):
+    """Run fn(taken) on `threads` threads (one per part by default): the
+    calling thread and one worker per other thread, started here, each in
+    a copy of the caller's contextvars context (numpy's error state
+    included), and joined before the return.  `taken` iterates over the
+    parts that its thread takes: each time it asks, a thread takes the
+    next part no thread has taken, so a thread that runs late (its CPU
+    busy with other work) takes fewer.
+
+    With barrier=True, fn(taken, barrier) gets one threading.Barrier of
+    all threads, and there must be one part per thread: no thread can
+    finish its part, and take another, before every thread has taken one.
+    A failure aborts the barrier, so every other thread stops at its next
+    wait, and no part is handed out after it; once all workers are
+    joined, the first failure is raised unchanged."""
+    threads = len(parts) if threads is None else threads
+    sync = threading.Barrier(threads) if barrier else None
+    extra = (sync,) if barrier else ()
+    todo = collections.deque(parts)  # popleft is atomic: no part is taken twice
+    failures = []
+
+    def taken():
+        while not failures:
+            try:
+                part = todo.popleft()
+            except IndexError:  # every part is taken
+                return
+            yield part
+
+    def fail(exc):
+        failures.append(exc)
+        if barrier:
+            sync.abort()
+
+    def run():
+        try:
+            fn(taken(), *extra)
+        except BaseException as exc:  # raised in the caller after the join
+            fail(exc)
+
+    workers = []
+    try:
+        for _ in range(threads - 1):
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+            worker.start()
+            workers.append(worker)
+    except BaseException as exc:  # a worker failed to start: free the started ones
+        fail(exc)
+    else:
+        run()
+    finally:
+        for worker in workers:
+            worker.join()
+    if failures:
+        raise failures[0]
+
+
 def _smooth(planes, weights):
     """Separable smoothing of the last two axes by the odd-length kernel
     `weights`, with replicate borders; Python-float weights keep the
@@ -415,18 +519,24 @@ def _valid_box(valid, pad=0, min_size=1):
 
 def _warp_planes(planes, grid: GridMap, fill: float):
     """Sample a sequence of equal-shape 2D planes through the grid inside
-    the box of its valid pixels, in row bands with one support each; every
+    the box of its valid pixels, in row bands with one support each, the
+    bands shared out between _thread_count threads by _run_parts; every
     pixel outside the box, and every invalid one, is fill.  Returns one
     (len(planes), H, W) array."""
     out = np.full((len(planes),) + grid.valid.shape, fill, np.result_type(*planes, grid.sx))
     box = _valid_box(grid.valid)
     if box is not None:
         rows, cols = box
-        for band in _row_bands(rows, cols.stop - cols.start):
-            sampled = _sample_planes(
-                planes, grid.sx[band, cols], grid.sy[band, cols], out[:, band, cols]
-            )
-            np.copyto(sampled, fill, where=~grid.valid[band, cols])
+        width = cols.stop - cols.start
+
+        def warp_bands(bands):
+            for band in bands:
+                sampled = _sample_planes(
+                    planes, grid.sx[band, cols], grid.sy[band, cols], out[:, band, cols]
+                )
+                np.copyto(sampled, fill, where=~grid.valid[band, cols])
+
+        _run_parts(warp_bands, _row_bands(rows, width), _thread_count(rows, width))
     return out
 
 

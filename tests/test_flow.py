@@ -324,12 +324,13 @@ def bounded(fn, *args, timeout=120.0):
 
 
 def force_parts(monkeypatch, cpus):
-    """Split every level into min(cpus, rows) parts."""
-    monkeypatch.setattr(flow, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(flow, "_BAND_PIXELS", 1)
+    """Split every pass of raster._row_parts (every level) into min(cpus,
+    rows) parts."""
+    monkeypatch.setattr(raster, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(raster, "_BAND_PIXELS", 1)
 
 
-# band_pixels (None: the default) is flow._BAND_PIXELS for the run at this
+# band_pixels (None: the default) is raster._BAND_PIXELS for the run at this
 # host's CPU count, whose levels split into min(CPUs, pixels //
 # (2 * band_pixels), rows) parts; the ids name the row bands of
 # raster._row_bands at that setting
@@ -384,7 +385,7 @@ class TestBandedSweep:
         for cpus in (None, 1, 2, 3, 64):
             with monkeypatch.context() as m:
                 if cpus is None:
-                    m.setattr(flow, "_BAND_PIXELS", band_pixels or flow._BAND_PIXELS)
+                    m.setattr(raster, "_BAND_PIXELS", band_pixels or raster._BAND_PIXELS)
                 else:
                     force_parts(m, cpus)
                 got, got_diag = bounded(estimate_flow_detailed, target, source, cfg)
@@ -425,8 +426,8 @@ class TestBandedSweep:
 
 
 class TestRowParts:
-    """How a level's rows are split between threads, and what a failing
-    part does to the solve."""
+    """How raster._row_parts splits a pass's rows (here a level's) between
+    threads, and what a failing part does to the solve."""
 
     @pytest.mark.parametrize(
         "cpus, shape, sizes",
@@ -439,11 +440,17 @@ class TestRowParts:
         ],
     )
     def test_part_count(self, monkeypatch, cpus, shape, sizes):
-        monkeypatch.setattr(flow, "_usable_cpus", lambda: cpus)
-        parts = flow._row_parts(*shape)
+        monkeypatch.setattr(raster, "_usable_cpus", lambda: cpus)
+        h, w = shape
+        parts = raster._row_parts(slice(0, h), w)
         assert [p.stop - p.start for p in parts] == sizes
         assert parts[0].start == 0 and parts[-1].stop == shape[0]
         assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+
+    def test_parts_of_a_row_range_start_at_its_first_row(self, monkeypatch):
+        monkeypatch.setattr(raster, "_usable_cpus", lambda: 3)
+        parts = raster._row_parts(slice(10, 311), 384)
+        assert [(p.start, p.stop) for p in parts] == [(10, 110), (110, 210), (210, 311)]
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by its own module,
-and every module-level private name is used somewhere in the package."""
+every module-level private name is used somewhere in the package, and
+only raster (its row-parts helper, _run_parts) holds thread code."""
 
 import ast
 import pathlib
@@ -64,3 +65,28 @@ def test_private_names_are_used():
         for name in private_definitions(tree) - used
     )
     assert not unused, f"private names nothing in the package uses: {unused}"
+
+
+THREAD_MODULES = {"threading", "contextvars", "_thread", "concurrent"}
+
+
+def imported_modules(tree):
+    """The top-level names of the modules a module imports, anywhere in it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_raster_imports_thread_modules():
+    """Every pass on threads goes through raster._run_parts; no other module
+    keeps a copy of its start, join and failure code."""
+    importers = sorted(
+        path.stem
+        for path in SRC.glob("*.py")
+        if imported_modules(ast.parse(path.read_text())) & THREAD_MODULES
+    )
+    assert importers == ["raster"]

@@ -1,9 +1,12 @@
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
 from test_flow import reference_solve_level
 from test_raster import reference_bilinear_support, reference_gather_bilinear
+from test_row_parts import by_part_count
 
 from semshare import flow, pipeline, raster
 from semshare.camera import CameraRig, Rotation3, homography_from_rig, write_rig
@@ -240,41 +243,71 @@ def raster_bytes(value):
     return {"": np.asarray(getattr(value, "data", value)).tobytes()}
 
 
+def guard_frame(tmp_path):
+    """(config, inputs) of a run_frame call: an odd height that is no band
+    multiple, and non-identity heads on both branches."""
+    scene = make_scene(834, size=(96, 97), planar=False)
+    pair = render_scene(scene)
+    write_rig(scene.rig, tmp_path / "rig.txt")
+    write_head(new_head("residual", 6, seed=1, init_scale=1.0), tmp_path / "narrow.bin")
+    write_head(new_head("bottleneck", 6, seed=2, init_scale=1.0), tmp_path / "wide.bin")
+    cfg = PipelineConfig(
+        rig_path=str(tmp_path / "rig.txt"),
+        narrow_head_path=str(tmp_path / "narrow.bin"),
+        wide_head_path=str(tmp_path / "wide.bin"),
+    )
+    inputs = (
+        pair.wide_image,
+        degrade_scores(pair.wide_labels, sigma=0.3, seed=5),
+        pair.narrow_image,
+        degrade_scores(pair.narrow_labels, sigma=0.3, seed=6),
+    )
+    return cfg, inputs
+
+
+def frame_bytes(cfg, inputs):
+    """Every array of run_frame(cfg, *inputs), as {path: bytes}."""
+    result = run_frame(cfg, *inputs)
+    return raster_bytes({f.name: getattr(result, f.name) for f in dataclasses.fields(result)})
+
+
 class TestReferenceKernelGuard:
     def test_run_frame_matches_reference_kernels_bytewise(self, tmp_path, monkeypatch):
         """The banded sweep and the flat-index gather change no output byte
         of the frame loop: an odd height that is no band multiple, and
         non-identity heads on both branches."""
-        scene = make_scene(834, size=(96, 97), planar=False)
-        pair = render_scene(scene)
-        write_rig(scene.rig, tmp_path / "rig.txt")
-        write_head(new_head("residual", 6, seed=1, init_scale=1.0), tmp_path / "narrow.bin")
-        write_head(new_head("bottleneck", 6, seed=2, init_scale=1.0), tmp_path / "wide.bin")
-        cfg = PipelineConfig(
-            rig_path=str(tmp_path / "rig.txt"),
-            narrow_head_path=str(tmp_path / "narrow.bin"),
-            wide_head_path=str(tmp_path / "wide.bin"),
-        )
-        inputs = (
-            pair.wide_image,
-            degrade_scores(pair.wide_labels, sigma=0.3, seed=5),
-            pair.narrow_image,
-            degrade_scores(pair.narrow_labels, sigma=0.3, seed=6),
-        )
-
-        def outputs():
-            result = run_frame(cfg, *inputs)
-            return raster_bytes(
-                {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-            )
-
-        fast = outputs()
+        cfg, inputs = guard_frame(tmp_path)
+        fast = frame_bytes(cfg, inputs)
         monkeypatch.setattr(flow, "_solve_level", reference_solve_level)
         monkeypatch.setattr(raster, "_bilinear_support", reference_bilinear_support)
         monkeypatch.setattr(raster, "_gather_bilinear", reference_gather_bilinear)
-        reference = outputs()
+        reference = frame_bytes(cfg, inputs)
         assert len(fast) == 12
         assert fast == reference
+
+
+class TestFrameRowParts:
+    def test_outputs_do_not_depend_on_the_part_count(self, tmp_path, monkeypatch):
+        """Both fused score maps, label maps and masks, and every
+        intermediate, are the same bytes with every pass of the frame (the
+        sweeps, warps, grid compositions and both fusions) split into 1, 2
+        and 3 row parts."""
+        cfg, inputs = guard_frame(tmp_path)
+        got = by_part_count(monkeypatch, lambda: frame_bytes(cfg, inputs).values())
+        assert len(got[1]) == 12
+        assert got[2] == got[1] and got[3] == got[1]
+
+    def test_one_cpu_starts_no_thread(self, tmp_path, monkeypatch):
+        """One-row bands would give every pass a part per CPU; with one
+        CPU no pass starts a thread."""
+        cfg, inputs = guard_frame(tmp_path)
+        monkeypatch.setattr(raster, "_BAND_PIXELS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        run_frame(cfg, *inputs)
+        assert started == []
 
 
 class TestMonotoneInformation:
@@ -433,13 +466,24 @@ class TestBenchmarkAndAblations:
             ("flow", None, "residual"),
             ("fusion", None, "residual"),
             ("flowquality", None, "residual"),
+            # arguments no suite can use: an unknown variant or TrainConfig
+            # field, and a value of the wrong type
+            ("overlap", None, "nonsense"),
+            ("overlap", {"bogus": 1}, None),
+            ("fusion", {"iterations": 5, "bogus": 1}, None),
+            ("fusion", {"iterations": "many"}, None),
         ],
     )
     def test_arguments_a_suite_does_not_use_are_rejected_unread(
         self, tiny_benchmark, monkeypatch, suite, train, variant
     ):
-        with pytest.raises(ConfigError):
-            run_ablation(suite, tiny_benchmark, train, variant)
+        loads = []
+        load_pair = pipeline._load_pair
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "_load_pair", lambda *args: loads.append(args) or load_pair(*args))
+            with pytest.raises(ConfigError):
+                run_ablation(suite, tiny_benchmark, train, variant)
+        assert loads == []
         reads = []
         monkeypatch.setattr(pipeline, "read_benchmark", lambda root: reads.append(root))
         with pytest.raises(ConfigError):
