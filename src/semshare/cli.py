@@ -42,6 +42,7 @@ from .fusion import VARIANT_KINDS, TrainConfig, new_head, train_fusion, write_he
 from .metrics import miou, report_to_text
 from .pipeline import (
     ABLATION_SUITES,
+    FUSION_TRAIN,
     PipelineConfig,
     read_benchmark,
     run_ablation,
@@ -49,7 +50,7 @@ from .pipeline import (
     share,
     write_benchmark,
 )
-from .pipeline import _fusion_dataset, _overlap_dataset
+from .pipeline import _branch_dataset
 from .raster import LabelMap
 from .synth import NUM_CLASSES
 
@@ -132,12 +133,7 @@ def cmd_train_fusion(args) -> int:
         seed=args.seed,
     )
     head = new_head(args.variant, NUM_CLASSES, seed=args.seed, init_scale=args.init_scale)
-    flow_cfg = _flow_config(args)
-    entries = bench.nonplanar()
-    if args.branch == "narrow":
-        items = _fusion_dataset(bench, entries, flow_cfg, train_seed_base=bench.seed)
-    else:
-        items = _overlap_dataset(bench, entries, flow_cfg)
+    items = _branch_dataset(bench, bench.nonplanar(), _flow_config(args), args.branch, bench.seed)
     trained, losses = train_fusion(head, items, cfg)
     write_head(trained, args.out)
     print(f"trained {args.variant} head written to {args.out} (final loss {losses[-1]:.6f})")
@@ -261,10 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANT_KINDS, default="basic")
     p.add_argument("--branch", choices=("narrow", "wide"), default="narrow")
     p.add_argument("--out", required=True)
+    # FUSION_TRAIN, the narrow branch's preset, but seed 0
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.25)
-    p.add_argument("--train-iterations", type=int, default=3000)
-    p.add_argument("--batch-fraction", type=float, default=0.1)
+    p.add_argument("--lr", type=float, default=FUSION_TRAIN.learning_rate)
+    p.add_argument("--train-iterations", type=int, default=FUSION_TRAIN.iterations)
+    p.add_argument("--batch-fraction", type=float, default=FUSION_TRAIN.batch_fraction)
     p.add_argument("--init-scale", type=float, default=0.1)
     _add_flow_flags(p)
     p.set_defaults(func=cmd_train_fusion)

@@ -1,9 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the field type check
+of its configuration dataclasses.
 
 The CLI maps these onto exit codes (see cli.py): configuration problems
 exit with 2, malformed data or mismatched rasters with 3, and numeric
 failures with 4.
 """
+
+import numbers
+from dataclasses import fields
 
 
 class SemShareError(Exception):
@@ -45,3 +49,16 @@ class PipelineStageError(SemShareError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def _check_field_types(config):
+    """Raise ConfigError unless every `int` field of the dataclass `config`
+    holds a numbers.Integral and every other field a numbers.Real; a bool
+    is neither."""
+    for f in fields(config):
+        kind = numbers.Integral if f.type in ("int", int) else numbers.Real
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(
+                f"{type(config).__name__}.{f.name} must be {kind.__name__.lower()}, got {value!r}"
+            )

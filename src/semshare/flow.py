@@ -74,7 +74,7 @@ from typing import ClassVar
 import numpy as np
 
 from .camera import CameraRig, homography_from_rig
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, _check_field_types
 from .raster import (
     FlowField,
     GridMap,
@@ -112,6 +112,7 @@ class FlowConfig:
     min_level_size: ClassVar[int] = 16
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.num_levels < 1:
             raise ConfigError(f"num_levels must be >= 1, got {self.num_levels}")
         if self.iterations_per_level < 1:

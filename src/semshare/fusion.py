@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, TrainingError
+from .errors import ConfigError, DataError, DimensionError, TrainingError, _check_field_types
 from .formats import KIND_FUSION_HEAD, pack_header, unpack_header
 from .raster import LabelMap, ScoreMap, _row_bands, _run_parts, _thread_count, _valid_box
 
@@ -351,6 +351,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if not 0.0 <= self.learning_rate < math.inf:
             raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.iterations < 1:

@@ -9,13 +9,18 @@ direction.  Invalid pixels always fall back to the native scores, so
 the wide branch never changes outside the overlap region.
 
 The ablation suites run through run_ablation, which alone holds their
-training presets and the rules on which suite takes which argument.
+training presets and the rules on which suite takes which argument.  One
+builder, _branch_dataset, makes either camera branch's training items for
+ablate fusion, ablate overlap and train-fusion; one routine,
+_train_and_evaluate, splits the scenes into halves and trains and scores
+the heads.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -293,9 +298,12 @@ def read_benchmark(root) -> Benchmark:
         for key in ("size", "flow_size"):
             if min(int(v) for v in fields.take(key, 2)) < 1:
                 raise DataError(f"benchmark manifest {key} must be positive")
+        rows = fields.take_all("scene", 6)
+        if any(planar not in ("0", "1") for _, _, _, planar, _, _ in rows):
+            raise DataError("benchmark manifest planar flags must be 0 or 1")
         scenes = [
-            BenchmarkEntry(directory, bool(int(planar)), int(scene_seed))
-            for _, directory, _, planar, _, scene_seed in fields.take_all("scene", 6)
+            BenchmarkEntry(directory, planar == "1", int(scene_seed))
+            for _, directory, _, planar, _, scene_seed in rows
         ]
         textures = [
             (int(index), rel, int(tex_seed))
@@ -380,91 +388,84 @@ def ablate_flow(bench: Benchmark) -> AblationTable:
     return AblationTable("flow", [pt_row, two_row], [("pt+flow-pt", "miou", two - pt)])
 
 
-def _fusion_dataset(bench, entries, flow_cfg, train_seed_base):
+# Per camera branch: the direction in which the other camera's degraded
+# (sigma, blur) labels are shared into it, its native degradation (sigma,
+# blur) and the per-scene seed stride.
+_BRANCHES = {
+    "narrow": ("forward", PROPAGATED_SIGMA, PROPAGATED_BLUR, NATIVE_NARROW_SIGMA, 0, 3),
+    "wide": ("backward", BACKWARD_NARROW_SIGMA, 0, NATIVE_WIDE_SIGMA, NATIVE_WIDE_BLUR, 5),
+}
+
+
+def _branch_dataset(bench, entries, flow_cfg, branch, seed_base):
+    """Training items (shared scores, native scores, validity mask, labels)
+    of one camera branch, one per scene.  The wide branch shares back
+    lightly degraded narrow scores: the long focal sees far content more
+    clearly."""
+    direction, sigma, blur, native_sigma, native_blur, stride = _BRANCHES[branch]
+    other = "wide" if branch == "narrow" else "narrow"
     items = []
     for entry in entries:
         scene, pair = _load_pair(bench, entry)
-        wide_scores = degrade_scores(
-            pair.wide_labels,
-            sigma=PROPAGATED_SIGMA,
-            blur=PROPAGATED_BLUR,
-            seed=train_seed_base + 3 * entry.seed + 1,
-        )
-        propagated, mask = share(
-            scene.rig, wide_scores, pair.wide_image, pair.narrow_image, flow_cfg
+        seed = seed_base + stride * entry.seed
+        scores = degrade_scores(getattr(pair, f"{other}_labels"), sigma, blur, seed + 1)
+        shared, mask = share(
+            scene.rig, scores, pair.wide_image, pair.narrow_image, flow_cfg, direction
         )[:2]
-        native = degrade_scores(
-            pair.narrow_labels,
-            sigma=NATIVE_NARROW_SIGMA,
-            seed=train_seed_base + 3 * entry.seed + 2,
-        )
-        items.append((propagated, native, mask, pair.narrow_labels))
+        labels = getattr(pair, f"{branch}_labels")
+        native = degrade_scores(labels, native_sigma, native_blur, seed + 2)
+        items.append((shared, native, mask, labels))
     return items
+
+
+def _fusion_dataset(bench, entries, flow_cfg, train_seed_base):
+    return _branch_dataset(bench, entries, flow_cfg, "narrow", train_seed_base)
+
+
+def _overlap_dataset(bench, entries, flow_cfg):
+    return _branch_dataset(bench, entries, flow_cfg, "wide", bench.seed)
+
+
+def _train_and_evaluate(suite, bench, build, baseline, heads, train_cfg) -> AblationTable:
+    """Train each (name, head) of `heads` on the items `build(bench,
+    entries)` makes of the first half of the non-planar scenes, and compare
+    its fused labels on the rest against the `baseline` row: the argmax of
+    the shared scores ("none") or of the native scores ("native")."""
+    entries = bench.nonplanar()
+    if len(entries) < 2:
+        raise ConfigError(f"{suite} ablation needs at least two non-planar scenes")
+    items = build(bench, entries)
+    train_items, eval_items = items[: len(items) // 2], items[len(items) // 2 :]
+
+    def row(name, scores):
+        pairs = [(scores(p, n, m).argmax_labels(), gt, m) for p, n, m, gt in eval_items]
+        return _miou_row(name, pairs)
+
+    base_row, base = row(baseline, lambda p, n, m: n if baseline == "native" else p)
+    rows, deltas = [base_row], []
+    for name, head in heads:
+        trained, _ = train_fusion(head, train_items, train_cfg)
+        fused_row, value = row(name, partial(fuse_forward, trained))
+        rows.append(fused_row)
+        deltas.append((f"{name}-{baseline}", "miou", value - base))
+    return AblationTable(suite, rows, deltas)
 
 
 def ablate_fusion(bench: Benchmark, train_cfg: TrainConfig) -> AblationTable:
     """Head-to-head comparison of the fusion wirings against propagated
     scores alone, trained on half the scenes and evaluated on the rest."""
-    entries = bench.nonplanar()
-    if len(entries) < 2:
-        raise ConfigError("fusion ablation needs at least two non-planar scenes")
-    half = len(entries) // 2
-    items = _fusion_dataset(bench, entries, FlowConfig(), train_seed_base=bench.seed)
-    train_items, eval_items = items[:half], items[half:]
-
-    none_row, none = _miou_row("none", [(p.argmax_labels(), gt, m) for p, n, m, gt in eval_items])
-    rows, deltas = [none_row], []
-    for kind in VARIANT_KINDS:
-        head, _ = train_fusion(new_head(kind, NUM_CLASSES, seed=11), train_items, train_cfg)
-        fused = [(fuse_forward(head, p, n, m).argmax_labels(), gt, m) for p, n, m, gt in eval_items]
-        row, value = _miou_row(kind, fused)
-        rows.append(row)
-        deltas.append((f"{kind}-none", "miou", value - none))
-    return AblationTable("fusion", rows, deltas)
-
-
-def _overlap_dataset(bench, entries, flow_cfg):
-    """Back-propagated narrow scores (lightly degraded: the long focal sees
-    far content more clearly) paired with heavier-degraded native wide
-    scores, per scene."""
-    items = []
-    for entry in entries:
-        scene, pair = _load_pair(bench, entry)
-        narrow_scores = degrade_scores(
-            pair.narrow_labels, sigma=BACKWARD_NARROW_SIGMA, seed=bench.seed + 5 * entry.seed + 1
-        )
-        back, mask = share(
-            scene.rig, narrow_scores, pair.wide_image, pair.narrow_image, flow_cfg, "backward"
-        )[:2]
-        native_wide = degrade_scores(
-            pair.wide_labels,
-            sigma=NATIVE_WIDE_SIGMA,
-            blur=NATIVE_WIDE_BLUR,
-            seed=bench.seed + 5 * entry.seed + 2,
-        )
-        items.append((back, native_wide, mask, pair.wide_labels))
-    return items
+    heads = [(kind, new_head(kind, NUM_CLASSES, seed=11)) for kind in VARIANT_KINDS]
+    build = partial(_fusion_dataset, flow_cfg=FlowConfig(), train_seed_base=bench.seed)
+    return _train_and_evaluate("fusion", bench, build, "none", heads, train_cfg)
 
 
 def ablate_overlap(bench: Benchmark, train_cfg: TrainConfig, variant: str) -> AblationTable:
     """Wide-branch refinement in the overlap region: back-propagated narrow
     scores (generated at lower degradation) fused with the native wide
     scores, against the native wide scores alone."""
-    entries = bench.nonplanar()
-    if len(entries) < 2:
-        raise ConfigError("overlap ablation needs at least two non-planar scenes")
-    half = len(entries) // 2
-    items = _overlap_dataset(bench, entries, FlowConfig())
-    train_items, eval_items = items[:half], items[half:]
-
-    native_row, native = _miou_row(
-        "native", [(n.argmax_labels(), gt, m) for b, n, m, gt in eval_items]
-    )
-    head, _ = train_fusion(new_head(variant, NUM_CLASSES, seed=13), train_items, train_cfg)
-    fused = [(fuse_forward(head, b, n, m).argmax_labels(), gt, m) for b, n, m, gt in eval_items]
-    refined_row, refined = _miou_row("refined", fused)
-    deltas = [("refined-native", "miou", refined - native)]
-    return AblationTable("overlap", [native_row, refined_row], deltas)
+    heads = [("refined", new_head(variant, NUM_CLASSES, seed=13))]
+    build = partial(_overlap_dataset, flow_cfg=FlowConfig())
+    return _train_and_evaluate("overlap", bench, build, "native", heads, train_cfg)
 
 
 def ablate_flowquality(bench: Benchmark) -> AblationTable:
@@ -525,7 +526,7 @@ def run_ablation(suite: str, bench_root, train=None, variant=None) -> AblationTa
     if suite in _TRAIN_PRESETS:
         try:
             train_cfg = replace(_TRAIN_PRESETS[suite], **(train or {}))
-        except TypeError as exc:  # an unknown name, or a value of the wrong type
+        except TypeError as exc:  # an unknown name
             raise ConfigError(f"ablate {suite}: bad training settings {train}: {exc}") from exc
     bench = read_benchmark(bench_root)
     if suite == "flow":

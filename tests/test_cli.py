@@ -363,6 +363,14 @@ def fake_training_suites(monkeypatch):
     return seen
 
 
+def test_train_fusion_defaults_are_the_narrow_preset():
+    args = cli.build_parser().parse_args(["train-fusion", "--bench", "b", "--out", "h"])
+    assert (args.lr, args.train_iterations, args.batch_fraction) == (
+        FUSION_TRAIN.learning_rate, FUSION_TRAIN.iterations, FUSION_TRAIN.batch_fraction
+    )
+    assert args.seed == 0  # not the preset's
+
+
 class TestAblateTrainingFlags:
     @pytest.mark.parametrize(
         "suite, flags, expected",

@@ -8,15 +8,17 @@ from test_flow import reference_solve_level
 from test_raster import reference_bilinear_support, reference_gather_bilinear
 from test_row_parts import by_part_count
 
-from semshare import flow, pipeline, raster
+from semshare import cli, flow, pipeline, raster
 from semshare.camera import CameraRig, Rotation3, homography_from_rig, write_rig
 from semshare.cli import main
 from semshare.errors import ConfigError, DataError, MetricUndefinedError, PipelineStageError
 from semshare.flow import FlowConfig, two_stage_map
-from semshare.fusion import identity_head, new_head, write_head
+from semshare.fusion import TrainConfig, identity_head, new_head, write_head
 from semshare.metrics import miou
 from semshare.pipeline import (
     PipelineConfig,
+    _fusion_dataset,
+    _overlap_dataset,
     ablate_flow,
     read_benchmark,
     run_ablation,
@@ -403,6 +405,7 @@ class TestBenchmarkAndAblations:
             ("version 1\n", "version 2\n"),
             ("seed 5\n", "seed 5\nwibble 1\n"),  # an unknown key
             ("seed 5\n", "seed 5\ntexture 009 textures/t.pgm seed 1 extra\n"),
+            ("planar 0 ", "planar 7 "),  # read as planar once, so ablate flow exited 2
         ],
     )
     def test_malformed_manifest_rejected(self, tiny_benchmark, tmp_path, capsys, old, new):
@@ -472,6 +475,9 @@ class TestBenchmarkAndAblations:
             ("overlap", {"bogus": 1}, None),
             ("fusion", {"iterations": 5, "bogus": 1}, None),
             ("fusion", {"iterations": "many"}, None),
+            # these once loaded and shared every scene, then raised TypeError
+            ("fusion", {"iterations": 2.5}, None),
+            ("overlap", {"seed": 1.5}, None),
         ],
     )
     def test_arguments_a_suite_does_not_use_are_rejected_unread(
@@ -490,6 +496,36 @@ class TestBenchmarkAndAblations:
             run_ablation(suite, tiny_benchmark, train, variant)
         assert reads == []
 
+    @pytest.mark.parametrize(
+        "branch, build",
+        [
+            ("narrow", lambda bench, entries, cfg: _fusion_dataset(bench, entries, cfg, bench.seed)),
+            ("wide", _overlap_dataset),
+        ],
+    )
+    def test_train_fusion_trains_on_the_suite_dataset(
+        self, tiny_benchmark, tmp_path, monkeypatch, branch, build
+    ):
+        trained_on = []
+
+        def fake_train_fusion(head, items, cfg):
+            trained_on.extend(items)
+            return head, [0.0]
+
+        monkeypatch.setattr(cli, "train_fusion", fake_train_fusion)
+        argv = ["train-fusion", "--bench", str(tiny_benchmark), "--branch", branch,
+                "--iterations", "5", "--out", str(tmp_path / "head.bin")]
+        assert main(argv) == 0
+        bench = read_benchmark(tiny_benchmark)
+        built = build(bench, bench.nonplanar(), FlowConfig(iterations_per_level=5))
+
+        def arrays(items):
+            planes = [[a if isinstance(a, np.ndarray) else a.data for a in item] for item in items]
+            return [[(a.dtype.str, a.shape, a.tobytes()) for a in item] for item in planes]
+
+        assert len(built) == 4
+        assert arrays(trained_on) == arrays(built)
+
     def test_table_text_parsable(self, tiny_benchmark):
         table = run_ablation("flow", tiny_benchmark)
         text = table.to_text()
@@ -497,3 +533,19 @@ class TestBenchmarkAndAblations:
         for line in text.strip().splitlines()[1:]:
             kind = line.split()[0]
             assert kind in ("row", "delta")
+
+
+def wrong_typed_fields():
+    """Every TrainConfig and FlowConfig field with each value of the wrong
+    type for it: a float for a count or seed, a str and a bool for any."""
+    for config in (TrainConfig, FlowConfig):
+        for f in dataclasses.fields(config):
+            values = ([2.5] if isinstance(f.default, int) else []) + ["3", True]
+            for value in values:
+                yield pytest.param(config, f.name, value, id=f"{config.__name__}.{f.name}={value!r}")
+
+
+@pytest.mark.parametrize("config, name, value", list(wrong_typed_fields()))
+def test_config_fields_reject_wrong_types(config, name, value):
+    with pytest.raises(ConfigError):
+        config(**{name: value})
