@@ -64,6 +64,10 @@ class Intrinsics:
         )
         return inv + 0.0  # normalize any -0.0 entries
 
+    def project(self, x, y, z):
+        """Pixel coordinates (u, v) of camera-frame points (x, y, z), z > 0."""
+        return (self.fx * x + self.skew * y) / z + self.cx, self.fy * y / z + self.cy
+
 
 class Rotation3:
     """A proper 3D rotation matrix, validated to 1e-9 orthonormality."""

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .flow import FlowConfig, estimate_flow, flow_to_color
 from .formats import (
+    _MAX_LABEL_CLASSES,
     read_image,
     read_labels,
     read_mask,
@@ -193,8 +194,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.classes is not None and args.classes < 2:
-        raise ConfigError(f"--classes must be >= 2, got {args.classes}")
+    if args.classes is not None and not 2 <= args.classes <= _MAX_LABEL_CLASSES:
+        raise ConfigError(f"--classes must be in [2, {_MAX_LABEL_CLASSES}], got {args.classes}")
     pred = read_labels(args.pred)
     gt = read_labels(args.gt)
     if args.mask:
@@ -257,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANT_KINDS, default="basic")
     p.add_argument("--branch", choices=("narrow", "wide"), default="narrow")
     p.add_argument("--out", required=True)
-    # FUSION_TRAIN, the narrow branch's preset, but seed 0
+    # FUSION_TRAIN, the narrow branch's preset, but seed 0.  Unlike ablate's,
+    # these dests are not TrainConfig's field names: --train-iterations would
+    # share the dest `iterations` with the flow flags' --iterations
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=FUSION_TRAIN.learning_rate)
     p.add_argument("--train-iterations", type=int, default=FUSION_TRAIN.iterations)

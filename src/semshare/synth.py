@@ -203,8 +203,7 @@ class SynthScene:
         y_top = self.ground_height - box.height
         for bx in (box.x_center - box.width / 2.0, box.x_center + box.width / 2.0):
             for by in (y_top, self.ground_height):
-                u = k.fx * bx / box.depth + k.cx
-                v = k.fy * by / box.depth + k.cy
+                u, v = k.project(bx, by, box.depth)
                 if not (0.0 <= u <= w - 1 and 0.0 <= v <= h - 1):
                     raise ConfigError(
                         f"box at depth {box.depth} leaves the wide view "
@@ -363,8 +362,7 @@ def _correspondence_grid(
     cam_pt = np.einsum("ij,jhw->ihw", rotation, rel)
     in_front = cam_pt[2] > _EPS
     z = np.where(in_front, cam_pt[2], 1.0)
-    u = (cam.fx * cam_pt[0] + cam.skew * cam_pt[1]) / z + cam.cx
-    v = cam.fy * cam_pt[1] / z + cam.cy
+    u, v = cam.project(cam_pt[0], cam_pt[1], z)
     # border tolerance absorbs reprojection round-off at the exact edge
     tol = 1e-6
     in_bounds = in_front & (u >= -tol) & (u <= w - 1 + tol) & (v >= -tol) & (v <= h - 1 + tol)

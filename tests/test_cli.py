@@ -308,6 +308,18 @@ class TestEvalCommand:
         argv = ["eval", "--pred", str(labels), "--gt", str(labels), "--classes", classes]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("classes", ["257", "1000000000"])
+    def test_more_classes_than_a_label_byte_holds_is_config_error(self, tmp_path, capsys, classes):
+        # the paths do not exist: the flag is rejected before anything is read
+        missing = str(tmp_path / "missing.bin")
+        assert main(["eval", "--pred", missing, "--gt", missing, "--classes", classes]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_256_classes_is_accepted(self, tmp_path):
+        labels = tmp_path / "labels.bin"
+        write_labels(LabelMap(np.zeros((4, 4), dtype=int), 6), labels)
+        assert main(["eval", "--pred", str(labels), "--gt", str(labels), "--classes", "256"]) == 0
+
     def test_empty_mask_is_numeric_error(self, tmp_path):
         labels = tmp_path / "labels.bin"
         write_labels(LabelMap(np.zeros((4, 4), dtype=int), 6), labels)
@@ -369,6 +381,26 @@ def test_train_fusion_defaults_are_the_narrow_preset():
         FUSION_TRAIN.learning_rate, FUSION_TRAIN.iterations, FUSION_TRAIN.batch_fraction
     )
     assert args.seed == 0  # not the preset's
+
+
+def test_train_fusion_keeps_flow_and_training_iterations_apart(bench_dir, tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_branch_dataset(bench, entries, flow_cfg, branch, seed_base):
+        seen["flow_cfg"] = flow_cfg
+        return []
+
+    def fake_train_fusion(head, items, cfg):
+        seen["train_cfg"] = cfg
+        return head, [0.0]
+
+    monkeypatch.setattr(cli, "_branch_dataset", fake_branch_dataset)
+    monkeypatch.setattr(cli, "train_fusion", fake_train_fusion)
+    argv = ["train-fusion", "--bench", str(bench_dir), "--out", str(tmp_path / "head.bin"),
+            "--iterations", "7", "--train-iterations", "5"]
+    assert main(argv) == 0
+    assert seen["flow_cfg"].iterations_per_level == 7
+    assert seen["train_cfg"].iterations == 5
 
 
 class TestAblateTrainingFlags:

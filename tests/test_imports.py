@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its own module,
-every module-level private name is used somewhere in the package, and
-only raster (its row-parts helper, _run_parts) holds thread code."""
+every module-level private name is used somewhere in the package, every
+public name has a caller, the package root re-exports nothing, and only
+raster (its row-parts helper, _run_parts) holds thread code."""
 
 import ast
 import pathlib
@@ -90,3 +91,60 @@ def test_only_raster_imports_thread_modules():
         if imported_modules(ast.parse(path.read_text())) & THREAD_MODULES
     )
     assert importers == ["raster"]
+
+
+def test_package_root_defines_only_the_version():
+    """Each public name is reached one way, from its own module."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree) is not None
+    rest = [ast.unparse(node).split(" = ")[0] for node in tree.body[1:]]
+    assert rest == ["__version__"], f"the package root holds more than __version__: {rest}"
+
+
+# the package, the benchmark and the acceptance gate; tests of a name are no caller
+CALLER_FILES = [
+    *sorted(SRC.glob("*.py")),
+    *sorted((SRC.parents[1] / "perfbench").glob("*.py")),
+    SRC.parents[1] / "tests" / "test_acceptance.py",
+]
+# criterion 8 checks fuse_backward's hand-derived gradients through
+# tests/test_fusion.run_fd_check; the package itself trains in float32
+CALLED_ONLY_BY_TESTS = {"fusion.fuse_backward"}
+
+
+def public_definitions(tree):
+    """Public top-level functions and classes, and public methods of the
+    public classes, as (qualified name, bare name) pairs."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_public_names_have_callers():
+    """A caller is a name read, an attribute or an import of the name in
+    one of CALLER_FILES.  The check is by bare name: a name that two
+    definitions share counts as a caller of both, so a finding can be
+    missed; and a name reached only through a string, as in perfbench's
+    Target entries, would be reported."""
+    called = set()
+    for path in CALLER_FILES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                called.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                called.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                called.update(alias.name for alias in node.names)
+    uncalled = sorted(
+        f"{path.stem}.{qualified}"
+        for path in MODULES
+        for qualified, name in public_definitions(ast.parse(path.read_text()))
+        if name not in called
+    )
+    # a listed exception that gains a caller leaves the list
+    assert set(uncalled) == CALLED_ONLY_BY_TESTS, f"public names without a caller: {uncalled}"

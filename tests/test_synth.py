@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,25 @@ class TestSceneRendering:
                 boxes=(Box(depth=2.0, x_center=5.0, width=1.0, height=1.0, class_id=2, texture_seed=0),),
                 texture_seed=0,
             )
+
+    @pytest.mark.parametrize("x_center, visible", [(-3.9, True), (-3.95, False)])
+    def test_box_check_projects_with_skew(self, x_center, visible):
+        """With skew 40 the top-left corner at x_center -3.9 lands at u = 0.14
+        (u = -5.3 without the skew term); 5 cm further left it is at -0.46."""
+        scene = make_scene(6000, size=(96, 96), planar=False)
+        cam = replace(scene.rig.cam_wide, skew=40.0)
+        xs, ys = np.meshgrid(np.arange(96.0), np.arange(96.0))
+        u, v = cam.project(*synth._view_rays(cam, (96, 96), np.eye(3)))
+        np.testing.assert_allclose(np.stack([u, v]), np.stack([xs, ys]), atol=1e-9)
+        box = Box(depth=4.0, x_center=x_center, width=1.0, height=1.0, class_id=2, texture_seed=0)
+        fields = dict(rig=replace(scene.rig, cam_wide=cam), baseline=scene.baseline,
+                      ground_height=scene.ground_height, ground_cell=scene.ground_cell,
+                      boxes=(box,), texture_seed=0)
+        if visible:
+            assert SynthScene(**fields).boxes == (box,)
+        else:
+            with pytest.raises(ConfigError, match="leaves the wide view"):
+                SynthScene(**fields)
 
     def test_negative_texture_seeds_rejected(self):
         scene = make_scene(301)
