@@ -111,16 +111,14 @@ def cmd_share(args) -> int:
     wide_img = read_image(args.wide_image)
     narrow_img = read_image(args.narrow_image)
     scores = read_scores(args.scores)
-    propagated, mask, stage1_image, flow = share(
-        rig, scores, wide_img, narrow_img, _flow_config(args), args.direction
-    )
-    write_scores(propagated, args.out)
+    shared = share(rig, scores, wide_img, narrow_img, _flow_config(args), args.direction)
+    write_scores(shared.scores, args.out)
     if args.out_mask:
-        write_mask(mask, args.out_mask)
+        write_mask(shared.mask, args.out_mask)
     if args.dump_intermediates:
         stem, _ = os.path.splitext(args.out)
-        write_image(stage1_image, stem + "_stage1.pgm")
-        write_flo(flow, stem + "_flow.flo")
+        write_image(shared.stage1_image, stem + "_stage1.pgm")
+        write_flo(shared.flow, stem + "_flow.flo")
     print(f"propagated scores written to {args.out}")
     return 0
 
@@ -171,12 +169,11 @@ def cmd_run(args) -> int:
     else:
         write_mask(np.ones_like(result.wide_mask), path("eval_mask.pgm"))
     if args.dump_intermediates:
-        write_image(result.intermediates["forward"]["stage1_image"], path("stage1_forward.pgm"))
-        write_image(result.intermediates["backward"]["stage1_image"], path("stage1_backward.pgm"))
-        write_flo(result.intermediates["forward"]["flow"], path("flow_forward.flo"))
-        write_flo(result.intermediates["backward"]["flow"], path("flow_backward.flo"))
-        write_scores(result.intermediates["propagated"], path("propagated.bin"))
-        write_scores(result.intermediates["back_propagated"], path("back_propagated.bin"))
+        for direction, prefix in (("forward", ""), ("backward", "back_")):
+            shared = getattr(result, direction)
+            write_image(shared.stage1_image, path(f"stage1_{direction}.pgm"))
+            write_flo(shared.flow, path(f"flow_{direction}.flo"))
+            write_scores(shared.scores, path(f"{prefix}propagated.bin"))
     print(f"frame results written to {args.out}")
     return 0
 
@@ -227,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--scenes", type=int, default=20)
-    p.add_argument("--planar-scenes", type=int, default=3)
+    p.add_argument("--planar-scenes", type=int, default=0)
     p.add_argument("--flow-samples", type=int, default=50)
     p.add_argument("--size", default="192x192")
     p.add_argument("--flow-size", default="256x256")

@@ -4,9 +4,9 @@ ablations.
 
 The frame loop runs: forward share (wide scores into the narrow frame),
 narrow fusion, backward share (fused narrow scores into the wide frame),
-wide fusion.  Both shares are one function, `share`, run in either
-direction.  Invalid pixels always fall back to the native scores, so
-the wide branch never changes outside the overlap region.
+wide fusion.  Both shares are `share`, run in either direction; FrameResult
+keeps each one's `Shared` record.  Invalid pixels always fall back to the
+native scores, so the wide branch never changes outside the overlap region.
 
 The ablation suites run through run_ablation, which alone holds their
 training presets and the rules on which suite takes which argument.  One
@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,13 +97,23 @@ def load_head(path, num_classes) -> FusionHead:
     return head
 
 
+class Shared(NamedTuple):
+    """One share's output in its target frame: propagated scores, validity
+    mask, the source image warped by stage one alone and the residual flow
+    solved against it.  It holds no grid, so a kept record frees the map."""
+
+    scores: ScoreMap
+    mask: np.ndarray
+    stage1_image: Image
+    flow: FlowField
+
+
 @dataclass
 class FrameResult:
-    """Fused scores, labels and validity masks of both branches, plus the
-    intermediates: "propagated" and "back_propagated" scores, and per
-    direction ("forward", "backward") the stage-one warped image and the
-    residual flow.  The backward residual flow is solved on the box of the
-    stage-one footprint in the wide frame and is zero outside it."""
+    """Fused scores, labels and validity masks (forward.mask, backward.mask)
+    of both branches, and the `Shared` records of the forward (wide into
+    narrow) and backward (fused narrow into wide) shares.  The backward flow
+    is solved on the box of the stage-one footprint and is zero outside it."""
 
     narrow_scores: ScoreMap
     narrow_labels: LabelMap
@@ -110,7 +121,8 @@ class FrameResult:
     wide_labels: LabelMap
     narrow_mask: np.ndarray
     wide_mask: np.ndarray
-    intermediates: dict
+    forward: Shared
+    backward: Shared
 
 
 def _run_stage(stage: str, fn):
@@ -127,16 +139,13 @@ def share(
     narrow_img: Image,
     cfg: FlowConfig | None = None,
     direction: str = "forward",
-):
+) -> Shared:
     """Propagate scores between the cameras through the two-stage map.
 
     direction "forward" pulls wide-camera scores into the narrow frame;
     "backward" pulls narrow-camera scores into the wide frame by running
     the same machinery with the camera roles swapped (inverted homography,
     flow estimated in the opposite direction).
-
-    Returns (propagated scores, validity mask, stage-one warped image,
-    residual flow).
     """
     if direction == "forward":
         rig_in, source_img, target_img = rig, wide_img, narrow_img
@@ -145,8 +154,7 @@ def share(
     else:
         raise ConfigError(f"share direction must be 'forward' or 'backward', got {direction!r}")
     grid, _, stage1_image, flow = two_stage_map_detailed(rig_in, source_img, target_img, cfg)
-    propagated, mask = warp_raster(scores, grid)
-    return propagated, mask, stage1_image, flow
+    return Shared(*warp_raster(scores, grid), stage1_image, flow)
 
 
 def run_frame(
@@ -162,20 +170,18 @@ def run_frame(
     narrow_head = _run_stage("config", lambda: load_head(cfg.narrow_head_path, c))
     wide_head = _run_stage("config", lambda: load_head(cfg.wide_head_path, c))
 
-    propagated, narrow_mask, fwd_stage1, fwd_flow = _run_stage(
-        "share_forward",
-        lambda: share(rig, wide_scores, wide_img, narrow_img, cfg.flow),
+    forward = _run_stage(
+        "share_forward", lambda: share(rig, wide_scores, wide_img, narrow_img, cfg.flow)
     )
     narrow_fused = _run_stage(
-        "fuse_narrow",
-        lambda: fuse_forward(narrow_head, propagated, narrow_scores, narrow_mask),
+        "fuse_narrow", lambda: fuse_forward(narrow_head, forward.scores, narrow_scores, forward.mask)
     )
-    back, wide_mask, bwd_stage1, bwd_flow = _run_stage(
+    backward = _run_stage(
         "share_backward",
         lambda: share(rig, narrow_fused, wide_img, narrow_img, cfg.flow, "backward"),
     )
     wide_fused = _run_stage(
-        "fuse_wide", lambda: fuse_forward(wide_head, back, wide_scores, wide_mask)
+        "fuse_wide", lambda: fuse_forward(wide_head, backward.scores, wide_scores, backward.mask)
     )
 
     return FrameResult(
@@ -183,14 +189,10 @@ def run_frame(
         narrow_labels=narrow_fused.argmax_labels(),
         wide_scores=wide_fused,
         wide_labels=wide_fused.argmax_labels(),
-        narrow_mask=narrow_mask,
-        wide_mask=wide_mask,
-        intermediates={
-            "propagated": propagated,
-            "back_propagated": back,
-            "forward": {"stage1_image": fwd_stage1, "flow": fwd_flow},
-            "backward": {"stage1_image": bwd_stage1, "flow": bwd_flow},
-        },
+        narrow_mask=forward.mask,
+        wide_mask=backward.mask,
+        forward=forward,
+        backward=backward,
     )
 
 
@@ -223,7 +225,7 @@ def write_benchmark(
     root,
     seed: int = 42,
     num_scenes: int = 20,
-    num_planar: int = 3,
+    num_planar: int = 0,
     num_flow_samples: int = 50,
     scene_size=(192, 192),
     flow_size=(256, 256),
@@ -378,9 +380,9 @@ def ablate_flow(bench: Benchmark) -> AblationTable:
         grid_two, grid_pt = two_stage_map_detailed(
             scene.rig, pair.wide_image, pair.narrow_image, FlowConfig()
         )[:2]
-        lab_pt, m_pt = warp_labels(pair.wide_labels, grid_pt)
-        lab_two, m_two = warp_labels(pair.wide_labels, grid_two)
-        mask = m_pt & m_two
+        lab_pt, _ = warp_labels(pair.wide_labels, grid_pt)
+        # composing only clears valid bits, so this mask lies inside stage one's
+        lab_two, mask = warp_labels(pair.wide_labels, grid_two)
         pt_pairs.append((lab_pt, pair.narrow_labels, mask))
         two_pairs.append((lab_two, pair.narrow_labels, mask))
     pt_row, pt = _miou_row("pt", pt_pairs)

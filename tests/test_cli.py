@@ -7,10 +7,12 @@ import pytest
 from test_formats import patch_label_classes
 
 from semshare import cli, pipeline
-from semshare.camera import write_rig
+from semshare.camera import read_rig, write_rig
 from semshare.cli import main
+from semshare.flow import FlowConfig
 from semshare.formats import (
-    read_flo, read_labels, read_scores, write_image, write_labels, write_scores,
+    read_flo, read_image, read_labels, read_scores, write_flo, write_image, write_labels,
+    write_mask, write_scores,
 )
 from semshare.pipeline import FUSION_TRAIN, OVERLAP_TRAIN, AblationTable
 from semshare.raster import LabelMap
@@ -78,6 +80,20 @@ class TestGenBench:
         )
         assert code == 0
         assert (out / "manifest.txt").exists()
+
+    def test_default_writes_no_planar_scene(self, tmp_path):
+        out = tmp_path / "bench"
+        code = main(
+            [
+                "gen-bench", "--out", str(out), "--scenes", "2", "--flow-samples", "0",
+                "--size", "32x32", "--flow-size", "32x32",
+            ]
+        )
+        assert code == 0
+        rows = [line for line in (out / "manifest.txt").read_text().splitlines()
+                if line.startswith("scene ")]
+        assert len(rows) == 2
+        assert all(" planar 0 " in row for row in rows)
 
     def test_bad_size_flag(self, tmp_path):
         assert main(["gen-bench", "--out", str(tmp_path / "x"), "--size", "banana"]) == 2
@@ -179,6 +195,38 @@ class TestShareCommand:
             assert code == 0
             assert read_scores(out).num_classes == 6
 
+    @pytest.mark.parametrize(
+        "direction, scores", [("forward", "wide_scores.bin"), ("backward", "narrow_scores.bin")]
+    )
+    def test_dump_intermediates_writes_the_share_record(
+        self, scene_files, tmp_path, direction, scores
+    ):
+        """--out, --out-mask and --dump-intermediates write exactly the four
+        fields of the Shared record that share returns, in their formats."""
+        got, want = tmp_path / "got", tmp_path / "want"
+        got.mkdir()
+        want.mkdir()
+        code = main(
+            [
+                "share", "--rig", str(scene_files / "rig.txt"), "--direction", direction,
+                "--wide-image", str(scene_files / "wide.pgm"),
+                "--narrow-image", str(scene_files / "narrow.pgm"),
+                "--scores", str(scene_files / scores), "--out", str(got / "shared.bin"),
+                "--out-mask", str(got / "mask.pgm"), "--dump-intermediates",
+            ]
+        )
+        assert code == 0
+        record = pipeline.share(
+            read_rig(str(scene_files / "rig.txt")), read_scores(scene_files / scores),
+            read_image(scene_files / "wide.pgm"), read_image(scene_files / "narrow.pgm"),
+            FlowConfig(), direction,
+        )
+        write_scores(record.scores, want / "shared.bin")
+        write_mask(record.mask, want / "mask.pgm")
+        write_image(record.stage1_image, want / "shared_stage1.pgm")
+        write_flo(record.flow, want / "shared_flow.flo")
+        assert tree_bytes(got) == tree_bytes(want)
+
     def test_rerun_byte_identical(self, scene_files, tmp_path):
         outs = []
         for name in ("s1.bin", "s2.bin"):
@@ -221,11 +269,23 @@ class TestTrainAndRun:
             ]
         )
         assert code == 0
-        for name in (
+        assert sorted(os.listdir(out_dir)) == sorted([
             "narrow_fused.bin", "narrow_labels.bin", "wide_refined.bin", "wide_labels.bin",
-            "narrow_mask.pgm", "wide_mask.pgm", "stage1_forward.pgm", "flow_forward.flo",
-        ):
-            assert (out_dir / name).exists()
+            "narrow_mask.pgm", "wide_mask.pgm", "eval_mask.pgm",
+            "stage1_forward.pgm", "flow_forward.flo", "propagated.bin",
+            "stage1_backward.pgm", "flow_backward.flo", "back_propagated.bin",
+        ])
+        cfg = pipeline.PipelineConfig(
+            rig_path=str(scene_files / "rig.txt"), narrow_head_path=str(head_path)
+        )
+        result = pipeline.run_frame(
+            cfg,
+            read_image(scene_files / "wide.pgm"), read_scores(scene_files / "wide_scores.bin"),
+            read_image(scene_files / "narrow.pgm"), read_scores(scene_files / "narrow_scores.bin"),
+        )
+        for name, shared in (("propagated", result.forward), ("back_propagated", result.backward)):
+            write_scores(shared.scores, tmp_path / f"{name}.bin")
+            assert (out_dir / f"{name}.bin").read_bytes() == (tmp_path / f"{name}.bin").read_bytes()
 
         report_path = tmp_path / "report.txt"
         code = main(

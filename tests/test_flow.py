@@ -649,6 +649,23 @@ class TestTwoStageMap:
         # backward, the footprint's box leaves most of the wide raster out
         assert grid1.valid.all() == (direction == "forward")
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("seed", [6000, 6001, 6002, 7])
+    def test_composed_mask_lies_inside_the_stage_one_mask(self, seed, direction):
+        """Composing only clears valid bits, so ablate flow's common mask is
+        the two-stage mask."""
+        from semshare.synth import make_scene, render_scene
+
+        scene = make_scene(seed, size=(96, 96), planar=False)
+        pair = render_scene(scene)
+        if direction == "forward":
+            args = (scene.rig, pair.wide_image, pair.narrow_image)
+        else:
+            args = (scene.rig.swapped(), pair.narrow_image, pair.wide_image)
+        composed, grid1, _, _ = two_stage_map_detailed(*args)
+        assert composed.valid.any()
+        assert not (composed.valid & ~grid1.valid).any()
+
     @pytest.mark.parametrize(
         "cols, box_cols",
         [(slice(40, 42), (39, 55)), (slice(94, 96), (80, 96)), (slice(0, 1), (0, 16))],

@@ -26,7 +26,7 @@ from semshare.pipeline import (
     share,
     write_benchmark,
 )
-from semshare.raster import ScoreMap, grid_from_homography, warp_labels
+from semshare.raster import GridMap, ScoreMap, grid_from_homography, warp_labels
 from semshare.synth import (
     default_rig,
     degrade_scores,
@@ -214,9 +214,7 @@ class TestRunFrame:
         b = run_frame(cfg, pair.wide_image, wide_scores, pair.narrow_image, narrow_scores)
         assert np.array_equal(a.narrow_scores.data, b.narrow_scores.data)
         assert np.array_equal(a.wide_scores.data, b.wide_scores.data)
-        assert np.array_equal(
-            a.intermediates["forward"]["flow"].data, b.intermediates["forward"]["flow"].data
-        )
+        assert np.array_equal(a.forward.flow.data, b.forward.flow.data)
 
     def test_stage_tagged_errors(self, tmp_path):
         scene, pair, wide_scores, narrow_scores = self.make_inputs(833)
@@ -235,14 +233,21 @@ class TestRunFrame:
 
 
 def raster_bytes(value):
-    """Every array of a run_frame output, flattened to {path: bytes}."""
+    """Every array of a run_frame output, flattened to {path: bytes}.  Dicts
+    and NamedTuple records are walked by key or field name; any other leaf
+    must be an ndarray or a raster with an ndarray `.data`."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        value = value._asdict()
     if isinstance(value, dict):
         return {
             f"{key}.{path}": data
             for key, item in value.items()
             for path, data in raster_bytes(item).items()
         }
-    return {"": np.asarray(getattr(value, "data", value)).tobytes()}
+    data = value if isinstance(value, np.ndarray) else getattr(value, "data", None)
+    if not isinstance(data, np.ndarray):
+        raise TypeError(f"{type(value).__name__} is neither an ndarray nor a raster")
+    return {"": data.tobytes()}
 
 
 def guard_frame(tmp_path):
@@ -273,6 +278,30 @@ def frame_bytes(cfg, inputs):
     return raster_bytes({f.name: getattr(result, f.name) for f in dataclasses.fields(result)})
 
 
+class TestFrameRecords:
+    def test_records_are_the_direct_shares_and_no_field_is_a_dict(self, tmp_path):
+        """run_frame's forward and backward records are, byte for byte, the
+        share calls made directly: the wide scores forward, the fused narrow
+        scores backward."""
+        cfg, (wide_img, wide_scores, narrow_img, narrow_scores) = guard_frame(tmp_path)
+        result = run_frame(cfg, wide_img, wide_scores, narrow_img, narrow_scores)
+        rig = cfg.load_rig()
+        forward = share(rig, wide_scores, wide_img, narrow_img, cfg.flow)
+        backward = share(rig, result.narrow_scores, wide_img, narrow_img, cfg.flow, "backward")
+        assert raster_bytes(result.forward) == raster_bytes(forward)
+        assert raster_bytes(result.backward) == raster_bytes(backward)
+        assert result.narrow_mask is result.forward.mask
+        assert result.wide_mask is result.backward.mask
+        for f in dataclasses.fields(result):
+            assert not isinstance(getattr(result, f.name), dict), f.name
+
+    def test_raster_bytes_rejects_what_is_not_an_array(self):
+        plane = np.zeros((8, 8))
+        grid = GridMap(plane, plane, plane == 0, (8, 8))
+        with pytest.raises(TypeError):
+            raster_bytes({"grid": grid})
+
+
 class TestReferenceKernelGuard:
     def test_run_frame_matches_reference_kernels_bytewise(self, tmp_path, monkeypatch):
         """The banded sweep and the flat-index gather change no output byte
@@ -284,7 +313,9 @@ class TestReferenceKernelGuard:
         monkeypatch.setattr(raster, "_bilinear_support", reference_bilinear_support)
         monkeypatch.setattr(raster, "_gather_bilinear", reference_gather_bilinear)
         reference = frame_bytes(cfg, inputs)
-        assert len(fast) == 12
+        # fused scores, labels and masks of both branches (6), and the four
+        # fields of each of the forward and backward share records (8)
+        assert len(fast) == 14
         assert fast == reference
 
 
@@ -296,7 +327,8 @@ class TestFrameRowParts:
         and 3 row parts."""
         cfg, inputs = guard_frame(tmp_path)
         got = by_part_count(monkeypatch, lambda: frame_bytes(cfg, inputs).values())
-        assert len(got[1]) == 12
+        # the 14 arrays of frame_bytes: 6 branch outputs and 2 x 4 record fields
+        assert len(got[1]) == 14
         assert got[2] == got[1] and got[3] == got[1]
 
     def test_one_cpu_starts_no_thread(self, tmp_path, monkeypatch):
