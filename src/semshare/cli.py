@@ -74,9 +74,10 @@ def _flow_config(args) -> FlowConfig:
 
 def _add_flow_flags(parser):
     cfg = FlowConfig()
-    parser.add_argument("--levels", type=int, default=cfg.num_levels, help="pyramid levels")
+    parser.add_argument("--levels", type=int, default=cfg.num_levels,
+                        help="pyramid levels; the finest is upsampled, not solved")
     parser.add_argument("--iterations", type=int, default=cfg.iterations_per_level,
-                        help="solver sweeps per level")
+                        help="solver sweeps per solved level")
     parser.add_argument("--alpha", type=float, default=cfg.smoothness_weight,
                         help="smoothness weight")
 

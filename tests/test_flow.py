@@ -278,6 +278,61 @@ class TestEstimateFlow:
         assert np.array_equal(flow_rgb.data, flow_gray.data)
 
 
+class TestSolvedLevels:
+    """The input level of a pyramid with more than one level is not solved:
+    its flow is the level-1 flow, upsampled and rescaled.  A one-level
+    pyramid is solved at full size."""
+
+    @staticmethod
+    def probe_solve(monkeypatch, target, source, cfg):
+        """(flow, [(level shape, sweeps, result)] per solved level, coarse
+        to fine, and the pixels every sweep touched)."""
+        solved, swept = [], []
+        solve, sweep = flow._solve_level, flow._jacobi_sweep
+
+        def probe_level(t_plane, *args, **kwargs):
+            start = len(swept)
+            result = solve(t_plane, *args, **kwargs)
+            solved.append((t_plane.shape, len(swept) - start, result[0]))
+            return result
+
+        def probe_sweep(rows, grad, *args):
+            swept.append((rows.stop - rows.start) * grad.shape[2])
+            return sweep(rows, grad, *args)
+
+        monkeypatch.setattr(flow, "_solve_level", probe_level)
+        monkeypatch.setattr(flow, "_jacobi_sweep", probe_sweep)
+        return estimate_flow(target, source, cfg), solved, sum(swept)
+
+    def test_input_level_is_upsampled_from_level_one(self, monkeypatch):
+        target, source = noise_pair((64, 64), 1, seed=23)
+        cfg = FlowConfig(num_levels=3, iterations_per_level=6)
+        got, solved, _ = self.probe_solve(monkeypatch, target, source, cfg)
+        assert [(shape, sweeps) for shape, sweeps, _ in solved] == [((16, 16), 6), ((32, 32), 6)]
+        want = flow._resize_bilinear(solved[-1][2], (64, 64))
+        want[0] *= 64 / 32
+        want[1] *= 64 / 32
+        assert np.abs(want).max() > 0.1
+        assert got.data.tobytes() == want.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("size, levels", [((64, 64), 1), ((24, 24), 4)])
+    def test_one_level_pyramid_is_solved_at_full_size(self, monkeypatch, size, levels):
+        target, source = noise_pair(size, 1, seed=29)
+        cfg = FlowConfig(num_levels=levels, iterations_per_level=5)
+        got, solved, _ = self.probe_solve(monkeypatch, target, source, cfg)
+        assert len(solved) == 1
+        shape, sweeps, result = solved[0]
+        assert (shape, sweeps) == (size[::-1], 5)
+        assert got.data.tobytes() == result.astype(np.float64).tobytes()
+
+    def test_default_384_solve_sweeps_the_three_coarse_levels(self, monkeypatch):
+        """(192^2 + 96^2 + 48^2) * 50 pixel sweeps, none at 384^2."""
+        target, source = noise_pair((384, 384), 1, seed=31)
+        _, solved, pixel_sweeps = self.probe_solve(monkeypatch, target, source, FlowConfig())
+        assert [shape for shape, _, _ in solved] == [(48, 48), (96, 96), (192, 192)]
+        assert pixel_sweeps == (36_864 + 9_216 + 2_304) * 50 == 2_419_200
+
+
 def noise_pair(size, channels, seed):
     """(target, source): the source shifted by (2, 1) px, plus a slight
     channel-dependent tint for RGB."""
@@ -400,12 +455,13 @@ class TestBandedSweep:
         which keeps their bits only while the border stays zero and the
         increment holds no -0.0.  Flat patches (zero gradient, so a
         product that can be -0.0) keep exact zeros inside the raster.
-        Every level here is one part, so each sweep covers the raster."""
+        Every level here is one part, so each sweep covers the raster;
+        of the three levels, the two coarse ones are solved."""
         monkeypatch.setattr(flow, "_SOLVE_DTYPE", dtype)
-        target, source = noise_pair((40, 45), 1, seed=17)
+        target, source = noise_pair((80, 90), 1, seed=17)
         t, s = target.data.copy(), source.data.copy()
-        t[:, 8:30, 6:24], s[:, 8:30, 6:24] = 0.3, 0.7
-        t[:, 30:42, 25:38], s[:, 30:42, 25:38] = 0.8, 0.2
+        t[:, 16:60, 12:48], s[:, 16:60, 12:48] = 0.3, 0.7
+        t[:, 60:84, 50:76], s[:, 60:84, 50:76] = 0.8, 0.2
         zeros = []
         sweep = flow._jacobi_sweep
 
@@ -419,7 +475,7 @@ class TestBandedSweep:
             zeros.append(np.count_nonzero(d_next[:, 1:-1, 1:-1] == 0.0))
 
         monkeypatch.setattr(flow, "_jacobi_sweep", probe)
-        cfg = FlowConfig(num_levels=2, iterations_per_level=10)
+        cfg = FlowConfig(num_levels=3, iterations_per_level=10)
         estimate_flow(Image(t), Image(s), cfg)
         assert len(zeros) == 2 * 10
         assert zeros[0] > 0 and zeros[10] > 0
@@ -521,7 +577,7 @@ class TestFloat32Solve:
         target, source = noise_pair((64, 64), 3, seed=13)
         cfg = FlowConfig(num_levels=3, iterations_per_level=4)
         result, diag = estimate_flow_detailed(target, source, cfg)
-        assert len(seen) == 3 * 4
+        assert len(seen) == 2 * 4  # two of the three levels are solved
         assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
         assert result.data.dtype == np.float64
         assert all(type(e) is float for e in diag.coarsest_energies)
