@@ -42,22 +42,12 @@ could make one), so each sum has the bits of a sum over the existing
 neighbors.  The sweep writes the next increment into a second bordered
 buffer, and the two swap after every sweep.
 
-Every pixel of a sweep depends only on the previous increment, so a
-level's rows are split into raster._row_parts, swept on one thread each
-by raster._run_parts.  After each sweep every part waits at the helper's
-barrier, so no part reads the buffer the others are still writing, and
-then the buffers swap; a failing part breaks the barrier, and its
-exception reaches the caller.  A part is swept as one block: numpy
-releases the interpreter lock only inside each call, and the many small
-calls of a banded sweep hand the lock back and forth between the
-threads, so two threads sweeping in bands were no faster than one; on
-one thread a block was as fast as bands.  Small levels stay serial: at
-108^2, 50 sweeps took 2.9 ms on two threads against 1.7 ms on one
-(2-core host).  Every solved level of a 384^2 input is small (the
-largest is 192^2), so that solve runs on one thread; a 640x480 input
-still splits its 320x240 level in two.  Each pixel sees the same
-operations in the same order whatever the part count, so flows and
-energies do not depend on it.
+The solve runs on the calling thread.  numpy releases the interpreter
+lock only inside each call, and a sweep is ten calls on one level, so
+threads sharing a level's rows hand the lock back and forth: at 108^2,
+50 sweeps took 2.9 ms on two threads against 1.7 ms on one (2-core
+host), and every solved level of a 384^2 input is small (the largest is
+192^2).
 
 The data term operates on a 0..255 intensity scale (inputs are [0, 1]
 rasters), so the default smoothness weight of 15 matches the classical
@@ -95,8 +85,6 @@ from .raster import (
     GridMap,
     Image,
     _lattice,
-    _row_parts,
-    _run_parts,
     _sample_planes,
     _smooth,
     _valid_box,
@@ -118,8 +106,12 @@ _SOLVE_DTYPE = np.float32
 class FlowConfig:
     """Flow estimator settings.  num_levels counts the input level, which
     is upsampled from level 1 and not solved whenever the pyramid has a
-    level 1; iterations_per_level is the sweep count of every solved
-    level.  smoothness_weight lies in about [6.12e-19, 9.22e18], so that
+    level 1.  It is at most 32: a 33rd level needs a shorter side over
+    15 * 2**32 px (halving rounds up), more pixels than an address space
+    holds, so the cap changes no reachable output, and it keeps
+    two_stage_map_detailed's box pad 2**(num_levels - 1) small.
+    iterations_per_level is the sweep count of every solved level.
+    smoothness_weight lies in about [6.12e-19, 9.22e18], so that
     4 * weight**2 and a flat corner pixel's first quotient,
     INTENSITY_SCALE / (2 * weight**2), stay finite in float32."""
 
@@ -131,8 +123,8 @@ class FlowConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        if self.num_levels < 1:
-            raise ConfigError(f"num_levels must be >= 1, got {self.num_levels}")
+        if not 1 <= self.num_levels <= 32:
+            raise ConfigError(f"num_levels must be in [1, 32], got {self.num_levels}")
         if self.iterations_per_level < 1:
             raise ConfigError(f"iterations_per_level must be >= 1, got {self.iterations_per_level}")
         weight = self.smoothness_weight
@@ -211,29 +203,27 @@ def _objective(ix, iy, it, du, dv, alpha2) -> float:
     return float(np.sum(data * data) + alpha2 * smooth)
 
 
-def _jacobi_sweep(rows, grad, it, counts, denom, d, d_next, scratch):
-    """One block-Jacobi sweep of the rows `rows` of the raster from the
-    increment d = (du, dv) into d_next, both (2, H + 2, W + 2) with a zero
-    border, as one block; `scratch` holds five planes of the part."""
-    r0, r1 = rows.start + 1, rows.stop + 1  # the part's rows in d
-    bar, prod, f, g = scratch[:2], scratch[2:4], scratch[4], grad[:, rows]
+def _jacobi_sweep(grad, it, counts, denom, d, d_next, scratch):
+    """One block-Jacobi sweep of the level from the increment d = (du, dv)
+    into d_next, both (2, H + 2, W + 2) with a zero border; `scratch`
+    holds five planes of the level."""
+    bar, prod, f = scratch[:2], scratch[2:4], scratch[4]
     # left, right, up, down: the order of a whole-plane sum
-    np.add(d[:, r0:r1, :-2], d[:, r0:r1, 2:], out=bar)
-    bar += d[:, r0 - 1 : r1 - 1, 1:-1]
-    bar += d[:, r0 + 1 : r1 + 1, 1:-1]
-    np.divide(bar, counts[rows], out=bar)  # (du_bar, dv_bar)
-    np.multiply(g, bar, out=prod)
+    np.add(d[:, 1:-1, :-2], d[:, 1:-1, 2:], out=bar)
+    bar += d[:, :-2, 1:-1]
+    bar += d[:, 2:, 1:-1]
+    np.divide(bar, counts, out=bar)  # (du_bar, dv_bar)
+    np.multiply(grad, bar, out=prod)
     np.add(prod[0], prod[1], out=f)
-    f += it[rows]
-    f /= denom[rows]
-    np.multiply(g, f, out=prod)
-    np.subtract(bar, prod, out=d_next[:, r0:r1, 1:-1])
+    f += it
+    f /= denom
+    np.multiply(grad, f, out=prod)
+    np.subtract(bar, prod, out=d_next[:, 1:-1, 1:-1])
 
 
 def _solve_level(target, source, flow, cfg: FlowConfig, record_energy=False):
     """One coarse-to-fine stage: warp by `flow`, a (u, v) stack, then
-    Jacobi sweeps on the increment, the rows split between the threads of
-    raster._run_parts; returns (flow + increment, energies)."""
+    Jacobi sweeps on the increment; returns (flow + increment, energies)."""
     h, w = target.shape
     dtype = target.dtype
     xs, ys = _lattice((w, h), dtype)
@@ -244,27 +234,15 @@ def _solve_level(target, source, flow, cfg: FlowConfig, record_energy=False):
     alpha2 = cfg.smoothness_weight**2
     counts = _neighbor_counts((h, w), dtype)
     denom = alpha2 * counts + ix * ix + iy * iy
-    increments = np.zeros((2, 2, h + 2, w + 2), dtype)  # d and d_next, zero-bordered
+    d, d_next = np.zeros((2, 2, h + 2, w + 2), dtype)  # zero-bordered
+    scratch = np.empty((5, h, w), dtype)
     inner = np.s_[:, 1:-1, 1:-1]
-    energies = [_objective(ix, iy, it, *increments[0][inner], alpha2)] if record_energy else None
-
-    def sweep(parts, barrier):
-        """Sweep this thread's part (one) cfg.iterations_per_level times,
-        waiting at `barrier` after each sweep for the other parts.  The
-        part from row 0 records the energy of every increment before the
-        next sweep."""
-        for rows in parts:
-            d, d_next = increments
-            scratch = np.empty((5, rows.stop - rows.start, w), dtype)
-            for _ in range(cfg.iterations_per_level):
-                _jacobi_sweep(rows, grad, it, counts, denom, d, d_next, scratch)
-                barrier.wait()
-                d, d_next = d_next, d
-                if energies is not None and rows.start == 0:
-                    energies.append(_objective(ix, iy, it, *d[inner], alpha2))
-
-    _run_parts(sweep, _row_parts(slice(0, h), w), barrier=True)
-    d = increments[cfg.iterations_per_level % 2]  # the buffers swap after every sweep
+    energies = [_objective(ix, iy, it, *d[inner], alpha2)] if record_energy else None
+    for _ in range(cfg.iterations_per_level):
+        _jacobi_sweep(grad, it, counts, denom, d, d_next, scratch)
+        d, d_next = d_next, d
+        if energies is not None:
+            energies.append(_objective(ix, iy, it, *d[inner], alpha2))
     return flow + d[inner], energies
 
 

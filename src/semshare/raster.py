@@ -38,9 +38,9 @@ caller.  The banded passes hand out their bands, so every band, and each
 of fusion's matrix products, is the serial pass's whatever thread runs
 it.  numpy releases the interpreter lock only inside each call, so
 threads gain where the calls are large: _warp_planes (both score warps,
-the stage-one image warp, compose_grids and warp_labels),
-fusion.fuse_forward and the flow solver's sweeps (one part per thread
-there, with a barrier) use the helper.  The scene renderer stays serial:
+the stage-one image warp, compose_grids and warp_labels) and
+fusion.fuse_forward use the helper.  The flow solver runs on the calling
+thread (see flow), and the scene renderer stays serial too:
 its many small numpy calls per band hand the lock back and forth, and two
 threads of bands gained nothing (2-core host, medians of 15 alternating
 rounds of two renders: 28.3 -> 28.7 and 32.0 -> 36.0 ms at 384^2, 7.7 ->
@@ -284,32 +284,15 @@ def _thread_count(rows: slice, width):
     return max(1, min(_usable_cpus(), n * width // (2 * _BAND_PIXELS), n))
 
 
-def _row_parts(rows: slice, width):
-    """_thread_count(rows, width) contiguous row slices that cover `rows`,
-    one per thread; their sizes differ by at most one row."""
-    n, k = rows.stop - rows.start, _thread_count(rows, width)
-    bounds = [rows.start + n * i // k for i in range(k + 1)]
-    return [slice(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
-
-
-def _run_parts(fn, parts, threads=None, barrier=False):
-    """Run fn(taken) on `threads` threads (one per part by default): the
-    calling thread and one worker per other thread, started here, each in
-    a copy of the caller's contextvars context (numpy's error state
-    included), and joined before the return.  `taken` iterates over the
-    parts that its thread takes: each time it asks, a thread takes the
-    next part no thread has taken, so a thread that runs late (its CPU
-    busy with other work) takes fewer.
-
-    With barrier=True, fn(taken, barrier) gets one threading.Barrier of
-    all threads, and there must be one part per thread: no thread can
-    finish its part, and take another, before every thread has taken one.
-    A failure aborts the barrier, so every other thread stops at its next
-    wait, and no part is handed out after it; once all workers are
-    joined, the first failure is raised unchanged."""
-    threads = len(parts) if threads is None else threads
-    sync = threading.Barrier(threads) if barrier else None
-    extra = (sync,) if barrier else ()
+def _run_parts(fn, parts, threads):
+    """Run fn(taken) on `threads` threads: the calling thread and one
+    worker per other thread, started here, each in a copy of the caller's
+    contextvars context (numpy's error state included), and joined before
+    the return.  `taken` iterates over the parts that its thread takes:
+    each time it asks, a thread takes the next part no thread has taken,
+    so a thread that runs late (its CPU busy with other work) takes fewer.
+    No part is handed out after a failure; once all workers are joined,
+    the first failure is raised unchanged."""
     todo = collections.deque(parts)  # popleft is atomic: no part is taken twice
     failures = []
 
@@ -321,16 +304,11 @@ def _run_parts(fn, parts, threads=None, barrier=False):
                 return
             yield part
 
-    def fail(exc):
-        failures.append(exc)
-        if barrier:
-            sync.abort()
-
     def run():
         try:
-            fn(taken(), *extra)
+            fn(taken())
         except BaseException as exc:  # raised in the caller after the join
-            fail(exc)
+            failures.append(exc)
 
     workers = []
     try:
@@ -338,8 +316,8 @@ def _run_parts(fn, parts, threads=None, barrier=False):
             worker = threading.Thread(target=contextvars.copy_context().run, args=(run,))
             worker.start()
             workers.append(worker)
-    except BaseException as exc:  # a worker failed to start: free the started ones
-        fail(exc)
+    except BaseException as exc:  # a worker failed to start: the started ones stop taking parts
+        failures.append(exc)
     else:
         run()
     finally:

@@ -227,6 +227,20 @@ class TestShareCommand:
         write_flo(record.flow, want / "shared_flow.flo")
         assert tree_bytes(got) == tree_bytes(want)
 
+    # 33 levels passed before the cap; the box pad is 2**(levels - 1)
+    @pytest.mark.parametrize("levels, code", [("32", 0), ("33", 2)])
+    def test_levels_above_32_are_a_config_error(self, scene_files, tmp_path, levels, code):
+        out = tmp_path / "shared.bin"
+        argv = [
+            "share", "--rig", str(scene_files / "rig.txt"),
+            "--wide-image", str(scene_files / "wide.pgm"),
+            "--narrow-image", str(scene_files / "narrow.pgm"),
+            "--scores", str(scene_files / "wide_scores.bin"),
+            "--out", str(out), "--levels", levels,
+        ]
+        assert main(argv) == code
+        assert out.exists() == (code == 0)
+
     def test_rerun_byte_identical(self, scene_files, tmp_path):
         outs = []
         for name in ("s1.bin", "s2.bin"):

@@ -1,5 +1,3 @@
-import os
-import sys
 import threading
 
 import numpy as np
@@ -97,6 +95,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             FlowConfig(num_levels=0)
+        with pytest.raises(ConfigError):
+            FlowConfig(num_levels=33)
+        assert FlowConfig(num_levels=32).num_levels == 32
         with pytest.raises(ConfigError):
             FlowConfig(iterations_per_level=0)
         with pytest.raises(ConfigError):
@@ -296,9 +297,9 @@ class TestSolvedLevels:
             solved.append((t_plane.shape, len(swept) - start, result[0]))
             return result
 
-        def probe_sweep(rows, grad, *args):
-            swept.append((rows.stop - rows.start) * grad.shape[2])
-            return sweep(rows, grad, *args)
+        def probe_sweep(grad, it, *args):
+            swept.append(it.size)
+            return sweep(grad, it, *args)
 
         monkeypatch.setattr(flow, "_solve_level", probe_level)
         monkeypatch.setattr(flow, "_jacobi_sweep", probe_sweep)
@@ -346,117 +347,55 @@ def noise_pair(size, channels, seed):
     return Image(np.stack(planes_t)), Image(np.stack(planes_s))
 
 
-@pytest.fixture
-def fast_switching():
-    """A 1 us thread switch interval, so the sweep's parts interleave at
-    almost every bytecode."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def bounded(fn, *args, timeout=120.0):
-    """fn(*args) run in a daemon thread and waited for at most `timeout`
-    seconds: its result, or its exception raised here."""
-    out = {}
-
-    def run():
-        try:
-            out["value"] = fn(*args)
-        except BaseException as exc:
-            out["error"] = exc
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), f"{fn.__name__} did not return within {timeout} s"
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
-
-
-def force_parts(monkeypatch, cpus):
-    """Split every pass of raster._row_parts (every level) into min(cpus,
-    rows) parts."""
-    monkeypatch.setattr(raster, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(raster, "_BAND_PIXELS", 1)
-
-
-# band_pixels (None: the default) is raster._BAND_PIXELS for the run at this
-# host's CPU count, whose levels split into min(CPUs, pixels //
-# (2 * band_pixels), rows) parts; the ids name the row bands of
-# raster._row_bands at that setting
-BAND_CASES = pytest.mark.parametrize(
-    "size, channels, levels, band_pixels",
+SWEEP_CASES = pytest.mark.parametrize(
+    "size, channels, levels",
     [
-        # one part by default; forced to 2, 3 and 64 parts, the 100-row
-        # level's parts have 50, 33-34 and 1-2 rows
-        ((384, 100), 1, 4, None),
-        # odd height, every level one part at the default
-        ((96, 97), 3, 5, None),
-        # one 16-row level of 196,800 px: up to 8 parts at the default,
-        # 16 1-row parts when forced
-        ((12_300, 16), 1, 4, None),
-        # up to 30 parts at 45 rows by default, 45 1-row parts when forced
-        ((40, 45), 3, 4, 30),
-        # up to 3 parts of 15 rows by default, then one of 23 rows
-        ((40, 45), 1, 4, 280),
+        ((384, 100), 1, 4),  # two solved levels, of 50 and 25 rows
+        ((96, 97), 3, 5),  # odd height
+        ((12_300, 16), 1, 4),  # one solved level of 196,800 px
+        ((40, 45), 3, 4),
+        ((40, 45), 1, 4),
     ],
-    ids=["32-row-bands", "odd-height-rgb", "wider-than-band", "1-row-bands-rgb", "7-row-bands"],
+    ids=["100-rows", "odd-height-rgb", "one-wide-level", "45-rows-rgb", "45-rows"],
 )
 
 
-class TestBandedSweep:
-    """The row-split sweep gives the plain Jacobi loop's flows and energies
+class TestSweep:
+    """The buffered sweep gives the plain Jacobi loop's flows and energies
     byte for byte, in the float32 of the solve and with the solve dtype set
-    to float64: at this host's CPU count, with the part count forced to 1,
-    2 and 3, and with more parts than CPUs (1-row parts)."""
+    to float64."""
 
-    @BAND_CASES
-    def test_matches_reference_loop_bytewise(
-        self, monkeypatch, fast_switching, size, channels, levels, band_pixels
-    ):
+    @SWEEP_CASES
+    def test_matches_reference_loop_bytewise(self, monkeypatch, size, channels, levels):
         assert flow._SOLVE_DTYPE is np.float32
-        self.check_bytewise(monkeypatch, size, channels, levels, band_pixels)
+        self.check_bytewise(monkeypatch, size, channels, levels)
 
-    @BAND_CASES
-    def test_float64_matches_reference_loop_bytewise(
-        self, monkeypatch, fast_switching, size, channels, levels, band_pixels
-    ):
+    @SWEEP_CASES
+    def test_float64_matches_reference_loop_bytewise(self, monkeypatch, size, channels, levels):
         monkeypatch.setattr(flow, "_SOLVE_DTYPE", np.float64)
-        self.check_bytewise(monkeypatch, size, channels, levels, band_pixels)
+        self.check_bytewise(monkeypatch, size, channels, levels)
 
     @staticmethod
-    def check_bytewise(monkeypatch, size, channels, levels, band_pixels):
+    def check_bytewise(monkeypatch, size, channels, levels):
         target, source = noise_pair(size, channels, seed=sum(size) + channels)
         cfg = FlowConfig(num_levels=levels)
         with monkeypatch.context() as m:
             m.setattr(flow, "_solve_level", reference_solve_level)
             want, want_diag = estimate_flow_detailed(target, source, cfg)
         assert np.abs(want.data).max() > 0.1
-        for cpus in (None, 1, 2, 3, 64):
-            with monkeypatch.context() as m:
-                if cpus is None:
-                    m.setattr(raster, "_BAND_PIXELS", band_pixels or raster._BAND_PIXELS)
-                else:
-                    force_parts(m, cpus)
-                got, got_diag = bounded(estimate_flow_detailed, target, source, cfg)
-            assert got.data.tobytes() == want.data.tobytes(), cpus
-            assert np.array(got_diag.coarsest_energies).tobytes() == (
-                np.array(want_diag.coarsest_energies).tobytes()
-            ), cpus
+        got, got_diag = estimate_flow_detailed(target, source, cfg)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array(got_diag.coarsest_energies).tobytes() == (
+            np.array(want_diag.coarsest_energies).tobytes()
+        )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_increment_keeps_a_zero_border_and_no_negative_zero(self, monkeypatch, dtype):
         """The neighbor sums add the border's +0.0 for a missing neighbor,
         which keeps their bits only while the border stays zero and the
         increment holds no -0.0.  Flat patches (zero gradient, so a
-        product that can be -0.0) keep exact zeros inside the raster.
-        Every level here is one part, so each sweep covers the raster;
-        of the three levels, the two coarse ones are solved."""
+        product that can be -0.0) keep exact zeros inside the raster.  Of
+        the three levels, the two coarse ones are solved."""
         monkeypatch.setattr(flow, "_SOLVE_DTYPE", dtype)
         target, source = noise_pair((80, 90), 1, seed=17)
         t, s = target.data.copy(), source.data.copy()
@@ -465,9 +404,8 @@ class TestBandedSweep:
         zeros = []
         sweep = flow._jacobi_sweep
 
-        def probe(rows, grad, it, counts, denom, d, d_next, scratch):
-            assert (rows.start, rows.stop) == (0, it.shape[0])
-            sweep(rows, grad, it, counts, denom, d, d_next, scratch)
+        def probe(grad, it, counts, denom, d, d_next, scratch):
+            sweep(grad, it, counts, denom, d, d_next, scratch)
             ring = np.ones(d_next.shape[1:], bool)
             ring[1:-1, 1:-1] = False
             assert not d_next[:, ring].any()
@@ -481,83 +419,42 @@ class TestBandedSweep:
         assert zeros[0] > 0 and zeros[10] > 0
 
 
-class TestRowParts:
-    """How raster._row_parts splits a pass's rows (here a level's) between
-    threads, and what a failing part does to the solve."""
-
+class TestFailingSweep:
     @pytest.mark.parametrize(
-        "cpus, shape, sizes",
-        [
-            (2, (384, 384), [192, 192]),
-            (2, (208, 216), [208]),  # fewer than 2 * _BAND_PIXELS per part
-            (1, (384, 384), [384]),
-            (3, (301, 384), [100, 100, 101]),
-            (64, (16, 12_300), [2] * 8),
-        ],
+        "sweep, divide, expected",
+        [(3, None, ValueError), (3, "warn", RuntimeWarning), (3, "raise", FloatingPointError),
+         (1, None, ValueError)],
+        ids=["sweep-3-error", "sweep-3-numpy-warning", "sweep-3-numpy-raise", "sweep-1-error"],
     )
-    def test_part_count(self, monkeypatch, cpus, shape, sizes):
-        monkeypatch.setattr(raster, "_usable_cpus", lambda: cpus)
-        h, w = shape
-        parts = raster._row_parts(slice(0, h), w)
-        assert [p.stop - p.start for p in parts] == sizes
-        assert parts[0].start == 0 and parts[-1].stop == shape[0]
-        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-
-    def test_parts_of_a_row_range_start_at_its_first_row(self, monkeypatch):
-        monkeypatch.setattr(raster, "_usable_cpus", lambda: 3)
-        parts = raster._row_parts(slice(10, 311), 384)
-        assert [(p.start, p.stop) for p in parts] == [(10, 110), (110, 210), (210, 311)]
-
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
-        target, source = noise_pair((384, 384), 1, seed=5)
-        estimate_flow(target, source, FlowConfig(iterations_per_level=2))
-        assert started == []
-
-    @pytest.mark.parametrize(
-        "part, divide, expected",
-        [(1, None, ValueError), (1, "warn", RuntimeWarning), (1, "raise", FloatingPointError),
-         (0, None, ValueError)],
-        ids=["part-1-error", "part-1-numpy-warning", "part-1-numpy-raise", "part-0-error"],
-    )
-    def test_a_failing_part_raises_its_exception(
-        self, monkeypatch, fast_switching, part, divide, expected
-    ):
-        """The part's exception reaches the caller unchanged, and every
-        thread is joined.  A division by zero in a part follows the
+    def test_a_failing_sweep_raises_its_exception(self, monkeypatch, sweep, divide, expected):
+        """The sweep runs on the calling thread, and its exception reaches
+        the caller unchanged.  A division by zero in a sweep follows the
         caller's numpy error state: a warning (an exception under the
         suite's filterwarnings = error) or, under np.errstate(divide=
         "raise"), a FloatingPointError."""
-        force_parts(monkeypatch, 2)
-        raised, calls = [], []
-        sweep = flow._jacobi_sweep
+        raised, owners = [], []
+        jacobi_sweep = flow._jacobi_sweep
 
-        def failing(rows, *args):
-            if (rows.start != 0) == part:
-                calls.append(rows)
-                if len(calls) == 3:
-                    try:
-                        if divide is None:
-                            raise ValueError("sweep 3 failed")
-                        np.float32(1.0) / np.float32(0.0)
-                    except Exception as exc:
-                        raised.append(exc)
-                        raise
-            sweep(rows, *args)
-
-        def solve():
-            with np.errstate(divide=divide or "warn"):
-                return estimate_flow_detailed(target, source, FlowConfig(num_levels=1))
+        def failing(*args):
+            owners.append(threading.get_ident())
+            if len(owners) == sweep:
+                try:
+                    if divide is None:
+                        raise ValueError(f"sweep {sweep} failed")
+                    np.float32(1.0) / np.float32(0.0)
+                except Exception as exc:
+                    raised.append(exc)
+                    raise
+            jacobi_sweep(*args)
 
         monkeypatch.setattr(flow, "_jacobi_sweep", failing)
         target, source = noise_pair((64, 64), 1, seed=3)
         before = threading.active_count()
         with pytest.raises(expected) as info:
-            bounded(solve)
+            with np.errstate(divide=divide or "warn"):
+                estimate_flow_detailed(target, source, FlowConfig(num_levels=1))
         assert len(raised) == 1 and info.value is raised[0]
+        assert owners == [threading.get_ident()] * sweep
         assert threading.active_count() == before
 
 
@@ -569,9 +466,9 @@ class TestFloat32Solve:
         seen = []
         sweep = flow._jacobi_sweep
 
-        def probe(rows, *planes):
+        def probe(*planes):
             seen.append({a.dtype for a in planes})
-            return sweep(rows, *planes)
+            return sweep(*planes)
 
         monkeypatch.setattr(flow, "_jacobi_sweep", probe)
         target, source = noise_pair((64, 64), 3, seed=13)

@@ -1,7 +1,7 @@
 """Every module-level import in the package is used by its own module,
 every module-level private name is used somewhere in the package, every
 public name has a caller, the package root re-exports nothing, and only
-raster (its row-parts helper, _run_parts) holds thread code."""
+raster (its thread helper, _run_parts) holds thread code."""
 
 import ast
 import pathlib

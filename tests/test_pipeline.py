@@ -304,9 +304,9 @@ class TestFrameRecords:
 
 class TestReferenceKernelGuard:
     def test_run_frame_matches_reference_kernels_bytewise(self, tmp_path, monkeypatch):
-        """The banded sweep and the flat-index gather change no output byte
-        of the frame loop: an odd height that is no band multiple, and
-        non-identity heads on both branches."""
+        """The solver's buffered sweep and the flat-index gather change no
+        output byte of the frame loop: an odd height that is no band
+        multiple, and non-identity heads on both branches."""
         cfg, inputs = guard_frame(tmp_path)
         fast = frame_bytes(cfg, inputs)
         monkeypatch.setattr(flow, "_solve_level", reference_solve_level)
@@ -322,9 +322,9 @@ class TestReferenceKernelGuard:
 class TestFrameRowParts:
     def test_outputs_do_not_depend_on_the_part_count(self, tmp_path, monkeypatch):
         """Both fused score maps, label maps and masks, and every
-        intermediate, are the same bytes with every pass of the frame (the
-        sweeps, warps, grid compositions and both fusions) split into 1, 2
-        and 3 row parts."""
+        intermediate, are the same bytes with every banded pass of the frame
+        (the warps, grid compositions and both fusions) split between 1, 2
+        and 3 threads."""
         cfg, inputs = guard_frame(tmp_path)
         got = by_part_count(monkeypatch, lambda: frame_bytes(cfg, inputs).values())
         # the 14 arrays of frame_bytes: 6 branch outputs and 2 x 4 record fields

@@ -1,9 +1,9 @@
-"""Row parts on threads: raster._run_parts shares the parts of a pass (the
-row bands of a warp or of fusion, the row parts of a solver level) out
-between the calling thread and its workers.  The warps, grid composition
-and fusion inference give the same bytes for 1, 2 and 3 threads, and a
-failing part's exception reaches the caller once every thread is
-joined."""
+"""Row bands on threads: raster._run_parts shares the row bands of a warp
+or of fusion out between the calling thread and the workers that
+raster._thread_count allows.  The warps,
+grid composition and fusion inference give the same bytes for 1, 2 and 3
+threads, a failing part's exception reaches the caller once every thread
+is joined, and the flow solver starts no thread."""
 
 import os
 import pathlib
@@ -13,14 +13,54 @@ import threading
 
 import numpy as np
 import pytest
-from test_flow import bounded, fast_switching, force_parts  # noqa: F401 (a fixture)
+from test_flow import noise_pair
 from test_raster import edge_heavy_grid
 
-from semshare import flow, fusion, raster
+from semshare import fusion, raster
+from semshare.flow import FlowConfig, estimate_flow
 from semshare.fusion import VARIANT_KINDS, fuse_forward, new_head
 from semshare.raster import GridMap, LabelMap, ScoreMap, compose_grids, warp_labels
 
 PART_COUNTS = (1, 2, 3)
+
+
+@pytest.fixture
+def fast_switching():
+    """A 1 us thread switch interval, so the threads of a pass interleave
+    at almost every bytecode."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def bounded(fn, *args, timeout=120.0):
+    """fn(*args) run in a daemon thread and waited for at most `timeout`
+    seconds: its result, or its exception raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args)
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{fn.__name__} did not return within {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def force_parts(monkeypatch, cpus):
+    """One-row bands, and `cpus` usable CPUs: every banded pass runs on
+    min(cpus, rows) threads."""
+    monkeypatch.setattr(raster, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(raster, "_BAND_PIXELS", 1)
 
 
 def record_part_counts(monkeypatch):
@@ -29,11 +69,11 @@ def record_part_counts(monkeypatch):
     counts = []
     run_parts = raster._run_parts
 
-    def spy(fn, parts, threads=None, barrier=False):
-        counts.append(len(parts) if threads is None else threads)
-        return run_parts(fn, parts, threads, barrier)
+    def spy(fn, parts, threads):
+        counts.append(threads)
+        return run_parts(fn, parts, threads)
 
-    for module in (raster, flow, fusion):
+    for module in (raster, fusion):
         monkeypatch.setattr(module, "_run_parts", spy)
     return counts
 
@@ -206,11 +246,9 @@ class TestFailingPart:
         assert len(raised) == 1 and info.value is raised[0]
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("barrier", [False, True])
-    def test_a_thread_that_fails_to_start_fails_the_pass(self, monkeypatch, barrier):
-        """The start failure is raised once the started worker is joined
-        (with a barrier, aborting it frees that worker), and the calling
-        thread runs no part."""
+    def test_a_thread_that_fails_to_start_fails_the_pass(self, monkeypatch):
+        """The start failure is raised once the started worker is joined,
+        and the calling thread runs no part."""
         start = threading.Thread.start
         started, owners = [], []
 
@@ -220,45 +258,19 @@ class TestFailingPart:
             started.append(thread)
             start(thread)
 
-        def run(taken, *sync):
+        def run(taken):
             for rows in taken:
                 owners.append(threading.get_ident())
-                for wait in sync:
-                    wait.wait()
 
         def call():
             with monkeypatch.context() as m:  # after bounded started its thread
                 m.setattr(threading.Thread, "start", start_once)
-                raster._run_parts(run, [slice(0, 1), slice(1, 2), slice(2, 3)], barrier=barrier)
+                raster._run_parts(run, [slice(0, 1), slice(1, 2), slice(2, 3)], threads=3)
 
         with pytest.raises(RuntimeError, match="can't start"):
             bounded(call)
         assert len(started) == 1 and not started[0].is_alive()
         assert set(owners) == {started[0].ident}
-
-    def test_a_failing_part_breaks_the_barrier_of_the_others(self):
-        def run(taken, barrier):
-            for rows in taken:
-                if rows.start == 1:
-                    raise ValueError("part 1 failed")
-                barrier.wait()
-
-        parts = [slice(0, 1), slice(1, 2), slice(2, 3)]
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="part 1 failed"):
-            bounded(raster._run_parts, run, parts, None, True)
-        assert threading.active_count() == before
-
-    def test_with_a_barrier_every_thread_takes_one_part(self):
-        owners = {}
-
-        def run(taken, barrier):
-            for rows in taken:
-                owners[rows.start] = threading.get_ident()
-                barrier.wait()
-
-        bounded(raster._run_parts, run, [slice(i, i + 1) for i in range(3)], None, True)
-        assert sorted(owners) == [0, 1, 2] and len(set(owners.values())) == 3
 
     def test_a_thread_that_runs_late_takes_fewer_parts(self):
         """The worker takes part 0 and then waits until the calling thread,
@@ -285,3 +297,58 @@ class TestFailingPart:
 
         bounded(call)
         assert owners == {0: False, **{i: True for i in range(1, 10)}}
+
+
+class TestThreadCount:
+    """How many threads a banded pass gets (raster._thread_count) and the
+    row bands it hands out (raster._row_bands)."""
+
+    @pytest.mark.parametrize(
+        "cpus, shape, threads",
+        [
+            (2, (384, 384), 2),
+            (2, (208, 216), 1),  # fewer than 2 * _BAND_PIXELS per thread
+            (1, (384, 384), 1),
+            (3, (301, 384), 3),
+            (64, (16, 12_300), 8),  # at most one per 2 * _BAND_PIXELS pixels
+        ],
+    )
+    def test_thread_count(self, monkeypatch, cpus, shape, threads):
+        monkeypatch.setattr(raster, "_usable_cpus", lambda: cpus)
+        h, w = shape
+        assert raster._thread_count(slice(0, h), w) == threads
+        assert raster._thread_count(slice(10, 10 + h), w) == threads
+
+    @pytest.mark.parametrize(
+        "rows, width, sizes",
+        [
+            (slice(10, 311), 384, [32] * 9 + [13]),
+            (slice(0, 16), 12_300, [1] * 16),  # a row wider than a band
+            (slice(3, 8), 100, [5]),
+        ],
+        ids=["32-row-bands", "1-row-bands", "one-band"],
+    )
+    def test_bands_of_a_row_range_start_at_its_first_row(self, rows, width, sizes):
+        bands = raster._row_bands(rows, width)
+        assert [b.stop - b.start for b in bands] == sizes
+        assert bands[0].start == rows.start and bands[-1].stop == rows.stop
+        assert all(a.stop == b.start for a, b in zip(bands, bands[1:]))
+
+
+class TestSolverThreads:
+    @pytest.mark.parametrize("size", [(64, 64), (12_300, 16)], ids=["64x64", "12300x16"])
+    def test_the_flow_solver_starts_no_thread(self, monkeypatch, size):
+        """With 64 CPUs and one-row bands every banded pass would start
+        threads; the solver sweeps each level on the calling thread."""
+        force_parts(monkeypatch, 64)
+        start = threading.Thread.start
+        started = []
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        target, source = noise_pair(size, 1, seed=5)
+        monkeypatch.setattr(threading.Thread, "start", record)
+        estimate_flow(target, source, FlowConfig(iterations_per_level=2))
+        assert started == []
