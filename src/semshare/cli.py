@@ -2,8 +2,8 @@
 
 Subcommands: gen-bench, flow, share, train-fusion, run, ablate, eval.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure.  All commands are deterministic: identical flags and seeds
-produce byte-identical output files.
+failure or a refused allocation.  All commands are deterministic:
+identical flags and seeds produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -163,12 +163,6 @@ def cmd_run(args) -> int:
     write_labels(result.wide_labels, path("wide_labels.bin"))
     write_mask(result.narrow_mask, path("narrow_mask.pgm"))
     write_mask(result.wide_mask, path("wide_mask.pgm"))
-    # evaluation-region choice for a later `eval --mask`: the wide-branch
-    # overlap region, or the full frame
-    if args.overlap_only:
-        write_mask(result.wide_mask, path("eval_mask.pgm"))
-    else:
-        write_mask(np.ones_like(result.wide_mask), path("eval_mask.pgm"))
     if args.dump_intermediates:
         for direction, prefix in (("forward", ""), ("backward", "back_")):
             shared = getattr(result, direction)
@@ -276,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--narrow-head")
     p.add_argument("--wide-head")
     p.add_argument("--out", required=True)
-    p.add_argument("--overlap-only", action="store_true")
     p.add_argument("--dump-intermediates", action="store_true")
     _add_flow_flags(p)
     p.set_defaults(func=cmd_run)
@@ -323,7 +316,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (SemShareError, OSError) as exc:
+    except (SemShareError, OSError, MemoryError) as exc:
         code, prefix = _exit_status(exc)
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code

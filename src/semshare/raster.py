@@ -16,35 +16,23 @@ flow's pyramid, warp and upsampling and the synthetic flow samples, and
 _warp_planes warps through a grid with fill (below).  synth.value_noise
 blends its wrapping lattice's corners through it, on its own support.
 
-The per-pixel passes over a frame are box-bounded, cache-banded and
-shared between threads.  _warp_planes evaluates only the bounding box of
-the grid's valid pixels (_valid_box) and streams it in row bands of about
-_BAND_PIXELS pixels (_row_bands), so one band's support and temporaries
-stay in L2; raster warps, label warps and grid composition (a warp of the
-inner grid's planes) all go through it.  Every banded pass walks
-_row_bands: this one, fusion's inference and the scene renderer.  Every
-warped pixel sees the same arithmetic as in a whole-raster pass, so no
-warp depends on the box, the band size or the thread count.
-
-_run_parts is the package's one thread helper.  A pass runs on
-_thread_count threads: one per CPU the process may run on, but at most
-one per row and one per 2 * _BAND_PIXELS pixels.  The calling thread and
-one worker per other thread, joined before the return, take the pass's
-parts from one queue, each the next free part whenever it is done with
-one, so a thread whose CPU is busy with other work takes fewer.  The
-workers run in a copy of the caller's contextvars context (numpy's
-error state follows the caller), and the first failure is raised in the
-caller.  The banded passes hand out their bands, so every band, and each
-of fusion's matrix products, is the serial pass's whatever thread runs
-it.  numpy releases the interpreter lock only inside each call, so
-threads gain where the calls are large: _warp_planes (both score warps,
-the stage-one image warp, compose_grids and warp_labels) and
-fusion.fuse_forward use the helper.  The flow solver runs on the calling
-thread (see flow), and the scene renderer stays serial too:
-its many small numpy calls per band hand the lock back and forth, and two
-threads of bands gained nothing (2-core host, medians of 15 alternating
-rounds of two renders: 28.3 -> 28.7 and 32.0 -> 36.0 ms at 384^2, 7.7 ->
-7.6 and 8.8 -> 8.7 ms at 192^2).
+The per-pixel passes over a frame, the warps of _warp_planes (both score
+warps, the stage-one image warp, compose_grids and warp_labels) and
+fusion.fuse_forward, hand one entry, _run_box, a mask and a band kernel.
+_run_box alone picks the box (the mask's True pixels), its row bands of
+about _BAND_PIXELS pixels (_row_bands: one band's temporaries stay in L2)
+and the threads that take them (_thread_count, _run_parts); its docstring
+states the policy.  A band is the same whatever thread runs it, so no
+output depends on the thread count, and every warped pixel sees the
+arithmetic of a whole-raster pass, so no warp depends on the box or the
+band size either.  A fused pixel's bits can: a BLAS kernel can round a
+product's last columns differently from the others.  The flow solver
+runs on the calling thread (see flow).  The scene renderer walks
+_row_bands on one thread: its many small numpy calls per band hand the
+interpreter lock back and forth, and two threads of bands gained nothing
+(2-core host, medians of 15 alternating rounds of two renders: 28.3 ->
+28.7 and 32.0 -> 36.0 ms at 384^2, 7.7 -> 7.6 and 8.8 -> 8.7 ms at
+192^2).
 
 The module also holds the package's one binomial smoothing, _smooth
 (flow's pyramid and the score blur of synth.degrade_scores), and its one
@@ -495,26 +483,52 @@ def _valid_box(valid, pad=0, min_size=1):
     return tuple(box)
 
 
-def _warp_planes(planes, grid: GridMap, fill: float):
-    """Sample a sequence of equal-shape 2D planes through the grid inside
-    the box of its valid pixels, in row bands with one support each, the
-    bands shared out between _thread_count threads by _run_parts; every
-    pixel outside the box, and every invalid one, is fill.  Returns one
-    (len(planes), H, W) array."""
-    out = np.full((len(planes),) + grid.valid.shape, fill, np.result_type(*planes, grid.sx))
-    box = _valid_box(grid.valid)
+def _run_box(mask, fn):
+    """Run a banded pass over the box of the True pixels of a 2D mask;
+    nothing runs when it has none.
+
+    The box is grown to at least 2 rows and columns where the mask
+    allows, because a one-pixel product runs as numpy's matrix-vector
+    product, whose rounding differs from the matrix product's (a warp's
+    added pixels are invalid and keep its fill).  The box is cut into
+    _row_bands, and fn(bands, cols) runs on _thread_count threads through
+    _run_parts: one per usable CPU, but at most one per row and one per
+    2 * _BAND_PIXELS pixels.  `bands` iterates over the row slices its
+    thread takes from the queue; cols is the box's column slice.  numpy
+    releases the interpreter lock only inside each call, so threads gain
+    where a band's calls are large.
+
+    The bands are the serial pass's whatever thread runs them.  Within a
+    band, a pixel's bits can still depend on its column in a matrix
+    product: a BLAS kernel can round the last columns of a product, past
+    its last full column block, differently from the others (with a
+    one-thread OpenBLAS, 79 of the 463,188 scores of a residual head on a
+    242 x 319 box differed from one whole-box product).
+    """
+    box = _valid_box(mask, min_size=2)
     if box is not None:
         rows, cols = box
         width = cols.stop - cols.start
+        _run_parts(
+            lambda bands: fn(bands, cols), _row_bands(rows, width), _thread_count(rows, width)
+        )
 
-        def warp_bands(bands):
-            for band in bands:
-                sampled = _sample_planes(
-                    planes, grid.sx[band, cols], grid.sy[band, cols], out[:, band, cols]
-                )
-                np.copyto(sampled, fill, where=~grid.valid[band, cols])
 
-        _run_parts(warp_bands, _row_bands(rows, width), _thread_count(rows, width))
+def _warp_planes(planes, grid: GridMap, fill: float):
+    """Sample a sequence of equal-shape 2D planes through the grid, one
+    support per band of _run_box over its valid pixels; every pixel
+    outside the box, and every invalid one, is fill.  Returns one
+    (len(planes), H, W) array."""
+    out = np.full((len(planes),) + grid.valid.shape, fill, np.result_type(*planes, grid.sx))
+
+    def warp_bands(bands, cols):
+        for band in bands:
+            sampled = _sample_planes(
+                planes, grid.sx[band, cols], grid.sy[band, cols], out[:, band, cols]
+            )
+            np.copyto(sampled, fill, where=~grid.valid[band, cols])
+
+    _run_box(grid.valid, warp_bands)
     return out
 
 

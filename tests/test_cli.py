@@ -14,6 +14,7 @@ from semshare.formats import (
     read_flo, read_image, read_labels, read_scores, write_flo, write_image, write_labels,
     write_mask, write_scores,
 )
+from semshare.metrics import miou, report_to_text
 from semshare.pipeline import FUSION_TRAIN, OVERLAP_TRAIN, AblationTable
 from semshare.raster import LabelMap
 from semshare.synth import degrade_scores, make_scene, render_scene, texture_image
@@ -54,6 +55,7 @@ def scene_files(tmp_path_factory):
     write_scores(degrade_scores(pair.wide_labels, sigma=0.3, seed=1), root / "wide_scores.bin")
     write_scores(degrade_scores(pair.narrow_labels, sigma=0.3, seed=2), root / "narrow_scores.bin")
     write_labels(pair.narrow_labels, root / "narrow_gt.bin")
+    write_labels(pair.wide_labels, root / "wide_gt.bin")
     return root
 
 
@@ -119,6 +121,19 @@ class TestGenBench:
         assert main(["gen-bench", "--out", str(out), *small, *flags]) == 2
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
+
+    def test_refused_allocation_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        """An allocation the machine refuses (numpy raises a MemoryError)
+        exits 4 with a message instead of a traceback.  The renderer is
+        replaced, so nothing large is allocated."""
+
+        def refuse(scene):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(pipeline, "render_scene", refuse)
+        small = ["--scenes", "1", "--flow-samples", "0", "--size", "32x32"]
+        assert main(["gen-bench", "--out", str(tmp_path / "bench"), *small]) == 4
+        assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB\n"
 
 
 class TestFlowCommand:
@@ -285,7 +300,7 @@ class TestTrainAndRun:
         assert code == 0
         assert sorted(os.listdir(out_dir)) == sorted([
             "narrow_fused.bin", "narrow_labels.bin", "wide_refined.bin", "wide_labels.bin",
-            "narrow_mask.pgm", "wide_mask.pgm", "eval_mask.pgm",
+            "narrow_mask.pgm", "wide_mask.pgm",
             "stage1_forward.pgm", "flow_forward.flo", "propagated.bin",
             "stage1_backward.pgm", "flow_backward.flo", "back_propagated.bin",
         ])
@@ -312,6 +327,36 @@ class TestTrainAndRun:
         )
         assert code == 0
         assert "miou" in report_path.read_text()
+
+    def test_overlap_eval_reads_the_wide_mask(self, scene_files, tmp_path):
+        """eval --mask wide_mask.pgm scores the wide labels on the region
+        the narrow camera's fused scores reached: run_frame's wide_mask."""
+        out_dir, report_path = tmp_path / "frame", tmp_path / "report.txt"
+        files = {name: str(scene_files / name) for name in os.listdir(scene_files)}
+        code = main(
+            [
+                "run", "--rig", files["rig.txt"],
+                "--wide-image", files["wide.pgm"], "--wide-scores", files["wide_scores.bin"],
+                "--narrow-image", files["narrow.pgm"], "--narrow-scores", files["narrow_scores.bin"],
+                "--out", str(out_dir),
+            ]
+        )
+        assert code == 0
+        code = main(
+            [
+                "eval", "--pred", str(out_dir / "wide_labels.bin"), "--gt", files["wide_gt.bin"],
+                "--mask", str(out_dir / "wide_mask.pgm"), "--out", str(report_path),
+            ]
+        )
+        assert code == 0
+        result = pipeline.run_frame(
+            pipeline.PipelineConfig(rig_path=files["rig.txt"]),
+            read_image(files["wide.pgm"]), read_scores(files["wide_scores.bin"]),
+            read_image(files["narrow.pgm"]), read_scores(files["narrow_scores.bin"]),
+        )
+        gt = read_labels(files["wide_gt.bin"])
+        report = miou(result.wide_labels, gt, result.wide_mask, gt.num_classes)
+        assert report_path.read_text() == report_to_text(report)
 
     @pytest.mark.parametrize("scale", ["0", "-1", "inf"])
     def test_bad_init_scale_is_config_error(self, bench_dir, tmp_path, scale):

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its own module,
 every module-level private name is used somewhere in the package, every
 public name has a caller, the package root re-exports nothing, and only
-raster (its thread helper, _run_parts) holds thread code."""
+raster (its thread helper, _run_parts) holds thread code and picks a
+pass's threads."""
 
 import ast
 import pathlib
@@ -50,16 +51,21 @@ def private_definitions(tree):
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
+def read_names(tree):
+    """The names a module reads: loads of a name, and attribute names (an
+    import alone is no read)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
 def test_private_names_are_used():
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    # reads of a name or an attribute (an import alone is no use)
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    used = set().union(*map(read_names, trees.values()))
     unused = sorted(
         f"{path.stem}.{name}"
         for path, tree in trees.items()
@@ -91,6 +97,17 @@ def test_only_raster_imports_thread_modules():
         if imported_modules(ast.parse(path.read_text())) & THREAD_MODULES
     )
     assert importers == ["raster"]
+
+
+def test_only_raster_reads_the_thread_helpers():
+    """Other modules run a banded pass through raster._run_box, which
+    alone picks the threads and runs the queue."""
+    readers = sorted(
+        path.stem
+        for path in SRC.glob("*.py")
+        if read_names(ast.parse(path.read_text())) & {"_run_parts", "_thread_count"}
+    )
+    assert readers == ["raster"], f"modules that read raster's thread helpers: {readers}"
 
 
 def test_package_root_defines_only_the_version():

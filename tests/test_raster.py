@@ -441,6 +441,8 @@ class TestFlatIndexKernels:
             pytest.param((40, 31), (40, 31), "scattered", id="size1-source_size1"),
             pytest.param((40, 31), (40, 31), "off_centre_block", id="off_centre_block"),
             pytest.param((17, 11), (13, 9), "all_invalid", id="all_invalid"),
+            # a one-pixel box, grown to 2 x 2 up and to the left
+            pytest.param((17, 11), (13, 9), "corner_pixel", id="corner_pixel"),
         ],
     )
     def test_warps_match_oracle(self, monkeypatch, size, source_size, layout):
@@ -458,9 +460,12 @@ class TestFlatIndexKernels:
         grid = edge_heavy_grid(rng, size, source_size)
         if layout != "scattered":
             valid = np.zeros(grid.valid.shape, bool)
+            sx, sy = grid.sx.copy(), grid.sy.copy()
             if layout == "off_centre_block":
                 valid[4:13, 22:35] = grid.valid[4:13, 22:35]
-            grid = GridMap(grid.sx, grid.sy, valid, source_size)
+            elif layout == "corner_pixel":
+                valid[-1, -1], sx[-1, -1], sy[-1, -1] = True, 1.5, 2.25
+            grid = GridMap(sx, sy, valid, source_size)
         scores = ScoreMap(rng.standard_normal((6, sh, sw)))
         out, mask = warp_raster(scores, grid)
         assert out.data.tobytes() == reference_warp(scores.data, grid, -1e4).tobytes()

@@ -1,7 +1,7 @@
-"""Row bands on threads: raster._run_parts shares the row bands of a warp
-or of fusion out between the calling thread and the workers that
-raster._thread_count allows.  The warps,
-grid composition and fusion inference give the same bytes for 1, 2 and 3
+"""Row bands on threads: raster._run_box hands the row bands of a warp or
+of fusion to raster._run_parts, which shares them out between the calling
+thread and the workers that raster._thread_count allows.  The warps, grid
+composition and fusion inference give the same bytes for 1, 2 and 3
 threads, a failing part's exception reaches the caller once every thread
 is joined, and the flow solver starts no thread."""
 
@@ -65,7 +65,7 @@ def force_parts(monkeypatch, cpus):
 
 def record_part_counts(monkeypatch):
     """A list that receives the thread count of every raster._run_parts
-    call, in raster and in the modules that import it."""
+    call; the warps and fusion reach it through raster._run_box."""
     counts = []
     run_parts = raster._run_parts
 
@@ -73,8 +73,7 @@ def record_part_counts(monkeypatch):
         counts.append(threads)
         return run_parts(fn, parts, threads)
 
-    for module in (raster, fusion):
-        monkeypatch.setattr(module, "_run_parts", spy)
+    monkeypatch.setattr(raster, "_run_parts", spy)
     return counts
 
 
