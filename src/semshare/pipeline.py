@@ -18,6 +18,7 @@ the heads.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -234,7 +235,10 @@ def write_benchmark(
     texture images for flow samples, all indexed by a manifest.  The
     arguments are checked, and every scene is made, before anything is
     written; scene and flow sizes must be at least the flow pyramid's
-    min_level_size on each side."""
+    min_level_size on each side.  Each scene is rendered before any of its
+    files is written.  On any failure, every file and directory this call
+    created is removed before the error propagates; what existed before is
+    kept (a file it overwrote keeps the new bytes)."""
     if num_scenes < 1 or min(num_planar, num_flow_samples, seed) < 0:
         raise ConfigError(
             f"benchmark needs at least one scene and no negative count or seed, got seed "
@@ -254,36 +258,58 @@ def write_benchmark(
         make_scene(scene_seed, size=scene_size, planar=i >= num_scenes)
         for i, scene_seed in enumerate(scene_seeds)
     ]
-    os.makedirs(root, exist_ok=True)
+    created = []  # the paths this call creates, outermost and oldest first
+
+    def new(path):
+        """`path`, with it and every missing directory above it recorded in
+        `created` before anything is made there."""
+        missing = []
+        probe = os.path.abspath(path)
+        while not os.path.lexists(probe):
+            missing.append(probe)
+            probe = os.path.dirname(probe)
+        created.extend(reversed(missing))
+        return path
+
     lines = ["version 1", f"seed {seed}",
              f"size {scene_size[0]} {scene_size[1]}",
              f"flow_size {flow_size[0]} {flow_size[1]}"]
     scenes = []
-    for i, (scene_seed, scene) in enumerate(zip(scene_seeds, made)):
-        planar = i >= num_scenes
-        name = f"scene_{i:03d}"
-        directory = os.path.join(root, name)
-        os.makedirs(directory, exist_ok=True)
-        write_scene(scene, os.path.join(directory, "scene.txt"))
-        write_rig(scene.rig, os.path.join(directory, "rig.txt"))
-        pair = render_scene(scene)
-        write_image(pair.wide_image, os.path.join(directory, "wide.pgm"))
-        write_image(pair.narrow_image, os.path.join(directory, "narrow.pgm"))
-        write_labels(pair.wide_labels, os.path.join(directory, "wide_labels.bin"))
-        write_labels(pair.narrow_labels, os.path.join(directory, "narrow_labels.bin"))
-        lines.append(f"scene {i:03d} {name} planar {int(planar)} seed {scene_seed}")
-        scenes.append(BenchmarkEntry(name, planar, scene_seed))
     textures = []
-    tex_dir = os.path.join(root, "textures")
-    os.makedirs(tex_dir, exist_ok=True)
-    for i in range(num_flow_samples):
-        tex_seed = int(rng.integers(1 << 31))
-        rel = os.path.join("textures", f"tex_{i:03d}.pgm")
-        write_image(texture_image(flow_size, tex_seed), os.path.join(root, rel))
-        lines.append(f"texture {i:03d} {rel} seed {tex_seed}")
-        textures.append((i, rel, tex_seed))
-    with open(os.path.join(root, "manifest.txt"), "w", encoding="ascii") as f:
-        f.write("\n".join(lines) + "\n")
+    try:
+        os.makedirs(new(root), exist_ok=True)
+        for i, (scene_seed, scene) in enumerate(zip(scene_seeds, made)):
+            planar = i >= num_scenes
+            name = f"scene_{i:03d}"
+            pair = render_scene(scene)
+            directory = os.path.join(root, name)
+            os.makedirs(new(directory), exist_ok=True)
+            write_scene(scene, new(os.path.join(directory, "scene.txt")))
+            write_rig(scene.rig, new(os.path.join(directory, "rig.txt")))
+            write_image(pair.wide_image, new(os.path.join(directory, "wide.pgm")))
+            write_image(pair.narrow_image, new(os.path.join(directory, "narrow.pgm")))
+            write_labels(pair.wide_labels, new(os.path.join(directory, "wide_labels.bin")))
+            write_labels(pair.narrow_labels, new(os.path.join(directory, "narrow_labels.bin")))
+            lines.append(f"scene {i:03d} {name} planar {int(planar)} seed {scene_seed}")
+            scenes.append(BenchmarkEntry(name, planar, scene_seed))
+        tex_dir = os.path.join(root, "textures")
+        os.makedirs(new(tex_dir), exist_ok=True)
+        for i in range(num_flow_samples):
+            tex_seed = int(rng.integers(1 << 31))
+            rel = os.path.join("textures", f"tex_{i:03d}.pgm")
+            write_image(texture_image(flow_size, tex_seed), new(os.path.join(root, rel)))
+            lines.append(f"texture {i:03d} {rel} seed {tex_seed}")
+            textures.append((i, rel, tex_seed))
+        with open(new(os.path.join(root, "manifest.txt")), "w", encoding="ascii") as f:
+            f.write("\n".join(lines) + "\n")
+    except BaseException:
+        for path in reversed(created):
+            with contextlib.suppress(OSError):  # not made yet, or no longer empty
+                if os.path.isdir(path):
+                    os.rmdir(path)
+                else:
+                    os.remove(path)
+        raise
     return Benchmark(str(root), seed, scenes, textures)
 
 

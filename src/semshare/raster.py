@@ -14,7 +14,8 @@ its fractions.  Its two entries share one support among many planes:
 _sample_planes clamps coordinates to the planes (_bilinear_support), for
 flow's pyramid, warp and upsampling and the synthetic flow samples, and
 _warp_planes warps through a grid with fill (below).  synth.value_noise
-blends its wrapping lattice's corners through it, on its own support.
+blends its wrapping lattice's corners through it, on its own support,
+whose fractions broadcast: a row and a column give a whole lattice.
 
 The per-pixel passes over a frame, the warps of _warp_planes (both score
 warps, the stage-one image warp, compose_grids and warp_labels) and

@@ -13,12 +13,21 @@ Scene content is desk-scale: a checkerboard-textured ground plane (class
 (classes person/car/barrier/cycle) and a textured background at infinity
 (class "background").  Everything is a pure function of (inputs, seed).
 
-The renderer shades each surface only on the pixels where it is placed,
-and the background only where nothing was hit, so a pixel costs about one
-texture sample instead of one per surface.  It works in row bands of
-raster._BAND_PIXELS pixels.  value_noise and the depth test are
-elementwise, so every pixel gets the bits that shading the whole raster
-would give it.
+The renderer makes one pass per view over row bands of about
+raster._BAND_PIXELS pixels.  Each band casts its rays, depth-tests and
+shades them, and projects its hit points into the other camera for that
+view's correspondence grid, so no whole-raster ray, point or offset
+array is built.  A box is tested only inside its footprint: the
+rectangle of its projected corners, padded by _FOOTPRINT_PAD pixels (a
+whole band when a corner lies behind the camera).  The depth test runs
+on the band's pixels inside it, the visibility test on the pixels whose
+projection into the other camera falls inside the box's footprint there;
+at 384^2 that is about 3% of the rays a whole-raster test takes.  Each
+surface is shaded only on the pixels where it is placed, and the
+background only where nothing was hit, so a pixel costs about one
+texture sample instead of one per surface.  value_noise, the depth test
+and the projections are elementwise, so every pixel gets the bits that
+a whole-raster render would give it.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ CLASS_NAMES = ("background", "road", "person", "car", "barrier", "cycle")
 NUM_CLASSES = len(CLASS_NAMES)
 
 _EPS = 1e-9
+# pixels by which a box's projected footprint is widened on every side
+_FOOTPRINT_PAD = 2.0
 
 _TEXTURE_OCTAVES = ((32.0, 0.5), (16.0, 0.3), (8.0, 0.2))  # (lattice scale px, amplitude)
 
@@ -61,8 +72,10 @@ def value_noise(xs, ys, seed: int, scale: float) -> np.ndarray:
 
     Every output element depends only on its own coordinate pair, so the
     renderer can shade a surface on just the pixels where it is placed.
-    The support's four lattice corners are the flat indices y * 64 + x,
-    and raster's one bilinear blend reads and blends them."""
+    xs and ys broadcast: a row of xs and a column of ys give a whole
+    lattice, with the per-axis work done once per row and column.  The
+    support's four lattice corners are the flat indices y * 64 + x, and
+    raster's one bilinear blend reads and blends them."""
     rng = np.random.default_rng(seed)
     lattice = rng.random((64, 64))
     # fx and fy first hold the lattice coordinates, then their fractions
@@ -74,23 +87,32 @@ def value_noise(xs, ys, seed: int, scale: float) -> np.ndarray:
     fy -= y0
     fx = fx * fx * (3.0 - 2.0 * fx)
     fy = fy * fy * (3.0 - 2.0 * fy)
-    x0 %= 64
-    y0 %= 64
-    x1 = (x0 + 1) % 64
-    y1 = (y0 + 1) % 64 * 64
+    # & 63 is % 64 on int64, negative coordinates included
+    x0 &= 63
+    y0 &= 63
+    x1 = (x0 + 1) & 63
+    y1 = (y0 + 1) & 63
+    y1 *= 64
     y0 *= 64
     return _gather_bilinear(lattice, ((y0 + x0, y0 + x1, y1 + x0, y1 + x1), fx, fy))
 
 
 def texture_image(size, seed: int) -> Image:
-    """Multi-octave value-noise image, normalized to span [0, 1]."""
-    xs, ys = _lattice(size)
-    out = np.zeros(xs.shape)
-    for k, (scale, amp) in enumerate(_TEXTURE_OCTAVES):
-        out += amp * value_noise(xs, ys, seed * 7919 + k, scale)
+    """Multi-octave value-noise image, normalized to span [0, 1].
+
+    Each octave samples a row of xs against a column of ys, in row bands
+    of about _BAND_PIXELS pixels whose temporaries stay in cache."""
+    w, h = size
+    xs = np.arange(w, dtype=float)
+    ys = np.arange(h, dtype=float)[:, None]
+    out = np.zeros((h, w))
+    for band in _row_bands(slice(0, h), w):
+        for k, (scale, amp) in enumerate(_TEXTURE_OCTAVES):
+            out[band] += amp * value_noise(xs, ys[band], seed * 7919 + k, scale)
     lo, hi = out.min(), out.max()
     if hi > lo:
-        out = (out - lo) / (hi - lo)
+        out -= lo
+        out /= hi - lo
     return Image(out[None])
 
 
@@ -229,16 +251,15 @@ class ScenePair:
     grid_to_wide: GridMap
 
 
-def _view_rays(cam: Intrinsics, size, rotation: np.ndarray):
-    """World-frame ray directions for every pixel of one camera."""
-    xs, ys = _lattice(size)
-    dir_cam = np.stack(
-        [
-            (xs - cam.cx - cam.skew * (ys - cam.cy) / cam.fy) / cam.fx,
-            (ys - cam.cy) / cam.fy,
-            np.ones_like(xs),
-        ]
-    )
+def _view_rays(cam: Intrinsics, width, rows: slice, rotation: np.ndarray):
+    """World-frame ray directions of the pixels in `rows` of a camera
+    `width` pixels wide."""
+    xs = np.arange(width, dtype=float)
+    ys = np.arange(rows.start, rows.stop, dtype=float)[:, None]
+    dir_cam = np.empty((3, ys.size, width))
+    dir_cam[0] = (xs - cam.cx - cam.skew * (ys - cam.cy) / cam.fy) / cam.fx
+    dir_cam[1] = (ys - cam.cy) / cam.fy
+    dir_cam[2] = 1.0
     return np.einsum("ij,jhw->ihw", rotation.T, dir_cam)
 
 
@@ -262,6 +283,46 @@ def _box_hit(scene: SynthScene, box: Box, origin, rel):
     return t, x, y, on_box
 
 
+def _footprint(scene: SynthScene, box: Box, view):
+    """(u_lo, u_hi, v_lo, v_hi): the bounding rectangle of a box's four
+    corners projected into the camera of `view`, padded by _FOOTPRINT_PAD
+    pixels for round-off, or None when a corner lies behind the camera.
+
+    The box is a flat convex quad, so with every corner in front of the
+    camera every point of it projects inside its corners' rectangle: a
+    ray meets the box only at a pixel inside it."""
+    cam, _, rotation, center = view
+    half = box.width / 2.0
+    top = scene.ground_height - box.height
+    corners = np.array([
+        [box.x_center - half, box.x_center + half, box.x_center - half, box.x_center + half],
+        [top, top, scene.ground_height, scene.ground_height],
+        [box.depth] * 4,
+    ])
+    x, y, z = rotation @ (corners - np.reshape(center, (3, 1)))
+    if z.min() <= _EPS:
+        return None
+    u, v = cam.project(x, y, z)
+    pad = _FOOTPRINT_PAD
+    return u.min() - pad, u.max() + pad, v.min() - pad, v.max() + pad
+
+
+def _window(footprint, width, rows: slice):
+    """(rows, cols) slices, relative to the band `rows` of a raster `width`
+    pixels wide, of the band's pixels inside a footprint (the whole band
+    for None), or None when it holds none of them."""
+    if footprint is None:
+        return slice(None), slice(None)
+    u_lo, u_hi, v_lo, v_hi = footprint
+    c0 = max(0, math.ceil(u_lo))
+    c1 = min(width, math.floor(u_hi) + 1)
+    r0 = max(rows.start, math.ceil(v_lo))
+    r1 = min(rows.stop, math.floor(v_hi) + 1)
+    if c0 >= c1 or r0 >= r1:
+        return None
+    return slice(r0 - rows.start, r1 - rows.start), slice(c0, c1)
+
+
 def _ground_hit(scene: SynthScene, origin, rel):
     """Where the rays origin + t * rel meet the ground plane y =
     ground_height: returns (t, x, z, hit), hit flagging downward rays that
@@ -276,9 +337,10 @@ def _ground_hit(scene: SynthScene, origin, rel):
     return t, ox + t * rx, z, down & (t > 0.0) & (z > 0.0)
 
 
-def _shade(scene: SynthScene, center, dirs, t_hit, labels, intensity):
+def _shade(scene: SynthScene, center, dirs, t_hit, labels, intensity, windows):
     """Depth-test and shade the pixels of one band of rays `dirs`, writing
-    into the band's views t_hit, labels and intensity."""
+    into the band's views t_hit, labels and intensity; each box is tested
+    only in its window of the band (see _window)."""
     dx, dy, dz = dirs
     # the ground comes first, so it is placed wherever it is hit
     t_ground, gx, gz, place = _ground_hit(scene, center, dirs)
@@ -290,15 +352,19 @@ def _shade(scene: SynthScene, center, dirs, t_hit, labels, intensity):
     labels[place] = 1
     intensity[place] = 0.5 + 0.17 * checker * fade + 0.12 * (g_noise - 0.5)
 
-    for box in scene.boxes:
-        t_box, bx, by, on_box = _box_hit(scene, box, center, dirs)
-        place = (dz > _EPS) & on_box & (t_box < t_hit)
+    for box, window in zip(scene.boxes, windows):
+        if window is None:
+            continue
+        t_win, labels_win, intensity_win = t_hit[window], labels[window], intensity[window]
+        box_dirs = dirs[(slice(None),) + window]
+        t_box, bx, by, on_box = _box_hit(scene, box, center, box_dirs)
+        place = (box_dirs[2] > _EPS) & on_box & (t_box < t_win)
         rng = np.random.default_rng(box.texture_seed)
         base = 0.35 + 0.4 * rng.random()
         b_noise = value_noise(bx[place] * 24.0, by[place] * 24.0, box.texture_seed + 41, 5.0)
-        t_hit[place] = t_box[place]
-        labels[place] = box.class_id
-        intensity[place] = base + 0.24 * (b_noise - 0.5)
+        t_win[place] = t_box[place]
+        labels_win[place] = box.class_id
+        intensity_win[place] = base + 0.24 * (b_noise - 0.5)
 
     # background at infinity: texture over ray direction
     sky = ~np.isfinite(t_hit)
@@ -308,96 +374,98 @@ def _shade(scene: SynthScene, center, dirs, t_hit, labels, intensity):
     intensity[sky] = 0.55 + 0.3 * (bg_noise - 0.5)
 
 
-def _render_view(scene: SynthScene, cam: Intrinsics, size, rotation, center):
-    """Ray-cast one camera: returns intensity, labels, world hit points
-    (inf for the background) and the world ray directions.
+def _hidden_from(scene: SynthScene, center, rel, finite, u, v, in_bounds, footprints):
+    """Pixels whose line of sight to the camera at `center` crosses a box:
+    the open segment center + s * rel, 0 < s < 1, for hit points (rel =
+    point - center), and the ray s > 0 for background directions.
+
+    (u, v) is each pixel's projection into that camera, and in_bounds
+    flags those inside its raster, the only pixels that can lose
+    validity.  A point that a box hides projects where the box does, so
+    each box is tested only on the in-bounds pixels inside its footprint
+    there (all of them for None).  A hit point lies on or above the
+    ground, and so does the camera, so the ground can hide only a
+    background direction."""
+    hidden = np.zeros(finite.shape, dtype=bool)
+    for box, footprint in zip(scene.boxes, footprints):
+        near = in_bounds
+        if footprint is not None:
+            u_lo, u_hi, v_lo, v_hi = footprint
+            near = near & (u >= u_lo) & (u <= u_hi) & (v >= v_lo) & (v <= v_hi)
+        # a hit point on a box's own plane sits at s = 1 up to round-off
+        s_max = np.where(finite[near], 1.0 - 1e-9, np.inf)
+        s, _, _, on_box = _box_hit(scene, box, center, rel[:, near])
+        hidden[near] |= on_box & (s < s_max)
+    return hidden | (~finite & _ground_hit(scene, center, rel)[3])
+
+
+def _render_pass(scene: SynthScene, view, other):
+    """Ray-cast the camera of `view` and build its exact correspondence
+    grid into the camera of `other`, in one pass over row bands of about
+    _BAND_PIXELS pixels; a view is (camera, size, world-to-camera rotation,
+    centre).  Returns (image, labels, grid).
 
     The depth test places the ground, then the boxes in scene order, each
     where it is hit nearer (strictly) than everything placed before.  A
     surface is shaded only on the pixels where it is placed, and a later,
     nearer box overwrites them; the background is shaded last, on the
-    pixels nothing hit.  Both run in row bands of about _BAND_PIXELS
-    pixels: the arrays of a surface's placed pixels change size with every
+    pixels nothing hit.  Each band then projects its hit points (for the
+    background, its ray directions) into the other camera and keeps those
+    in front of it, inside its raster and not hidden from it by the scene.
+    The arrays of a surface's placed pixels change size with every
     surface, and kept this small the allocator reuses their memory (on
     whole rasters they made the peak RSS of repeated renders creep up)."""
-    w, h = size
-    dirs = _view_rays(cam, size, rotation)
+    cam, (w, h), rotation, center = view
+    other_cam, (other_w, other_h), other_rotation, other_center = other
+    here = [_footprint(scene, box, view) for box in scene.boxes]
+    there = [_footprint(scene, box, other) for box in scene.boxes]
     t_hit = np.full((h, w), np.inf)
     labels = np.zeros((h, w), dtype=np.int32)
     intensity = np.empty((h, w))
+    sx = np.empty((h, w))
+    sy = np.empty((h, w))
+    valid = np.empty((h, w), dtype=bool)
     for band in _row_bands(slice(0, h), w):
-        _shade(scene, center, dirs[:, band], t_hit[band], labels[band], intensity[band])
-    finite = np.isfinite(t_hit)
-    t_safe = np.where(finite, t_hit, 0.0)
-    points = np.where(finite, np.reshape(center, (3, 1, 1)) + t_safe * dirs, np.inf)
-    image = Image(np.clip(intensity, 0.0, 1.0)[None])
-    return image, LabelMap(labels, scene.num_classes), points, dirs
-
-
-def _hidden_from(scene: SynthScene, center, rel, finite) -> np.ndarray:
-    """Pixels whose line of sight to the camera at `center` crosses a box:
-    the open segment center + s * rel, 0 < s < 1, for hit points (rel =
-    point - center), and the ray s > 0 for background directions.
-
-    A hit point lies on or above the ground, and so does the camera, so
-    the ground can hide only a background direction."""
-    # a hit point on a box's own plane sits at s = 1 up to round-off
-    s_max = np.where(finite, 1.0 - 1e-9, np.inf)
-    hidden = np.zeros(finite.shape, dtype=bool)
-    for box in scene.boxes:
-        s, _, _, on_box = _box_hit(scene, box, center, rel)
-        hidden |= on_box & (s < s_max)
-    return hidden | (~finite & _ground_hit(scene, center, rel)[3])
-
-
-def _correspondence_grid(
-    scene: SynthScene, points, dirs, cam: Intrinsics, size, rotation, center
-):
-    """Project one view's hit points (background: ray directions) into the
-    other camera and keep those in front of it, inside its raster and not
-    hidden from it by the scene."""
-    w, h = size
-    finite = np.isfinite(points[2])
-    rel = np.where(finite, points - np.reshape(center, (3, 1, 1)), dirs)
-    cam_pt = np.einsum("ij,jhw->ihw", rotation, rel)
-    in_front = cam_pt[2] > _EPS
-    z = np.where(in_front, cam_pt[2], 1.0)
-    u, v = cam.project(cam_pt[0], cam_pt[1], z)
-    # border tolerance absorbs reprojection round-off at the exact edge
-    tol = 1e-6
-    in_bounds = in_front & (u >= -tol) & (u <= w - 1 + tol) & (v >= -tol) & (v <= h - 1 + tol)
-    valid = in_bounds & ~_hidden_from(scene, center, rel, finite)
-    u = np.clip(u, 0.0, w - 1.0)
-    v = np.clip(v, 0.0, h - 1.0)
-    return GridMap(np.where(valid, u, 0.0), np.where(valid, v, 0.0), valid, size)
+        dirs = _view_rays(cam, w, band, rotation)
+        windows = [_window(footprint, w, band) for footprint in here]
+        _shade(scene, center, dirs, t_hit[band], labels[band], intensity[band], windows)
+        finite = np.isfinite(t_hit[band])
+        points = np.reshape(center, (3, 1, 1)) + np.where(finite, t_hit[band], 0.0) * dirs
+        rel = np.where(finite, points - np.reshape(other_center, (3, 1, 1)), dirs)
+        cam_pt = np.einsum("ij,jhw->ihw", other_rotation, rel)
+        in_front = cam_pt[2] > _EPS
+        z = np.where(in_front, cam_pt[2], 1.0)
+        u, v = other_cam.project(cam_pt[0], cam_pt[1], z)
+        # border tolerance absorbs reprojection round-off at the exact edge
+        tol = 1e-6
+        in_bounds = (
+            in_front & (u >= -tol) & (u <= other_w - 1 + tol) & (v >= -tol) & (v <= other_h - 1 + tol)
+        )
+        hidden = _hidden_from(scene, other_center, rel, finite, u, v, in_bounds, there)
+        np.logical_and(in_bounds, ~hidden, out=valid[band])
+        np.clip(u, 0.0, other_w - 1.0, out=sx[band])
+        np.clip(v, 0.0, other_h - 1.0, out=sy[band])
+    image = Image(np.clip(intensity, 0.0, 1.0, out=intensity)[None])
+    return image, LabelMap(labels, scene.num_classes), GridMap(sx, sy, valid, (other_w, other_h))
 
 
 def render_scene(scene: SynthScene) -> ScenePair:
     """Rasterize both cameras and compute exact per-pixel correspondences
     from the true scene geometry (not the planar homography)."""
     rig = scene.rig
-    r_narrow = rig.rotation_wide_to_narrow.r
-    base = np.asarray(scene.baseline, dtype=float)
-
-    wide_img, wide_labels, wide_pts, wide_dirs = _render_view(
-        scene, rig.cam_wide, rig.image_size_wide, np.eye(3), np.zeros(3)
+    wide = (rig.cam_wide, rig.image_size_wide, np.eye(3), np.zeros(3))
+    narrow = (
+        rig.cam_narrow,
+        rig.image_size_narrow,
+        rig.rotation_wide_to_narrow.r,
+        np.asarray(scene.baseline, dtype=float),
     )
-    narrow_img, narrow_labels, narrow_pts, narrow_dirs = _render_view(
-        scene, rig.cam_narrow, rig.image_size_narrow, r_narrow, base
-    )
-
-    grid_to_narrow = _correspondence_grid(
-        scene, narrow_pts, narrow_dirs, rig.cam_wide, rig.image_size_wide,
-        np.eye(3), np.zeros(3),
-    )
-    grid_to_wide = _correspondence_grid(
-        scene, wide_pts, wide_dirs, rig.cam_narrow, rig.image_size_narrow,
-        r_narrow, base,
-    )
+    wide_image, wide_labels, grid_to_wide = _render_pass(scene, wide, narrow)
+    narrow_image, narrow_labels, grid_to_narrow = _render_pass(scene, narrow, wide)
     return ScenePair(
-        wide_image=wide_img,
+        wide_image=wide_image,
         wide_labels=wide_labels,
-        narrow_image=narrow_img,
+        narrow_image=narrow_image,
         narrow_labels=narrow_labels,
         grid_to_narrow=grid_to_narrow,
         grid_to_wide=grid_to_wide,

@@ -135,6 +135,34 @@ class TestGenBench:
         assert main(["gen-bench", "--out", str(tmp_path / "bench"), *small]) == 4
         assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB\n"
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_render_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, existing):
+        """A render that fails on the second scene removes everything the
+        call wrote (the first scene's files and every directory it made),
+        and nothing that was there before."""
+        render = pipeline.render_scene
+        rendered = []
+
+        def refuse_second(scene):
+            rendered.append(scene)
+            if len(rendered) == 2:
+                raise MemoryError("Unable to allocate 74.5 GiB")
+            return render(scene)
+
+        monkeypatch.setattr(pipeline, "render_scene", refuse_second)
+        out = tmp_path / "a" / "b" / "bench"
+        if existing:
+            (out / "scene_000").mkdir(parents=True)
+            (out / "scene_000" / "notes.txt").write_text("kept\n")
+            (out / "keep.txt").write_text("kept too\n")
+        before = sorted((str(p), p.read_bytes() if p.is_file() else None) for p in tmp_path.rglob("*"))
+        small = ["--scenes", "3", "--flow-samples", "1", "--size", "32x32", "--flow-size", "32x32"]
+        assert main(["gen-bench", "--out", str(out), *small]) == 4
+        assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB\n"
+        assert len(rendered) == 2
+        after = sorted((str(p), p.read_bytes() if p.is_file() else None) for p in tmp_path.rglob("*"))
+        assert after == before
+
 
 class TestFlowCommand:
     def test_writes_flo_and_viz(self, tmp_path):

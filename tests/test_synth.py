@@ -1,13 +1,14 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from semshare import raster, synth
-from semshare.camera import homography_from_rig
+from semshare.camera import Rotation3, homography_from_rig
 from semshare.errors import ConfigError, DataError
 from semshare.metrics import miou
-from semshare.raster import Image, LabelMap, grid_from_flow, grid_from_homography, warp_labels, warp_raster
+from semshare.raster import GridMap, Image, LabelMap, grid_from_flow, grid_from_homography, warp_labels, warp_raster
 from semshare.synth import (
     Box,
     RandomTransformSpec,
@@ -210,7 +211,7 @@ class TestSceneRendering:
         scene = make_scene(6000, size=(96, 96), planar=False)
         cam = replace(scene.rig.cam_wide, skew=40.0)
         xs, ys = np.meshgrid(np.arange(96.0), np.arange(96.0))
-        u, v = cam.project(*synth._view_rays(cam, (96, 96), np.eye(3)))
+        u, v = cam.project(*synth._view_rays(cam, 96, slice(0, 96), np.eye(3)))
         np.testing.assert_allclose(np.stack([u, v]), np.stack([xs, ys]), atol=1e-9)
         box = Box(depth=4.0, x_center=x_center, width=1.0, height=1.0, class_id=2, texture_seed=0)
         fields = dict(rig=replace(scene.rig, cam_wide=cam), baseline=scene.baseline,
@@ -257,7 +258,7 @@ def project_into(scene, view, other):
     ray directions) into camera `other`: (u, v, in front and in bounds,
     distance of each hit point from `other`'s centre, inf for background)."""
     cams = views(scene)
-    points, dirs = synth._render_view(scene, *cams[view])[2:]
+    points, dirs = render_view_oracle(scene, *cams[view])[2:]
     cam, (w, h), rotation, center = cams[other]
     finite = np.isfinite(points[2])
     rel = np.where(finite, points - center[:, None, None], dirs)
@@ -302,7 +303,7 @@ class TestCorrespondenceVisibility:
         for name, view, other in GRIDS:
             u, v, in_bounds, distance = project_into(scene, view, other)
             _, (w, h), _, center = cams[other]
-            other_points = synth._render_view(scene, *cams[other])[2]
+            other_points = render_view_oracle(scene, *cams[other])[2]
             other_labels = getattr(pair, f"{other}_labels").data
             other_distance = np.sqrt(((other_points - center[:, None, None]) ** 2).sum(axis=0))
             # the other camera's 2x2 pixel neighbourhood around each projection
@@ -478,6 +479,18 @@ class TestTexture:
         img = texture_image((64, 64), 8)
         assert img.data.min() == 0.0 and img.data.max() == 1.0
 
+    @pytest.mark.parametrize("size", [(1, 5), (97, 61), (640, 480)])
+    def test_matches_the_full_lattice_oracle(self, size):
+        xs, ys = raster._lattice(size)
+        seed = 11
+        want = np.zeros(xs.shape)
+        for k, (scale, amp) in enumerate(synth._TEXTURE_OCTAVES):
+            want += amp * value_noise_oracle(xs, ys, seed * 7919 + k, scale)
+        lo, hi = want.min(), want.max()
+        want = (want - lo) / (hi - lo)
+        got = texture_image(size, seed).data
+        assert got.shape == (1, size[1], size[0]) and got.tobytes() == want[None].tobytes()
+
 
 def value_noise_oracle(xs, ys, seed, scale):
     """value_noise with the lattice corners read by 2-D indexing."""
@@ -500,10 +513,12 @@ def value_noise_oracle(xs, ys, seed, scale):
 
 
 def render_view_oracle(scene, cam, size, rotation, center):
-    """synth._render_view with whole-raster shading: every surface and the
-    background are shaded on every pixel, and np.where keeps the nearest."""
+    """Whole-raster ray casting of one camera: every surface, every box on
+    every pixel, and the background are shaded, and np.where keeps the
+    nearest.  Returns intensity, labels, world hit points (inf for the
+    background) and the world ray directions."""
     w, h = size
-    dirs = synth._view_rays(cam, size, rotation)
+    dirs = synth._view_rays(cam, w, slice(0, h), rotation)
     dx, dy, dz = dirs
 
     t_hit = np.full((h, w), np.inf)
@@ -542,6 +557,48 @@ def render_view_oracle(scene, cam, size, rotation, center):
     return image, LabelMap(labels, scene.num_classes), points, dirs
 
 
+def correspondence_grid_oracle(scene, points, dirs, cam, size, rotation, center):
+    """Whole-raster correspondence grid: one view's hit points (background:
+    ray directions) projected into the camera at `center`, kept where they
+    are in front of it, inside its raster and not hidden from it, with
+    every box tested on every pixel."""
+    w, h = size
+    finite = np.isfinite(points[2])
+    rel = np.where(finite, points - np.reshape(center, (3, 1, 1)), dirs)
+    cam_pt = np.einsum("ij,jhw->ihw", rotation, rel)
+    in_front = cam_pt[2] > synth._EPS
+    z = np.where(in_front, cam_pt[2], 1.0)
+    u, v = cam.project(cam_pt[0], cam_pt[1], z)
+    tol = 1e-6
+    in_bounds = in_front & (u >= -tol) & (u <= w - 1 + tol) & (v >= -tol) & (v <= h - 1 + tol)
+    s_max = np.where(finite, 1.0 - 1e-9, np.inf)
+    hidden = ~finite & synth._ground_hit(scene, center, rel)[3]
+    for box in scene.boxes:
+        s, _, _, on_box = synth._box_hit(scene, box, center, rel)
+        hidden |= on_box & (s < s_max)
+    valid = in_bounds & ~hidden
+    u = np.clip(u, 0.0, w - 1.0)
+    v = np.clip(v, 0.0, h - 1.0)
+    return GridMap(np.where(valid, u, 0.0), np.where(valid, v, 0.0), valid, size)
+
+
+def render_scene_oracle(scene):
+    """render_scene on whole rasters, with no footprint, band or placed
+    shading: both views ray-cast, then each view's points projected into
+    the other camera."""
+    cams = views(scene)
+    wide_image, wide_labels, wide_points, wide_dirs = render_view_oracle(scene, *cams["wide"])
+    narrow_image, narrow_labels, narrow_points, narrow_dirs = render_view_oracle(scene, *cams["narrow"])
+    return synth.ScenePair(
+        wide_image=wide_image,
+        wide_labels=wide_labels,
+        narrow_image=narrow_image,
+        narrow_labels=narrow_labels,
+        grid_to_narrow=correspondence_grid_oracle(scene, narrow_points, narrow_dirs, *cams["wide"]),
+        grid_to_wide=correspondence_grid_oracle(scene, wide_points, wide_dirs, *cams["narrow"]),
+    )
+
+
 def overlap_scene():
     """Boxes that overdraw one another in the wide view, out of depth
     order; two of them stand at the same depth, where the first one drawn
@@ -562,15 +619,59 @@ def overlap_scene():
     )
 
 
-class TestPlacedShading:
-    """The renderer shades each surface only where it is placed; its
-    output is byte for byte that of whole-raster shading."""
+def edge_scene():
+    """A box cut by the narrow raster's right edge, and one the narrow
+    camera sees whole."""
+    boxes = (
+        Box(depth=6.0, x_center=3.0, width=1.2, height=1.3, class_id=3, texture_seed=21),
+        Box(depth=7.0, x_center=-0.4, width=1.0, height=1.2, class_id=2, texture_seed=22),
+    )
+    return SynthScene(
+        rig=default_rig((96, 96), yaw_deg=0.0),
+        baseline=(0.12, 0.0, 0.0),
+        ground_height=1.5,
+        ground_cell=0.7,
+        boxes=boxes,
+        texture_seed=4,
+    )
 
-    def assert_matches_oracle(self, monkeypatch, scene):
-        got = render_scene(scene)
-        with monkeypatch.context() as m:
-            m.setattr(synth, "_render_view", render_view_oracle)
-            want = render_scene(scene)
+
+def behind_scene():
+    """A narrow camera 3.5 m ahead of the wide one and yawed by 45 degrees,
+    with a box at depth 4 that it sees in part while one of the box's
+    corners lies behind it; a second box stands wholly in front of it."""
+    rig = replace(
+        default_rig((96, 96)),
+        rotation_wide_to_narrow=Rotation3.axis_angle((0.0, 1.0, 0.0), math.radians(45.0)),
+    )
+    boxes = (
+        Box(depth=4.0, x_center=-0.25, width=2.5, height=1.4, class_id=2, texture_seed=31),
+        Box(depth=9.0, x_center=3.5, width=1.5, height=1.2, class_id=4, texture_seed=32),
+    )
+    return SynthScene(
+        rig=rig, baseline=(0.0, 0.0, 3.5), ground_height=1.5, ground_cell=0.7,
+        boxes=boxes, texture_seed=5,
+    )
+
+
+def skewed_scene():
+    """The skewed wide camera of test_box_check_projects_with_skew, with the
+    box that still lands inside its raster."""
+    scene = make_scene(6000, size=(96, 96), planar=False)
+    box = Box(depth=4.0, x_center=-3.9, width=1.0, height=1.0, class_id=2, texture_seed=0)
+    rig = replace(scene.rig, cam_wide=replace(scene.rig.cam_wide, skew=40.0))
+    return replace(scene, rig=rig, boxes=scene.boxes + (box,))
+
+
+BAND_PIXELS = (1, 1000, raster._BAND_PIXELS)
+
+
+class TestPlacedShading:
+    """The renderer tests each box only inside its footprint and shades
+    each surface only where it is placed, in row bands; its output is byte
+    for byte that of the whole-raster oracle, at any band size."""
+
+    def assert_matches(self, got, want):
         for name in ("wide_image", "narrow_image", "wide_labels", "narrow_labels"):
             a, b = getattr(got, name).data, getattr(want, name).data
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -578,6 +679,19 @@ class TestPlacedShading:
             for plane in ("sx", "sy", "valid"):
                 a, b = getattr(getattr(got, name), plane), getattr(getattr(want, name), plane)
                 assert a.tobytes() == b.tobytes(), (name, plane)
+
+    def assert_matches_oracle(self, monkeypatch, scene, band_pixels=BAND_PIXELS):
+        want = render_scene_oracle(scene)
+        # one render per distinct band height: at 640 wide, 1 and 1000
+        # pixels both give 1-row bands
+        widths = (scene.rig.image_size_wide[0], scene.rig.image_size_narrow[0])
+        layouts = {}
+        for pixels in band_pixels:
+            layouts.setdefault(tuple(max(1, pixels // w) for w in widths), pixels)
+        for pixels in layouts.values():
+            with monkeypatch.context() as m:
+                m.setattr(raster, "_BAND_PIXELS", pixels)
+                self.assert_matches(render_scene(scene), want)
 
     @pytest.mark.parametrize("planar", [False, True])
     @pytest.mark.parametrize("size", [(192, 192), (384, 384), (640, 480), (97, 61)])
@@ -589,15 +703,71 @@ class TestPlacedShading:
         # at any band size: 1-row bands at 1 pixel, 6-row ones at 1000
         scene = overlap_scene()
         rig = scene.rig
-        dirs = synth._view_rays(rig.cam_wide, rig.image_size_wide, np.eye(3))
+        w, h = rig.image_size_wide
+        dirs = synth._view_rays(rig.cam_wide, w, slice(0, h), np.eye(3))
         covered = sum(
             synth._box_hit(scene, box, np.zeros(3), dirs)[3].astype(int) for box in scene.boxes
         )
         assert (covered >= 3).any()
-        for band_pixels in (1, 1000, raster._BAND_PIXELS):
-            with monkeypatch.context() as m:
-                m.setattr(raster, "_BAND_PIXELS", band_pixels)
-                self.assert_matches_oracle(monkeypatch, scene)
+        self.assert_matches_oracle(monkeypatch, scene)
+
+    def test_box_cut_by_the_narrow_edge(self, monkeypatch):
+        scene = edge_scene()
+        narrow = views(scene)["narrow"]
+        u_lo, u_hi, _, _ = synth._footprint(scene, scene.boxes[0], narrow)
+        assert u_lo < 95 < u_hi
+        pair = render_scene(scene)
+        assert (pair.narrow_labels.data[:, -1] == 3).any()
+        self.assert_matches_oracle(monkeypatch, scene)
+
+    def test_box_with_a_corner_behind_the_narrow_camera(self, monkeypatch):
+        # the first box falls back to whole bands, the second keeps a footprint
+        scene = behind_scene()
+        narrow = views(scene)["narrow"]
+        assert synth._footprint(scene, scene.boxes[0], narrow) is None
+        assert synth._footprint(scene, scene.boxes[1], narrow) is not None
+        pair = render_scene(scene)
+        assert (pair.narrow_labels.data == 2).sum() > 1000
+        assert (pair.wide_labels.data == 4).any()
+        self.assert_matches_oracle(monkeypatch, scene)
+
+    def test_skewed_camera(self, monkeypatch):
+        scene = skewed_scene()
+        assert scene.rig.cam_wide.skew == 40.0
+        self.assert_matches_oracle(monkeypatch, scene)
+
+    def test_a_narrowed_footprint_is_caught(self, monkeypatch):
+        # the corners' rectangle loses its leftmost column
+        footprint = synth._footprint
+
+        def narrowed(scene, box, view):
+            rect = footprint(scene, box, view)
+            if rect is None:
+                return None
+            u_lo, u_hi, v_lo, v_hi = rect
+            return math.floor(u_lo + synth._FOOTPRINT_PAD) + 1.0, u_hi, v_lo, v_hi
+
+        monkeypatch.setattr(synth, "_footprint", narrowed)
+        with pytest.raises(AssertionError):
+            self.assert_matches_oracle(monkeypatch, overlap_scene(), (raster._BAND_PIXELS,))
+
+    def test_boxes_are_tested_on_a_fraction_of_the_rays(self, monkeypatch):
+        # the whole-raster oracle tests every box on every ray twice per view:
+        # in the depth test and in the other grid's visibility test
+        rays = []
+        box_hit = synth._box_hit
+
+        def counting(scene, box, origin, rel):
+            rays.append(np.size(rel[0]))
+            return box_hit(scene, box, origin, rel)
+
+        monkeypatch.setattr(synth, "_box_hit", counting)
+        whole = 0
+        for seed in range(6000, 6004):
+            scene = make_scene(seed, size=(384, 384))
+            render_scene(scene)
+            whole += len(scene.boxes) * 384 * 384 * 4
+        assert sum(rays) < 0.1 * whole
 
     @pytest.mark.parametrize("planar", [False, True])
     def test_texture_samples_per_rendered_pixel(self, monkeypatch, planar):
@@ -639,6 +809,20 @@ class TestValueNoise:
             synth.value_noise(grid_x, grid_y, 3, 9.0).tobytes()
             == value_noise_oracle(grid_x, grid_y, 3, 9.0).tobytes()
         )
+
+    def test_row_and_column_match_the_full_lattice(self):
+        scale = 5.0
+        wrap = 64 * scale
+        extremes = [0.0, -0.0, wrap, -wrap, 1e9, -1e9, 2.5e12, -2.5e12]
+        rng = np.random.default_rng(9)
+        xs = np.concatenate([rng.uniform(-3000.0, 3000.0, 60), np.arange(-wrap, wrap + 1, 4 * scale), extremes])
+        ys = np.concatenate([extremes[::-1], rng.uniform(-500.0, 500.0, 40), np.arange(0.0, 2 * wrap, 7.5)])
+        grid_x, grid_y = np.meshgrid(xs, ys)
+        want = synth.value_noise(grid_x, grid_y, 41, scale)
+        assert want.tobytes() == value_noise_oracle(grid_x, grid_y, 41, scale).tobytes()
+        for row, column in ((xs, ys[:, None]), (xs[None, :], ys[:, None])):
+            got = synth.value_noise(row, column, 41, scale)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_empty_input_gives_an_empty_array(self):
         out = synth.value_noise(np.empty(0), np.empty(0), 17, 9.0)
