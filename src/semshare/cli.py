@@ -132,7 +132,7 @@ def cmd_train_fusion(args) -> int:
         batch_fraction=args.batch_fraction,
         seed=args.seed,
     )
-    head = new_head(args.variant, NUM_CLASSES, seed=args.seed, init_scale=args.init_scale)
+    head = new_head(args.variant, NUM_CLASSES, seed=args.seed)
     items = _branch_dataset(bench, bench.nonplanar(), _flow_config(args), args.branch, bench.seed)
     trained, losses = train_fusion(head, items, cfg)
     write_head(trained, args.out)
@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=FUSION_TRAIN.learning_rate)
     p.add_argument("--train-iterations", type=int, default=FUSION_TRAIN.iterations)
     p.add_argument("--batch-fraction", type=float, default=FUSION_TRAIN.batch_fraction)
-    p.add_argument("--init-scale", type=float, default=0.1)
     _add_flow_flags(p)
     p.set_defaults(func=cmd_train_fusion)
 

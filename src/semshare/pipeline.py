@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import contextlib
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
@@ -232,13 +234,11 @@ def write_benchmark(
     flow_size=(256, 256),
 ) -> Benchmark:
     """Generate the synthetic benchmark: scenes with rendered rasters plus
-    texture images for flow samples, all indexed by a manifest.  The
-    arguments are checked, and every scene is made, before anything is
-    written; scene and flow sizes must be at least the flow pyramid's
-    min_level_size on each side.  Each scene is rendered before any of its
-    files is written.  On any failure, every file and directory this call
-    created is removed before the error propagates; what existed before is
-    kept (a file it overwrote keeps the new bytes)."""
+    texture images for flow samples, all indexed by a manifest.  Scene and
+    flow sizes must be at least the flow pyramid's min_level_size on each
+    side.  Nothing reaches `root` until the whole benchmark exists in a
+    stage beside it, and the manifest is written last, so a failed call
+    leaves either `root` as it was or no manifest there."""
     if num_scenes < 1 or min(num_planar, num_flow_samples, seed) < 0:
         raise ConfigError(
             f"benchmark needs at least one scene and no negative count or seed, got seed "
@@ -251,65 +251,57 @@ def write_benchmark(
             f"(the flow's min_level_size), got {scene_size} and {flow_size}"
         )
     rng = np.random.default_rng(seed)
-    scene_seeds = [int(rng.integers(1 << 31)) for _ in range(num_scenes + num_planar)]
-    # every scene is made before anything is written, so one that cannot
-    # be made leaves nothing behind
-    made = [
-        make_scene(scene_seed, size=scene_size, planar=i >= num_scenes)
-        for i, scene_seed in enumerate(scene_seeds)
+    scenes = [
+        BenchmarkEntry(f"scene_{i:03d}", i >= num_scenes, int(rng.integers(1 << 31)))
+        for i in range(num_scenes + num_planar)
     ]
-    created = []  # the paths this call creates, outermost and oldest first
-
-    def new(path):
-        """`path`, with it and every missing directory above it recorded in
-        `created` before anything is made there."""
-        missing = []
-        probe = os.path.abspath(path)
-        while not os.path.lexists(probe):
-            missing.append(probe)
-            probe = os.path.dirname(probe)
-        created.extend(reversed(missing))
-        return path
-
+    textures = [
+        (i, os.path.join("textures", f"tex_{i:03d}.pgm"), int(rng.integers(1 << 31)))
+        for i in range(num_flow_samples)
+    ]
     lines = ["version 1", f"seed {seed}",
              f"size {scene_size[0]} {scene_size[1]}",
              f"flow_size {flow_size[0]} {flow_size[1]}"]
-    scenes = []
-    textures = []
+    lines += [f"scene {i:03d} {e.directory} planar {int(e.planar)} seed {e.seed}"
+              for i, e in enumerate(scenes)]
+    lines += [f"texture {i:03d} {rel} seed {tex_seed}" for i, rel, tex_seed in textures]
+    # the stage sits on root's file system, so each move below is a rename
+    anchor = os.path.abspath(root)
+    while not os.path.isdir(anchor):
+        anchor = os.path.dirname(anchor)
+    stage = tempfile.mkdtemp(prefix=".gen-bench-", dir=anchor)
     try:
-        os.makedirs(new(root), exist_ok=True)
-        for i, (scene_seed, scene) in enumerate(zip(scene_seeds, made)):
-            planar = i >= num_scenes
-            name = f"scene_{i:03d}"
+        for e in scenes:
+            scene = make_scene(e.seed, size=scene_size, planar=e.planar)
             pair = render_scene(scene)
-            directory = os.path.join(root, name)
-            os.makedirs(new(directory), exist_ok=True)
-            write_scene(scene, new(os.path.join(directory, "scene.txt")))
-            write_rig(scene.rig, new(os.path.join(directory, "rig.txt")))
-            write_image(pair.wide_image, new(os.path.join(directory, "wide.pgm")))
-            write_image(pair.narrow_image, new(os.path.join(directory, "narrow.pgm")))
-            write_labels(pair.wide_labels, new(os.path.join(directory, "wide_labels.bin")))
-            write_labels(pair.narrow_labels, new(os.path.join(directory, "narrow_labels.bin")))
-            lines.append(f"scene {i:03d} {name} planar {int(planar)} seed {scene_seed}")
-            scenes.append(BenchmarkEntry(name, planar, scene_seed))
-        tex_dir = os.path.join(root, "textures")
-        os.makedirs(new(tex_dir), exist_ok=True)
-        for i in range(num_flow_samples):
-            tex_seed = int(rng.integers(1 << 31))
-            rel = os.path.join("textures", f"tex_{i:03d}.pgm")
-            write_image(texture_image(flow_size, tex_seed), new(os.path.join(root, rel)))
-            lines.append(f"texture {i:03d} {rel} seed {tex_seed}")
-            textures.append((i, rel, tex_seed))
-        with open(new(os.path.join(root, "manifest.txt")), "w", encoding="ascii") as f:
+            directory = os.path.join(stage, e.directory)
+            os.mkdir(directory)
+            write_scene(scene, os.path.join(directory, "scene.txt"))
+            write_rig(scene.rig, os.path.join(directory, "rig.txt"))
+            write_image(pair.wide_image, os.path.join(directory, "wide.pgm"))
+            write_image(pair.narrow_image, os.path.join(directory, "narrow.pgm"))
+            write_labels(pair.wide_labels, os.path.join(directory, "wide_labels.bin"))
+            write_labels(pair.narrow_labels, os.path.join(directory, "narrow_labels.bin"))
+        os.mkdir(os.path.join(stage, "textures"))
+        for _, rel, tex_seed in textures:
+            write_image(texture_image(flow_size, tex_seed), os.path.join(stage, rel))
+        # the whole benchmark exists: only now is root touched, and an old
+        # manifest goes first so that no failed move leaves one in place
+        os.makedirs(root, exist_ok=True)
+        manifest = os.path.join(root, "manifest.txt")
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(manifest)
+        for directory, _, names in os.walk(stage):
+            target = os.path.join(root, os.path.relpath(directory, stage))
+            os.makedirs(target, exist_ok=True)
+            for name in names:
+                os.replace(os.path.join(directory, name), os.path.join(target, name))
+        staged = os.path.join(stage, "manifest.txt")
+        with open(staged, "w", encoding="ascii") as f:
             f.write("\n".join(lines) + "\n")
-    except BaseException:
-        for path in reversed(created):
-            with contextlib.suppress(OSError):  # not made yet, or no longer empty
-                if os.path.isdir(path):
-                    os.rmdir(path)
-                else:
-                    os.remove(path)
-        raise
+        os.replace(staged, manifest)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return Benchmark(str(root), seed, scenes, textures)
 
 
@@ -342,6 +334,9 @@ def read_benchmark(root) -> Benchmark:
     fields.done()
     if min([seed] + [e.seed for e in scenes] + [t[2] for t in textures]) < 0:
         raise DataError("benchmark manifest seeds must be non-negative")
+    paths = [os.path.normpath(p) for p in [e.directory for e in scenes] + [t[1] for t in textures]]
+    if len(set(paths)) < len(paths):
+        raise DataError("benchmark manifest lists a scene directory or texture path twice")
     if not scenes and not textures:
         raise ConfigError(f"benchmark manifest {manifest!r} lists no content")
     return Benchmark(str(root), seed, scenes, textures)

@@ -1,5 +1,6 @@
 import argparse
 import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,11 @@ from semshare.metrics import miou, report_to_text
 from semshare.pipeline import FUSION_TRAIN, OVERLAP_TRAIN, AblationTable
 from semshare.raster import LabelMap
 from semshare.synth import degrade_scores, make_scene, render_scene, texture_image
+
+
+def snapshot(root):
+    """Every path under `root`, with a file's bytes."""
+    return sorted((str(p), p.read_bytes() if p.is_file() else None) for p in root.rglob("*"))
 
 
 def tree_bytes(root):
@@ -162,6 +168,112 @@ class TestGenBench:
         assert len(rendered) == 2
         after = sorted((str(p), p.read_bytes() if p.is_file() else None) for p in tmp_path.rglob("*"))
         assert after == before
+
+    SMALL = ["--scenes", "2", "--flow-samples", "1", "--size", "32x32", "--flow-size", "32x32"]
+
+    def test_failed_rerun_leaves_old_benchmark_whole(self, tmp_path, capsys, monkeypatch):
+        """A gen-bench over an earlier benchmark that fails on its second
+        render leaves the earlier one, manifest and scenes, byte for byte
+        as it was, and no stage behind."""
+        out = tmp_path / "b"
+        assert main(["gen-bench", "--out", str(out), "--seed", "1", *self.SMALL]) == 0
+        before = snapshot(tmp_path)
+        render = pipeline.render_scene
+        rendered = []
+
+        def refuse_second(scene):
+            rendered.append(scene)
+            if len(rendered) == 2:
+                raise MemoryError("Unable to allocate 74.5 GiB")
+            return render(scene)
+
+        monkeypatch.setattr(pipeline, "render_scene", refuse_second)
+        assert main(["gen-bench", "--out", str(out), "--seed", "2", *self.SMALL]) == 4
+        assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB\n"
+        assert snapshot(tmp_path) == before
+
+    def test_failed_move_leaves_no_manifest(self, tmp_path, capsys, monkeypatch):
+        """A move into --out that fails part-way leaves no manifest, so the
+        mixed directory is refused instead of read as a benchmark."""
+        out = tmp_path / "b"
+        assert main(["gen-bench", "--out", str(out), "--seed", "1", *self.SMALL]) == 0
+        replace = os.replace
+        moves = []
+
+        def fail_fourth(src, dst):
+            moves.append(dst)
+            if len(moves) == 4:
+                raise OSError(28, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_fourth)
+        assert main(["gen-bench", "--out", str(out), "--seed", "2", *self.SMALL]) == 3
+        monkeypatch.undo()
+        assert capsys.readouterr().err == "data error: [Errno 28] No space left on device\n"
+        assert len(moves) == 4
+        assert not (out / "manifest.txt").exists()
+        assert not list(tmp_path.rglob(".gen-bench-*"))
+        assert main(["ablate", "flow", "--bench", str(out)]) == 2
+        assert "run gen-bench first" in capsys.readouterr().err
+
+    def test_empty_out_touches_nothing(self, tmp_path, capsys, monkeypatch):
+        """--out '' cannot be made, and the working directory's own
+        manifest.txt is left alone."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "manifest.txt").write_text("version 1\n")
+        before = snapshot(tmp_path)
+        assert main(["gen-bench", "--out", "", *self.SMALL]) == 3
+        assert capsys.readouterr().err.startswith("data error")
+        assert snapshot(tmp_path) == before
+
+    def test_out_directory_modes(self, tmp_path):
+        """An existing --out keeps its mode; a new one, and each scene
+        directory, gets the mode os.makedirs gives, not the stage's."""
+        old = tmp_path / "old"
+        old.mkdir()
+        old.chmod(0o700)
+        assert main(["gen-bench", "--out", str(old), *self.SMALL]) == 0
+        assert stat.S_IMODE(old.stat().st_mode) == 0o700
+        new = tmp_path / "new"
+        assert main(["gen-bench", "--out", str(new), *self.SMALL]) == 0
+        probe = tmp_path / "probe"
+        os.makedirs(probe)
+        made = stat.S_IMODE(probe.stat().st_mode)
+        assert stat.S_IMODE(new.stat().st_mode) == made
+        assert stat.S_IMODE((new / "scene_000").stat().st_mode) == made
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_stage_beside_out_is_removed(self, tmp_path, monkeypatch, existing):
+        """The stage is made in --out when it exists, else in its nearest
+        existing parent, and is gone once the benchmark is in place."""
+        out = tmp_path / "a" / "b" / "bench"
+        if existing:
+            out.mkdir(parents=True)
+        mkdtemp = pipeline.tempfile.mkdtemp
+        stages = []
+
+        def spy(**kwargs):
+            stages.append(mkdtemp(**kwargs))
+            return stages[-1]
+
+        monkeypatch.setattr(pipeline.tempfile, "mkdtemp", spy)
+        assert main(["gen-bench", "--out", str(out), *self.SMALL]) == 0
+        assert len(stages) == 1
+        assert os.path.dirname(stages[0]) == str(out if existing else tmp_path)
+        assert not os.path.exists(stages[0])
+        assert not list(tmp_path.rglob(".gen-bench-*"))
+        assert len(pipeline.read_benchmark(out).scenes) == 2
+
+    def test_rerun_replaces_listed_files_and_keeps_others(self, tmp_path):
+        out = tmp_path / "b"
+        fresh = tmp_path / "fresh"
+        assert main(["gen-bench", "--out", str(out), "--seed", "1", *self.SMALL,
+                     "--scenes", "3"]) == 0
+        assert main(["gen-bench", "--out", str(out), "--seed", "2", *self.SMALL]) == 0
+        assert main(["gen-bench", "--out", str(fresh), "--seed", "2", *self.SMALL]) == 0
+        rerun = tree_bytes(out)
+        assert {k: rerun[k] for k in tree_bytes(fresh)} == tree_bytes(fresh)
+        assert os.path.join("scene_002", "scene.txt") in rerun  # not listed, kept
 
 
 class TestFlowCommand:
@@ -386,16 +498,14 @@ class TestTrainAndRun:
         report = miou(result.wide_labels, gt, result.wide_mask, gt.num_classes)
         assert report_path.read_text() == report_to_text(report)
 
-    @pytest.mark.parametrize("scale", ["0", "-1", "inf"])
-    def test_bad_init_scale_is_config_error(self, bench_dir, tmp_path, scale):
+    def test_init_scale_flag_is_refused(self, bench_dir, tmp_path):
+        """train-fusion has no --init-scale: a head always starts at
+        new_head's default scale, and the flag is a usage error."""
         head_path = tmp_path / "head.bin"
-        code = main(
-            [
-                "train-fusion", "--bench", str(bench_dir), "--out", str(head_path),
-                "--init-scale", scale,
-            ]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["train-fusion", "--bench", str(bench_dir), "--out", str(head_path),
+                  "--init-scale", "0.1"])
+        assert exc.value.code == 2
         assert not head_path.exists()
 
     def test_run_rerun_byte_identical(self, bench_dir, scene_files, tmp_path):

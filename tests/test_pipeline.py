@@ -438,6 +438,10 @@ class TestBenchmarkAndAblations:
             ("seed 5\n", "seed 5\nwibble 1\n"),  # an unknown key
             ("seed 5\n", "seed 5\ntexture 009 textures/t.pgm seed 1 extra\n"),
             ("planar 0 ", "planar 7 "),  # read as planar once, so ablate flow exited 2
+            # one scene listed twice, so the suites pooled it twice
+            ("scene 001 scene_001", "scene 001 scene_000"),
+            ("scene 001 scene_001", "scene 001 ./scene_000/"),
+            ("texture 001 textures/tex_001.pgm", "texture 001 textures/tex_000.pgm"),
         ],
     )
     def test_malformed_manifest_rejected(self, tiny_benchmark, tmp_path, capsys, old, new):
