@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,22 +65,26 @@ def _size(text: str):
         raise ConfigError(f"sizes are WIDTHxHEIGHT, got {text!r}") from exc
 
 
-def _flow_config(args) -> FlowConfig:
-    return FlowConfig(
-        num_levels=args.levels,
-        iterations_per_level=args.iterations,
-        smoothness_weight=args.alpha,
-    )
+# train-fusion's and ablate's training flags: (flag, TrainConfig field as dest, type)
+_TRAIN_FLAGS = (
+    ("--seed", "seed", int),
+    ("--lr", "learning_rate", float),
+    ("--train-iterations", "iterations", int),
+    ("--batch-fraction", "batch_fraction", float),
+)
 
 
-def _add_flow_flags(parser):
-    cfg = FlowConfig()
-    parser.add_argument("--levels", type=int, default=cfg.num_levels,
-                        help="pyramid levels; the finest is upsampled, not solved")
-    parser.add_argument("--iterations", type=int, default=cfg.iterations_per_level,
-                        help="solver sweeps per solved level")
-    parser.add_argument("--alpha", type=float, default=cfg.smoothness_weight,
-                        help="smoothness weight")
+def _add_train_flags(parser, defaults: TrainConfig | None):
+    """Add the training flags, each defaulting to its field of `defaults`
+    (to None when `defaults` is None)."""
+    for flag, name, kind in _TRAIN_FLAGS:
+        parser.add_argument(flag, dest=name, type=kind, default=getattr(defaults, name, None))
+
+
+def _given_train_fields(args) -> dict:
+    """TrainConfig field -> value of every training flag that has one."""
+    values = {name: getattr(args, name) for _, name, _ in _TRAIN_FLAGS}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def cmd_gen_bench(args) -> int:
@@ -99,7 +104,7 @@ def cmd_gen_bench(args) -> int:
 def cmd_flow(args) -> int:
     target = read_image(args.target)
     source = read_image(args.source)
-    flow = estimate_flow(target, source, _flow_config(args))
+    flow = estimate_flow(target, source, FlowConfig(num_levels=args.levels))
     write_flo(flow, args.out)
     if args.viz:
         write_image(flow_to_color(flow), args.viz)
@@ -112,7 +117,7 @@ def cmd_share(args) -> int:
     wide_img = read_image(args.wide_image)
     narrow_img = read_image(args.narrow_image)
     scores = read_scores(args.scores)
-    shared = share(rig, scores, wide_img, narrow_img, _flow_config(args), args.direction)
+    shared = share(rig, scores, wide_img, narrow_img, direction=args.direction)
     write_scores(shared.scores, args.out)
     if args.out_mask:
         write_mask(shared.mask, args.out_mask)
@@ -126,14 +131,9 @@ def cmd_share(args) -> int:
 
 def cmd_train_fusion(args) -> int:
     bench = read_benchmark(args.bench)
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        iterations=args.train_iterations,
-        batch_fraction=args.batch_fraction,
-        seed=args.seed,
-    )
+    cfg = TrainConfig(**_given_train_fields(args))
     head = new_head(args.variant, NUM_CLASSES, seed=args.seed)
-    items = _branch_dataset(bench, bench.nonplanar(), _flow_config(args), args.branch, bench.seed)
+    items = _branch_dataset(bench, bench.nonplanar(), FlowConfig(), args.branch, bench.seed)
     trained, losses = train_fusion(head, items, cfg)
     write_head(trained, args.out)
     print(f"trained {args.variant} head written to {args.out} (final loss {losses[-1]:.6f})")
@@ -143,7 +143,6 @@ def cmd_train_fusion(args) -> int:
 def cmd_run(args) -> int:
     cfg = PipelineConfig(
         rig_path=args.rig,
-        flow=_flow_config(args),
         narrow_head_path=args.narrow_head,
         wide_head_path=args.wide_head,
     )
@@ -174,9 +173,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    fields = ("learning_rate", "iterations", "batch_fraction", "seed")
-    given = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
-    table = run_ablation(args.suite, args.bench, given, args.variant)
+    table = run_ablation(args.suite, args.bench, _given_train_fields(args), args.variant)
     text = table.to_text()
     if args.out:
         with open(args.out, "w", encoding="ascii") as f:
@@ -230,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--out", required=True, help="output .flo path")
     p.add_argument("--viz", help="optional color-wheel visualization (PPM)")
-    _add_flow_flags(p)
+    p.add_argument("--levels", type=int, default=FlowConfig().num_levels,
+                   help="pyramid levels; the finest is upsampled, not solved")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("share", help="propagate scores between the cameras")
@@ -242,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--out-mask")
     p.add_argument("--dump-intermediates", action="store_true")
-    _add_flow_flags(p)
     p.set_defaults(func=cmd_share)
 
     p = sub.add_parser("train-fusion", help="train a fusion head on the benchmark")
@@ -250,14 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANT_KINDS, default="basic")
     p.add_argument("--branch", choices=("narrow", "wide"), default="narrow")
     p.add_argument("--out", required=True)
-    # FUSION_TRAIN, the narrow branch's preset, but seed 0.  Unlike ablate's,
-    # these dests are not TrainConfig's field names: --train-iterations would
-    # share the dest `iterations` with the flow flags' --iterations
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=FUSION_TRAIN.learning_rate)
-    p.add_argument("--train-iterations", type=int, default=FUSION_TRAIN.iterations)
-    p.add_argument("--batch-fraction", type=float, default=FUSION_TRAIN.batch_fraction)
-    _add_flow_flags(p)
+    # FUSION_TRAIN, the narrow branch's preset, but seed 0
+    _add_train_flags(p, replace(FUSION_TRAIN, seed=0))
     p.set_defaults(func=cmd_train_fusion)
 
     p = sub.add_parser("run", help="run the full frame loop")
@@ -270,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wide-head")
     p.add_argument("--out", required=True)
     p.add_argument("--dump-intermediates", action="store_true")
-    _add_flow_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ablate", help="run a named ablation suite")
@@ -279,11 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     # the overlap suite's head variant (basic when unset)
     p.add_argument("--variant", choices=VARIANT_KINDS)
-    # fusion and overlap training flags, as TrainConfig fields; unset ones keep the preset
-    p.add_argument("--seed", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--train-iterations", dest="iterations", type=int)
-    p.add_argument("--batch-fraction", type=float)
+    # fusion and overlap training flags; unset ones keep the preset
+    _add_train_flags(p, None)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="mIoU of predicted labels against ground truth")

@@ -50,10 +50,10 @@ host), and every solved level of a 384^2 input is small (the largest is
 192^2).
 
 The data term operates on a 0..255 intensity scale (inputs are [0, 1]
-rasters), so the default smoothness weight of 15 matches the classical
-tuning for 8-bit imagery.  The joint minimum of both images is subtracted
-up front: the data term only ever sees intensity differences, making the
-estimate invariant to a global intensity offset.
+rasters), so the smoothness weight of 15 (SMOOTHNESS_WEIGHT) matches the
+classical tuning for 8-bit imagery.  The joint minimum of both images is
+subtracted up front: the data term only ever sees intensity differences,
+making the estimate invariant to a global intensity offset.
 
 One pyramid of the stacked gray planes serves both images, and the flow
 is one (u, v) stack through the levels.  All resampling here (the pyramid
@@ -96,6 +96,7 @@ from .raster import (
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 INTENSITY_SCALE = 255.0
+SMOOTHNESS_WEIGHT = 15.0
 # Python floats, so the smoothing keeps the planes' dtype
 _BINOMIAL5 = (1.0 / 16.0, 4.0 / 16.0, 6.0 / 16.0, 4.0 / 16.0, 1.0 / 16.0)
 # dtype of the whole solve: the pyramid, the per-level warp and the sweeps
@@ -110,14 +111,10 @@ class FlowConfig:
     15 * 2**32 px (halving rounds up), more pixels than an address space
     holds, so the cap changes no reachable output, and it keeps
     two_stage_map_detailed's box pad 2**(num_levels - 1) small.
-    iterations_per_level is the sweep count of every solved level.
-    smoothness_weight lies in about [6.12e-19, 9.22e18], so that
-    4 * weight**2 and a flat corner pixel's first quotient,
-    INTENSITY_SCALE / (2 * weight**2), stay finite in float32."""
+    iterations_per_level is the sweep count of every solved level."""
 
     num_levels: int = 4
     iterations_per_level: int = 50
-    smoothness_weight: float = 15.0
     # the pyramid stops before a level would drop below this many pixels
     min_level_size: ClassVar[int] = 16
 
@@ -127,14 +124,6 @@ class FlowConfig:
             raise ConfigError(f"num_levels must be in [1, 32], got {self.num_levels}")
         if self.iterations_per_level < 1:
             raise ConfigError(f"iterations_per_level must be >= 1, got {self.iterations_per_level}")
-        weight = self.smoothness_weight
-        top = float(np.finfo(_SOLVE_DTYPE).max)
-        lowest = (INTENSITY_SCALE / (2.0 * top)) ** 0.5
-        if not (lowest <= weight and 4.0 * weight * weight <= top):
-            raise ConfigError(
-                f"smoothness_weight must be at least {lowest:.3g}, with 4 * weight**2 finite "
-                f"in {np.dtype(_SOLVE_DTYPE).name}, got {weight}"
-            )
 
 
 @dataclass
@@ -231,7 +220,7 @@ def _solve_level(target, source, flow, cfg: FlowConfig, record_energy=False):
     grad = np.stack(_central_diff(warped))
     ix, iy = grad
     it = warped - target
-    alpha2 = cfg.smoothness_weight**2
+    alpha2 = SMOOTHNESS_WEIGHT**2
     counts = _neighbor_counts((h, w), dtype)
     denom = alpha2 * counts + ix * ix + iy * iy
     d, d_next = np.zeros((2, 2, h + 2, w + 2), dtype)  # zero-bordered

@@ -483,7 +483,7 @@ def read_head(path) -> FusionHead:
     params = {}
     offset = 0
     for name, shape in _param_shapes(variant, num_classes):
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         chunk = payload[offset : offset + 4 * count]
         if len(chunk) != 4 * count:
             raise DataError("fusion head payload is truncated")

@@ -22,7 +22,7 @@ import contextlib
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -76,7 +76,6 @@ class PipelineConfig:
     """File-level configuration of the frame loop."""
 
     rig_path: str
-    flow: FlowConfig = field(default_factory=FlowConfig)
     narrow_head_path: str | None = None
     wide_head_path: str | None = None
 
@@ -173,15 +172,13 @@ def run_frame(
     narrow_head = _run_stage("config", lambda: load_head(cfg.narrow_head_path, c))
     wide_head = _run_stage("config", lambda: load_head(cfg.wide_head_path, c))
 
-    forward = _run_stage(
-        "share_forward", lambda: share(rig, wide_scores, wide_img, narrow_img, cfg.flow)
-    )
+    forward = _run_stage("share_forward", lambda: share(rig, wide_scores, wide_img, narrow_img))
     narrow_fused = _run_stage(
         "fuse_narrow", lambda: fuse_forward(narrow_head, forward.scores, narrow_scores, forward.mask)
     )
     backward = _run_stage(
         "share_backward",
-        lambda: share(rig, narrow_fused, wide_img, narrow_img, cfg.flow, "backward"),
+        lambda: share(rig, narrow_fused, wide_img, narrow_img, direction="backward"),
     )
     wide_fused = _run_stage(
         "fuse_wide", lambda: fuse_forward(wide_head, backward.scores, wide_scores, backward.mask)

@@ -10,7 +10,7 @@ from test_formats import patch_label_classes
 from semshare import cli, pipeline
 from semshare.camera import read_rig, write_rig
 from semshare.cli import main
-from semshare.flow import FlowConfig
+from semshare.flow import FlowConfig, estimate_flow
 from semshare.formats import (
     read_flo, read_image, read_labels, read_scores, write_flo, write_image, write_labels,
     write_mask, write_scores,
@@ -323,15 +323,16 @@ class TestFlowCommand:
              "--out", str(tmp_path / "f.flo"), "--levels", "0"]
         ) == 2
 
-    # inf and 1e20 gave a zero flow and exit 0; 1e200 raised OverflowError
-    @pytest.mark.parametrize("alpha", ["inf", "1e20", "1e200"])
-    def test_smoothness_weight_out_of_range_is_config_error(self, tmp_path, alpha):
-        a = texture_image((32, 32), 7)
-        write_image(a, tmp_path / "a.pgm")
+    # 33 levels passed before the cap, which keeps two_stage_map's box pad
+    # 2**(levels - 1) small
+    @pytest.mark.parametrize("levels, code", [("32", 0), ("33", 2)])
+    def test_levels_above_32_are_a_config_error(self, tmp_path, levels, code):
+        write_image(texture_image((32, 32), 7), tmp_path / "a.pgm")
+        out = tmp_path / "f.flo"
         argv = ["flow", "--target", str(tmp_path / "a.pgm"), "--source", str(tmp_path / "a.pgm"),
-                "--out", str(tmp_path / "f.flo"), "--alpha", alpha]
-        assert main(argv) == 2
-        assert not (tmp_path / "f.flo").exists()
+                "--out", str(out), "--levels", levels]
+        assert main(argv) == code
+        assert out.exists() == (code == 0)
 
 
 class TestShareCommand:
@@ -381,20 +382,6 @@ class TestShareCommand:
         write_image(record.stage1_image, want / "shared_stage1.pgm")
         write_flo(record.flow, want / "shared_flow.flo")
         assert tree_bytes(got) == tree_bytes(want)
-
-    # 33 levels passed before the cap; the box pad is 2**(levels - 1)
-    @pytest.mark.parametrize("levels, code", [("32", 0), ("33", 2)])
-    def test_levels_above_32_are_a_config_error(self, scene_files, tmp_path, levels, code):
-        out = tmp_path / "shared.bin"
-        argv = [
-            "share", "--rig", str(scene_files / "rig.txt"),
-            "--wide-image", str(scene_files / "wide.pgm"),
-            "--narrow-image", str(scene_files / "narrow.pgm"),
-            "--scores", str(scene_files / "wide_scores.bin"),
-            "--out", str(out), "--levels", levels,
-        ]
-        assert main(argv) == code
-        assert out.exists() == (code == 0)
 
     def test_rerun_byte_identical(self, scene_files, tmp_path):
         outs = []
@@ -634,13 +621,24 @@ def fake_training_suites(monkeypatch):
 
 def test_train_fusion_defaults_are_the_narrow_preset():
     args = cli.build_parser().parse_args(["train-fusion", "--bench", "b", "--out", "h"])
-    assert (args.lr, args.train_iterations, args.batch_fraction) == (
+    assert (args.learning_rate, args.iterations, args.batch_fraction) == (
         FUSION_TRAIN.learning_rate, FUSION_TRAIN.iterations, FUSION_TRAIN.batch_fraction
     )
     assert args.seed == 0  # not the preset's
 
 
-def test_train_fusion_keeps_flow_and_training_iterations_apart(bench_dir, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], replace(FUSION_TRAIN, seed=0)),
+        (["--train-iterations", "5"], replace(FUSION_TRAIN, iterations=5, seed=0)),
+        (["--lr", "0.5", "--seed", "3"], replace(FUSION_TRAIN, learning_rate=0.5, seed=3)),
+        (["--batch-fraction", "0.5"], replace(FUSION_TRAIN, batch_fraction=0.5, seed=0)),
+    ],
+)
+def test_train_fusion_flags_set_training_and_leave_flow_at_its_defaults(
+    bench_dir, tmp_path, monkeypatch, flags, expected
+):
     seen = {}
 
     def fake_branch_dataset(bench, entries, flow_cfg, branch, seed_base):
@@ -653,11 +651,66 @@ def test_train_fusion_keeps_flow_and_training_iterations_apart(bench_dir, tmp_pa
 
     monkeypatch.setattr(cli, "_branch_dataset", fake_branch_dataset)
     monkeypatch.setattr(cli, "train_fusion", fake_train_fusion)
-    argv = ["train-fusion", "--bench", str(bench_dir), "--out", str(tmp_path / "head.bin"),
-            "--iterations", "7", "--train-iterations", "5"]
+    argv = ["train-fusion", "--bench", str(bench_dir), "--out", str(tmp_path / "head.bin"), *flags]
     assert main(argv) == 0
-    assert seen["flow_cfg"].iterations_per_level == 7
-    assert seen["train_cfg"].iterations == 5
+    assert seen["train_cfg"] == expected
+    assert seen["flow_cfg"] == FlowConfig()
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [("--seed", "seed"), ("--lr", "learning_rate"), ("--train-iterations", "iterations"),
+     ("--batch-fraction", "batch_fraction")],
+)
+def test_training_flags_are_one_set_on_train_fusion_and_ablate(flag, field):
+    """Both commands store a training flag under its TrainConfig field,
+    with that field's type."""
+    kind = type(getattr(FUSION_TRAIN, field))
+    for command in ("train-fusion", "ablate"):
+        action = next(a for a in subcommands()[command]._actions if flag in a.option_strings)
+        assert (action.dest, action.type) == (field, kind), command
+
+
+def subcommands():
+    """The parser's subcommand names."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def flow_flags_off_flow():
+    """(command, flag) for every flow flag a command does not take: only
+    flow takes one, --levels."""
+    for command in subcommands():
+        for flag in (["--levels", "4"], ["--iterations", "50"], ["--alpha", "15"]):
+            if (command, flag[0]) != ("flow", "--levels"):
+                yield pytest.param(command, flag, id=f"{command}-{flag[0]}")
+
+
+@pytest.mark.parametrize("command, flag", list(flow_flags_off_flow()))
+def test_flow_flags_exist_only_on_flow(tmp_path, capsys, command, flag):
+    """share, run and train-fusion use the estimator's defaults, and no
+    other command has a flow setting; argparse refuses a flow flag before
+    any file is read (none of these exist)."""
+    with pytest.raises(SystemExit) as exc:
+        main(sweep_argv(command, tmp_path, tmp_path) + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_flow_levels_sets_the_estimator_levels(tmp_path):
+    """At 256^2 the pyramid has room for a fifth level, so --levels 5
+    writes another flow than the default 4."""
+    write_image(texture_image((256, 256), 5), tmp_path / "t.pgm")
+    write_image(texture_image((256, 256), 6), tmp_path / "s.pgm")
+    target, source = read_image(tmp_path / "t.pgm"), read_image(tmp_path / "s.pgm")
+    argv = ["flow", "--target", str(tmp_path / "t.pgm"), "--source", str(tmp_path / "s.pgm"),
+            "--out", str(tmp_path / "got.flo"), "--levels", "5"]
+    assert main(argv) == 0
+    write_flo(estimate_flow(target, source, FlowConfig(num_levels=5)), tmp_path / "want.flo")
+    write_flo(estimate_flow(target, source), tmp_path / "default.flo")
+    got = (tmp_path / "got.flo").read_bytes()
+    assert got == (tmp_path / "want.flo").read_bytes()
+    assert got != (tmp_path / "default.flo").read_bytes()
 
 
 class TestAblateTrainingFlags:
@@ -744,16 +797,19 @@ def sweep_argv(command, root, out):
     }[command]
 
 
-# no huge ints: --iterations or --scenes at 1e9 would run for hours
-SWEEP_VALUES = {int: ["-1", "0"], float: ["-1", "0", "nan", "inf", "1e200", "1e-30", "5e-324"]}
+# no huge ints: --train-iterations or --scenes at 1e9 would run for hours;
+# a huge negative one is refused before it is used, and must not overflow
+# a fixed-width int on the way
+SWEEP_VALUES = {
+    int: ["-1", "0", "1", "-9223372036854775809"],
+    float: ["-1", "0", "nan", "inf", "-inf", "1e200", "1e-30", "5e-324"],
+}
 
 
 def numeric_flags():
     """(command, flag, value) for every int and float flag of every
     subcommand, read from the parser."""
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command, sub in commands.choices.items():
+    for command, sub in subcommands().items():
         for action in sub._actions:
             for value in SWEEP_VALUES.get(action.type, []):
                 yield command, action.option_strings[0], value
@@ -775,7 +831,7 @@ def test_numeric_flag_sweep_exits_with_a_documented_code(sweep_inputs, tmp_path,
     except SystemExit as exc:  # argparse rejects a flag with status 2
         code = exc.code
     assert code in (0, 2, 3, 4)
-    if value in ("nan", "inf"):  # only float flags take these
+    if value in ("nan", "inf", "-inf"):  # only float flags take these
         assert code == 2
-    if flag == "--alpha" and value in ("1e-30", "5e-324"):  # the solve would overflow float32
+    if value == "-9223372036854775809":  # no count, size or seed is negative
         assert code == 2

@@ -67,7 +67,7 @@ def reference_solve_level(target, source, flow_uv, cfg, record_energy=False):
     warped = raster._sample_planes((source,), xs + u, ys + v)[0]
     ix, iy = flow._central_diff(warped)
     it = warped - target
-    alpha2 = cfg.smoothness_weight**2
+    alpha2 = flow.SMOOTHNESS_WEIGHT**2
     counts = flow._neighbor_counts((h, w), dtype)
     denom = alpha2 * counts + ix * ix + iy * iy
     du = np.zeros((h, w), dtype)
@@ -89,8 +89,8 @@ class TestConfig:
         cfg = FlowConfig()
         assert cfg.num_levels == 4
         assert cfg.iterations_per_level == 50
-        assert cfg.smoothness_weight == 15.0
         assert cfg.min_level_size == 16
+        assert flow.SMOOTHNESS_WEIGHT == 15.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -100,29 +100,6 @@ class TestConfig:
         assert FlowConfig(num_levels=32).num_levels == 32
         with pytest.raises(ConfigError):
             FlowConfig(iterations_per_level=0)
-        with pytest.raises(ConfigError):
-            FlowConfig(smoothness_weight=0.0)
-
-    # inf and 1e20 gave a zero flow (1e20 squared overflows float32);
-    # 1e200 squared overflows even a Python float
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), 1e20, 1e200])
-    def test_smoothness_weight_must_stay_finite_in_the_solve(self, weight):
-        with pytest.raises(ConfigError):
-            FlowConfig(smoothness_weight=weight)
-
-    def test_largest_smoothness_weight_is_accepted(self):
-        FlowConfig(smoothness_weight=float(np.sqrt(np.finfo(np.float32).max / 4.0)))
-
-    # below this weight a flat corner pixel's first quotient, 255 / (2 * weight**2),
-    # overflows float32: 1e-30 gave a NaN flow and an IndexError out of `run`
-    @pytest.mark.parametrize("levels", [1, 4])
-    def test_smallest_smoothness_weight_gives_a_finite_flow(self, levels):
-        lowest = (255.0 / (2.0 * float(np.finfo(np.float32).max))) ** 0.5
-        with pytest.raises(ConfigError):
-            FlowConfig(smoothness_weight=0.99 * lowest)
-        cfg = FlowConfig(num_levels=levels, smoothness_weight=lowest)
-        black, white = Image(np.zeros((64, 64))), Image(np.ones((64, 64)))
-        assert np.all(np.isfinite(estimate_flow(black, white, cfg).data))
 
 
 def level_sizes(img, cfg):
@@ -479,6 +456,14 @@ class TestFloat32Solve:
         assert result.data.dtype == np.float64
         assert all(type(e) is float for e in diag.coarsest_energies)
         assert estimate_flow(target, source, cfg).data.dtype == np.float64
+
+    # the largest brightness step with no gradient anywhere: the data term
+    # is flat, so every float32 sweep keeps the zero flow it starts from
+    @pytest.mark.parametrize("levels", [1, 4])
+    def test_black_to_white_gives_a_zero_flow(self, levels):
+        black, white = Image(np.zeros((64, 64))), Image(np.ones((64, 64)))
+        result = estimate_flow(black, white, FlowConfig(num_levels=levels))
+        assert np.array_equal(result.data, np.zeros_like(result.data))
 
     @staticmethod
     def max_gap_to_float64(monkeypatch, solve):

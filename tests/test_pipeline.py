@@ -179,7 +179,7 @@ class TestRunFrame:
         scene, pair, wide_scores, narrow_scores = self.make_inputs()
         rig_path = tmp_path / "rig.txt"
         write_rig(scene.rig, rig_path)
-        cfg = PipelineConfig(rig_path=str(rig_path), flow=FAST_FLOW)
+        cfg = PipelineConfig(rig_path=str(rig_path))
         result = run_frame(cfg, pair.wide_image, wide_scores, pair.narrow_image, narrow_scores)
         # wide branch: identity fusion returns native scores everywhere
         assert np.array_equal(
@@ -197,7 +197,6 @@ class TestRunFrame:
         write_head(identity_head(6), head_path)
         cfg = PipelineConfig(
             rig_path=str(rig_path),
-            flow=FAST_FLOW,
             narrow_head_path=str(head_path),
             wide_head_path=str(head_path),
         )
@@ -209,7 +208,7 @@ class TestRunFrame:
         scene, pair, wide_scores, narrow_scores = self.make_inputs(832)
         rig_path = tmp_path / "rig.txt"
         write_rig(scene.rig, rig_path)
-        cfg = PipelineConfig(rig_path=str(rig_path), flow=FAST_FLOW)
+        cfg = PipelineConfig(rig_path=str(rig_path))
         a = run_frame(cfg, pair.wide_image, wide_scores, pair.narrow_image, narrow_scores)
         b = run_frame(cfg, pair.wide_image, wide_scores, pair.narrow_image, narrow_scores)
         assert np.array_equal(a.narrow_scores.data, b.narrow_scores.data)
@@ -218,14 +217,14 @@ class TestRunFrame:
 
     def test_stage_tagged_errors(self, tmp_path):
         scene, pair, wide_scores, narrow_scores = self.make_inputs(833)
-        cfg = PipelineConfig(rig_path=str(tmp_path / "missing.txt"), flow=FAST_FLOW)
+        cfg = PipelineConfig(rig_path=str(tmp_path / "missing.txt"))
         with pytest.raises(PipelineStageError) as exc:
             run_frame(cfg, pair.wide_image, wide_scores, pair.narrow_image, narrow_scores)
         assert exc.value.stage == "config"
 
         rig_path = tmp_path / "rig.txt"
         write_rig(scene.rig, rig_path)
-        cfg = PipelineConfig(rig_path=str(rig_path), flow=FAST_FLOW)
+        cfg = PipelineConfig(rig_path=str(rig_path))
         bad_scores = ScoreMap(np.zeros((6, 10, 10)))
         with pytest.raises(PipelineStageError) as exc:
             run_frame(cfg, pair.wide_image, bad_scores, pair.narrow_image, narrow_scores)
@@ -286,8 +285,8 @@ class TestFrameRecords:
         cfg, (wide_img, wide_scores, narrow_img, narrow_scores) = guard_frame(tmp_path)
         result = run_frame(cfg, wide_img, wide_scores, narrow_img, narrow_scores)
         rig = cfg.load_rig()
-        forward = share(rig, wide_scores, wide_img, narrow_img, cfg.flow)
-        backward = share(rig, result.narrow_scores, wide_img, narrow_img, cfg.flow, "backward")
+        forward = share(rig, wide_scores, wide_img, narrow_img)
+        backward = share(rig, result.narrow_scores, wide_img, narrow_img, direction="backward")
         assert raster_bytes(result.forward) == raster_bytes(forward)
         assert raster_bytes(result.backward) == raster_bytes(backward)
         assert result.narrow_mask is result.forward.mask
@@ -550,10 +549,10 @@ class TestBenchmarkAndAblations:
 
         monkeypatch.setattr(cli, "train_fusion", fake_train_fusion)
         argv = ["train-fusion", "--bench", str(tiny_benchmark), "--branch", branch,
-                "--iterations", "5", "--out", str(tmp_path / "head.bin")]
+                "--out", str(tmp_path / "head.bin")]
         assert main(argv) == 0
         bench = read_benchmark(tiny_benchmark)
-        built = build(bench, bench.nonplanar(), FlowConfig(iterations_per_level=5))
+        built = build(bench, bench.nonplanar(), FlowConfig())
 
         def arrays(items):
             planes = [[a if isinstance(a, np.ndarray) else a.data for a in item] for item in items]
@@ -573,10 +572,11 @@ class TestBenchmarkAndAblations:
 
 def wrong_typed_fields():
     """Every TrainConfig and FlowConfig field with each value of the wrong
-    type for it: a float for a count or seed, a str and a bool for any."""
+    type for it: a float for a count or seed, a str, a bool and None (an
+    unset flag) for any."""
     for config in (TrainConfig, FlowConfig):
         for f in dataclasses.fields(config):
-            values = ([2.5] if isinstance(f.default, int) else []) + ["3", True]
+            values = ([2.5] if isinstance(f.default, int) else []) + ["3", True, None]
             for value in values:
                 yield pytest.param(config, f.name, value, id=f"{config.__name__}.{f.name}={value!r}")
 

@@ -194,8 +194,12 @@ class TestReportedCases:
             ((KIND_FUSION_HEAD, 6, 1, 0), b""),
             # a basic head with 1 class: w (1, 2) and b (1,)
             ((KIND_FUSION_HEAD, 1, 0, 0), bytes(12)),
+            # a residual head whose w1 (h, 2c) has more elements than an int64
+            # holds: np.prod wrapped the count to 12942, and reshape raised
+            # a bare ValueError out of `run`
+            ((KIND_FUSION_HEAD, 3037012561, 1, 3036988439), bytes(51768)),
         ],
-        ids=["residual-hidden-0", "one-class"],
+        ids=["residual-hidden-0", "one-class", "size-product-overflows-int64"],
     )
     def test_impossible_head(self, valid, tmp_path, header, payload):
         root, scene_dir = valid
