@@ -67,8 +67,9 @@ footprint, padded by one coarsest-level pixel; the flow is zero outside
 it.  On the synthetic rigs the forward box is the whole narrow raster.
 Backward (the swapped rig) the stage-one image is fill outside the narrow
 camera's view, about three quarters of the wide raster, and the box skips
-most of it: about a third of the wide raster is solved, and the flow grid
-is composed with the stage-one grid on the footprint's box only.
+most of it: about a third of the wide raster is solved.  The two stages
+are one map, H^-1(p + f(p)) (raster.compose_grids), evaluated on the
+footprint's box only; no grid is resampled through another.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from .raster import (
     _smooth,
     _valid_box,
     compose_grids,
-    grid_from_flow,
+    grid_from_flow,  # unused here; perfbench/bench_layers.py traces this binding
     grid_from_homography,
     warp_raster,
 )
@@ -299,11 +300,11 @@ def two_stage_map_detailed(
     least min_level_size.  The residual flow is zero outside the box.  An
     empty footprint is solved on the whole raster.
 
-    The flow grid is restricted to the stage-one footprint before it is
-    composed with the stage-one grid (the flow at a pixel is only
-    meaningful where stage one put real content there; elsewhere it was
-    estimated against fill), so the composition evaluates only the
-    footprint's box.
+    The composed grid is H^-1(p + f(p)) (raster.compose_grids) for the
+    rig's homography H and the residual flow f, evaluated only on the
+    stage-one footprint (the flow at a pixel is only meaningful where
+    stage one put real content there; elsewhere it was estimated against
+    fill).  p + f(p) may leave the narrow raster.
     """
     cfg = cfg or FlowConfig()
     if wide_img.size != rig.image_size_wide:
@@ -326,11 +327,7 @@ def two_stage_map_detailed(
     flow = np.zeros((2, narrow_img.height, narrow_img.width))
     flow[:, rows, cols] = box_flow.data
     residual_flow = FlowField(flow)
-    flow_grid = grid_from_flow(residual_flow)
-    flow_grid = GridMap(
-        flow_grid.sx, flow_grid.sy, flow_grid.valid & grid_stage1.valid, flow_grid.source_size
-    )
-    composed = compose_grids(flow_grid, grid_stage1)
+    composed = compose_grids(residual_flow, grid_stage1.valid, homography, rig.image_size_wide)
     return composed, grid_stage1, warped_wide, residual_flow
 
 

@@ -399,7 +399,8 @@ def ablate_flow(bench: Benchmark) -> AblationTable:
             scene.rig, pair.wide_image, pair.narrow_image, FlowConfig()
         )[:2]
         lab_pt, _ = warp_labels(pair.wide_labels, grid_pt)
-        # composing only clears valid bits, so this mask lies inside stage one's
+        # the two-stage map is evaluated only where stage one is valid, so
+        # this mask lies inside stage one's
         lab_two, mask = warp_labels(pair.wide_labels, grid_two)
         pt_pairs.append((lab_pt, pair.narrow_labels, mask))
         two_pairs.append((lab_two, pair.narrow_labels, mask))

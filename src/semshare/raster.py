@@ -4,9 +4,9 @@ All rasters are immutable after construction and store their payload as
 channel-planar numpy arrays (shape (C, H, W) for images and score maps).
 Warping is backward everywhere: a GridMap tells each *target* pixel which
 *source* coordinate to sample, so warped outputs never have holes.
-Validity masks are first class; a grid pixel is valid exactly when its
-source coordinate lands inside the source raster (0..W-1 x 0..H-1,
-inclusive, pixel-center convention).
+Validity masks are first class; a valid grid pixel's source coordinate
+lies inside the source raster (0..W-1 x 0..H-1, inclusive, pixel-center
+convention).
 
 _gather_bilinear is the package's one bilinear blend: it reads a plane's
 four corners at a support's flat indices (y * w + x) and blends them by
@@ -17,23 +17,27 @@ _warp_planes warps through a grid with fill (below).  synth.value_noise
 blends its wrapping lattice's corners through it, on its own support,
 whose fractions broadcast: a row and a column give a whole lattice.
 
+compose_grids is the one grid kernel, h^-1(p + flow[p]) in one pass;
+grid_from_homography and grid_from_flow are its zero-flow and
+identity-homography cases, and no grid is resampled through another.
+
 The per-pixel passes over a frame, the warps of _warp_planes (both score
-warps, the stage-one image warp, compose_grids and warp_labels) and
+warps, the stage-one image warp and warp_labels), compose_grids and
 fusion.fuse_forward, hand one entry, _run_box, a mask and a band kernel.
 _run_box alone picks the box (the mask's True pixels), its row bands of
 about _BAND_PIXELS pixels (_row_bands: one band's temporaries stay in L2)
 and the threads that take them (_thread_count, _run_parts); its docstring
 states the policy.  A band is the same whatever thread runs it, so no
-output depends on the thread count, and every warped pixel sees the
-arithmetic of a whole-raster pass, so no warp depends on the box or the
-band size either.  A fused pixel's bits can: a BLAS kernel can round a
-product's last columns differently from the others.  The flow solver
-runs on the calling thread (see flow).  The scene renderer walks
-_row_bands on one thread: its many small numpy calls per band hand the
-interpreter lock back and forth, and two threads of bands gained nothing
-(2-core host, medians of 15 alternating rounds of two renders: 28.3 ->
-28.7 and 32.0 -> 36.0 ms at 384^2, 7.7 -> 7.6 and 8.8 -> 8.7 ms at
-192^2).
+output depends on the thread count, and every warped or mapped pixel
+sees the arithmetic of a whole-raster pass, so no warp or grid depends
+on the box or the band size either.  A fused pixel's bits can: a BLAS
+kernel can round a product's last columns differently from the others.
+The flow solver runs on the calling thread (see flow).  The scene
+renderer walks _row_bands on one thread: its many small numpy calls per
+band hand the interpreter lock back and forth, and two threads of bands
+gained nothing (2-core host, medians of 15 alternating rounds of two
+renders: 28.3 -> 28.7 and 32.0 -> 36.0 ms at 384^2, 7.7 -> 7.6 and 8.8
+-> 8.7 ms at 192^2).
 
 The module also holds the package's one binomial smoothing, _smooth
 (flow's pyramid and the score blur of synth.degrade_scores), and its one
@@ -330,8 +334,7 @@ def _smooth(planes, weights):
 
 
 def identity_grid(size) -> GridMap:
-    xs, ys = _lattice(size)
-    return GridMap(xs, ys, np.ones(xs.shape, bool), size)
+    return grid_from_flow(FlowField.zero(size))
 
 
 def _in_bounds(sx, sy, source_size):
@@ -339,38 +342,58 @@ def _in_bounds(sx, sy, source_size):
     return (sx >= 0.0) & (sx <= w - 1.0) & (sy >= 0.0) & (sy <= h - 1.0)
 
 
-def grid_from_homography(h: Homography, target_size, source_size) -> GridMap:
-    """Backward grid for warping by a source->target homography.
-
-    Each target pixel looks up h^-1(p); pixels whose source coordinate
-    leaves the source raster, hits the plane at infinity or lies behind
-    the source camera are invalid.
+def compose_grids(flow: FlowField, mask, h: Homography, source_size) -> GridMap:
+    """Backward grid p -> h^-1(p + flow[p]) for a source->target homography
+    h, evaluated in _run_box bands over the True pixels of `mask` (a
+    boolean plane of the flow's shape).  A pixel is valid where the mask
+    is set, the projective denominator at p + flow[p] is finite and puts
+    the point in front of the source camera, and the source coordinate
+    lies inside the source raster; p + flow[p] may leave the target.
 
     A rig's homography K_target R inv(K_source) has a positive determinant
     (positive focals, proper rotation).  Scaled to a positive determinant,
     the inverse is a positive multiple of K_source R^T inv(K_target), so
-    its projective denominator at p is the source-camera depth of the
-    target pixel's ray times a positive factor.  The h[2,2] normalization
+    its projective denominator at a point is the source-camera depth of
+    the point's ray times a positive factor.  The h[2,2] normalization
     may negate the stored matrix, but that negates its determinant too.
     """
-    if target_size[0] < 1 or target_size[1] < 1 or source_size[0] < 1 or source_size[1] < 1:
+    if mask.shape != flow.dx.shape:
+        raise DimensionError(f"mask shape {mask.shape} != flow shape {flow.dx.shape}")
+    if min(flow.size) < 1 or min(source_size) < 1:
         raise DimensionError("grid sizes must be positive")
     h_inv = invert_homography(h)
-    xs, ys = _lattice(target_size)
-    sx, sy, finite = apply_homography_arrays(h_inv, xs, ys)
     m = h_inv.h
-    depth = (m[2, 0] * xs + m[2, 1] * ys + m[2, 2]) * np.sign(np.linalg.det(m))
-    valid = finite & (depth > 0.0) & _in_bounds(sx, sy, source_size)
+    sign = np.sign(np.linalg.det(m))
+    sx, sy = np.zeros((2,) + mask.shape)
+    valid = np.zeros(mask.shape, bool)
+
+    def grid_bands(bands, cols):
+        xs = np.arange(cols.start, cols.stop, dtype=float)
+        for band in bands:
+            ys = np.arange(band.start, band.stop, dtype=float)[:, None]
+            px = xs + flow.dx[band, cols]
+            py = ys + flow.dy[band, cols]
+            bx, by, finite = apply_homography_arrays(h_inv, px, py)
+            depth = (m[2, 0] * px + m[2, 1] * py + m[2, 2]) * sign
+            sx[band, cols], sy[band, cols] = bx, by
+            mapped = finite & (depth > 0.0) & _in_bounds(bx, by, source_size)
+            valid[band, cols] = mask[band, cols] & mapped
+
+    _run_box(mask, grid_bands)
     return GridMap(sx, sy, valid, source_size)
 
 
+def grid_from_homography(h: Homography, target_size, source_size) -> GridMap:
+    """Backward grid p -> h^-1(p) for warping by a source->target
+    homography: compose_grids with zero flow on the whole target."""
+    whole = np.ones((target_size[1], target_size[0]), bool)
+    return compose_grids(FlowField.zero(target_size), whole, h, source_size)
+
+
 def grid_from_flow(flow: FlowField) -> GridMap:
-    """Backward grid p -> p + flow[p]; source raster has the flow's size."""
-    xs, ys = _lattice(flow.size)
-    sx = xs + flow.dx
-    sy = ys + flow.dy
-    valid = _in_bounds(sx, sy, flow.size)
-    return GridMap(sx, sy, valid, flow.size)
+    """Backward grid p -> p + flow[p]; source raster has the flow's size:
+    compose_grids with the identity homography on the whole raster."""
+    return compose_grids(flow, np.ones(flow.dx.shape, bool), Homography(np.eye(3)), flow.size)
 
 
 def _bilinear_support(sx, sy, source_size):
@@ -418,31 +441,6 @@ def _gather_bilinear(plane, support, out=None):
         row *= wy
         rows.append(row)
     return np.add(*rows, out=out)
-
-
-def compose_grids(outer: GridMap, inner: GridMap) -> GridMap:
-    """Chain two backward grids: result[p] = inner evaluated at outer[p].
-
-    It is a warp through outer: _warp_planes samples inner's coordinate
-    planes and its invalid indicator (1 at an invalid pixel, else 0), so
-    only the box of outer's valid pixels is evaluated, in row bands.  A
-    pixel stays valid only if outer[p] is valid and the sampled indicator
-    is 0.  The bilinear weights are non-negative, so that holds exactly
-    when every inner support pixel with nonzero weight is valid (corners
-    with zero weight cannot veto, so composing with an identity grid is
-    neutral), unless a weight product underflows to 0, which needs an
-    outer coordinate in (0, ~1e-150) px.
-    """
-    if outer.source_size != inner.size:
-        raise DimensionError(
-            f"outer source size {outer.source_size} != inner target size {inner.size}"
-        )
-    bad = (~inner.valid).astype(float)
-    sx, sy, bad = _warp_planes((inner.sx, inner.sy, bad), outer, 0.0)
-    w, h = inner.source_size
-    np.clip(sx, 0.0, float(w - 1), out=sx)
-    np.clip(sy, 0.0, float(h - 1), out=sy)
-    return GridMap(sx, sy, outer.valid & (bad == 0.0), inner.source_size)
 
 
 def _sample_planes(planes, sx, sy, out=None):

@@ -2,9 +2,10 @@ import threading
 
 import numpy as np
 import pytest
+from test_raster import reference_compose
 
 from semshare import flow, raster
-from semshare.camera import CameraRig, Intrinsics, Rotation3
+from semshare.camera import CameraRig, Intrinsics, Rotation3, homography_from_rig
 from semshare.errors import ConfigError, DimensionError
 from semshare.flow import (
     FlowConfig,
@@ -17,13 +18,7 @@ from semshare.flow import (
     two_stage_map_detailed,
 )
 from semshare.metrics import aepe
-from semshare.raster import (
-    FlowField,
-    GridMap,
-    Image,
-    compose_grids,
-    grid_from_flow,
-)
+from semshare.raster import FlowField, GridMap, Image
 
 
 def value_noise(size, seed, octaves=((32, 0.5), (16, 0.3), (8, 0.2))):
@@ -567,9 +562,9 @@ class TestTwoStageMap:
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_composition_matches_the_whole_raster_formula(self, direction):
-        """The flow grid is restricted to the stage-one footprint before it
-        is composed, so only the footprint's box is evaluated; the oracle
-        composes the whole raster and then ANDs the stage-one validity."""
+        """The map H^-1(p + f(p)) is evaluated only on the stage-one
+        footprint's box; the oracle evaluates it on the whole raster and
+        then ANDs the stage-one validity."""
         from semshare.synth import make_scene, render_scene
 
         scene = make_scene(6000)
@@ -579,13 +574,30 @@ class TestTwoStageMap:
         else:
             args = (scene.rig.swapped(), pair.narrow_image, pair.wide_image)
         composed, grid1, _, residual = two_stage_map_detailed(*args)
-        whole = compose_grids(grid_from_flow(residual), grid1)
+        rig = args[0]
+        whole = reference_compose(
+            residual, np.ones(grid1.valid.shape, bool), homography_from_rig(rig), rig.image_size_wide
+        )
         want = GridMap(whole.sx, whole.sy, whole.valid & grid1.valid, whole.source_size)
         for name in ("sx", "sy", "valid"):
             assert getattr(composed, name).tobytes() == getattr(want, name).tobytes()
         assert composed.valid.mean() > 0.2
         # backward, the footprint's box leaves most of the wide raster out
         assert grid1.valid.all() == (direction == "forward")
+
+    @pytest.mark.parametrize("seed", [6000, 6001, 6002, 7])
+    def test_forward_mask_keeps_every_true_correspondence(self, seed):
+        """Every narrow pixel the scene's exact grid finds in the wide view
+        keeps its share, the narrow border included: the map needs neither
+        a moved point inside the narrow raster nor valid stage-one
+        neighbours."""
+        from semshare.synth import make_scene, render_scene
+
+        scene = make_scene(seed, size=(96, 96), planar=False)
+        pair = render_scene(scene)
+        composed = two_stage_map(scene.rig, pair.wide_image, pair.narrow_image)
+        assert pair.grid_to_narrow.valid.any()
+        assert not (pair.grid_to_narrow.valid & ~composed.valid).any()
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("seed", [6000, 6001, 6002, 7])

@@ -11,9 +11,9 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "semshare"
 
-# perfbench/bench_layers.py traces the binding pipeline.grid_from_homography,
-# which pipeline itself no longer calls
-ALLOWED = {("pipeline", "grid_from_homography")}
+# perfbench/bench_layers.py traces the bindings pipeline.grid_from_homography
+# and flow.grid_from_flow, which pipeline and flow themselves no longer call
+ALLOWED = {("pipeline", "grid_from_homography"), ("flow", "grid_from_flow")}
 
 
 def unused_imports(path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semshare import raster
-from semshare.camera import Homography
+from semshare.camera import Homography, apply_homography_arrays, invert_homography
 from semshare.errors import DataError, DimensionError
 from semshare.raster import (
     FlowField,
@@ -76,24 +76,58 @@ def reference_warp(planes, grid, fill):
     return np.where(grid.valid[None], sampled, fill)
 
 
-def reference_compose(outer, inner):
-    """compose_grids with the inner validity read by 2-D indexing."""
-    w, h = inner.size
-    idx, fx, fy = reference_bilinear_support(outer.sx, outer.sy, inner.size)
-    y, x = np.divmod(idx, w)
-    sx = reference_sample(inner.sx, outer.sx, outer.sy)
-    sy = reference_sample(inner.sy, outer.sx, outer.sy)
-    zx, zy = fx == 0.0, fy == 0.0
-    ok = (
-        inner.valid[y[0], x[0]]
-        & (zx | inner.valid[y[1], x[1]])
-        & (zy | inner.valid[y[2], x[2]])
-        & (zx | zy | inner.valid[y[3], x[3]])
+def reference_compose(flow, mask, h, source_size):
+    """compose_grids on the whole raster at once, written out: h^-1 applied
+    to p + flow[p] in camera.apply_homography_arrays' order of operations,
+    valid where the mask is set, the denominator is finite and, signed by
+    the inverse's determinant, positive, and the point is in bounds."""
+    m = invert_homography(h).h
+    xs, ys = raster._lattice(flow.size)
+    px, py = xs + flow.dx, ys + flow.dy
+    den = m[2, 0] * px + m[2, 1] * py + m[2, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sx = (m[0, 0] * px + m[0, 1] * py + m[0, 2]) / den
+        sy = (m[1, 0] * px + m[1, 1] * py + m[1, 2]) / den
+    sw, sh = source_size
+    valid = (
+        mask
+        & (np.abs(den) > 1e-12)
+        & (den * np.sign(np.linalg.det(m)) > 0.0)
+        & (sx >= 0.0) & (sx <= sw - 1.0) & (sy >= 0.0) & (sy <= sh - 1.0)
     )
-    sw, sh = inner.source_size
-    return GridMap(
-        np.clip(sx, 0.0, sw - 1.0), np.clip(sy, 0.0, sh - 1.0), outer.valid & ok, inner.source_size
-    )
+    return GridMap(np.where(valid, sx, 0.0), np.where(valid, sy, 0.0), valid, source_size)
+
+
+def formula_grid_from_homography(h, target_size, source_size):
+    """grid_from_homography written out: h^-1 on the target lattice,
+    valid where finite, in front of the source camera and in bounds."""
+    h_inv = invert_homography(h)
+    xs, ys = raster._lattice(target_size)
+    sx, sy, finite = apply_homography_arrays(h_inv, xs, ys)
+    m = h_inv.h
+    depth = (m[2, 0] * xs + m[2, 1] * ys + m[2, 2]) * np.sign(np.linalg.det(m))
+    valid = finite & (depth > 0.0) & raster._in_bounds(sx, sy, source_size)
+    return GridMap(sx, sy, valid, source_size)
+
+
+def formula_grid_from_flow(flow):
+    """grid_from_flow written out: p + flow[p], valid in bounds of the
+    flow's raster."""
+    xs, ys = raster._lattice(flow.size)
+    sx, sy = xs + flow.dx, ys + flow.dy
+    return GridMap(sx, sy, raster._in_bounds(sx, sy, flow.size), flow.size)
+
+
+def assert_same_grid(got, want):
+    for name in ("sx", "sy", "valid"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.source_size == want.source_size
+
+
+def projective_homography():
+    """A source->target homography with a perspective row, whose inverse's
+    denominator stays positive over the rasters below."""
+    return Homography([[1.05, 0.08, -3.0], [-0.04, 0.97, 2.5], [4e-4, -3e-4, 1.0]])
 
 
 def edge_heavy_grid(rng, size, source_size, invalid_frac=0.2):
@@ -260,10 +294,11 @@ class TestGridFromHomography:
 class TestGridFromFlow:
     def test_zero_flow_identity(self):
         g = grid_from_flow(FlowField.zero((6, 5)))
-        ident = identity_grid((6, 5))
-        assert np.array_equal(g.sx, ident.sx)
-        assert np.array_equal(g.sy, ident.sy)
+        xs, ys = np.meshgrid(np.arange(6.0), np.arange(5.0))
+        assert np.array_equal(g.sx, xs)
+        assert np.array_equal(g.sy, ys)
         assert g.valid.all()
+        assert_same_grid(identity_grid((6, 5)), g)
 
     def test_uniform_shift_bounds(self):
         g = translation_grid((10, 10), 3.0, 0.0)
@@ -274,43 +309,93 @@ class TestGridFromFlow:
 
 
 class TestComposeGrids:
-    def test_identity_composition(self):
-        ident = identity_grid((7, 5))
-        out = compose_grids(ident, identity_grid((7, 5)))
-        assert np.array_equal(out.sx, ident.sx)
-        assert np.array_equal(out.sy, ident.sy)
-        assert out.valid.all()
+    @pytest.mark.parametrize("seed, size", [(6000, (96, 96)), (7, (97, 61)), (3, (64, 48))])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_zero_flow_is_the_homography_formula(self, seed, size, swap):
+        from semshare.camera import homography_from_rig
+        from semshare.synth import make_scene
 
-    def test_identity_is_neutral_for_flow_grids(self):
-        g = translation_grid((9, 9), 3.0, 4.0)
-        out = compose_grids(identity_grid((9, 9)), g)
-        assert np.array_equal(out.sx, g.sx)
-        assert np.array_equal(out.sy, g.sy)
-        assert np.array_equal(out.valid, g.valid)
+        rig = make_scene(seed, size=size).rig
+        rig = rig.swapped() if swap else rig
+        h = homography_from_rig(rig)
+        target, source = rig.image_size_narrow, rig.image_size_wide
+        want = formula_grid_from_homography(h, target, source)
+        whole = np.ones((target[1], target[0]), bool)
+        assert_same_grid(compose_grids(FlowField.zero(target), whole, h, source), want)
+        assert_same_grid(grid_from_homography(h, target, source), want)
 
-    def test_two_translations_add(self):
-        a = translation_grid((12, 12), 2.0, 0.0)
-        b = translation_grid((12, 12), 0.0, 3.0)
-        out = compose_grids(a, b)
-        interior = out.valid
-        xs, ys = np.meshgrid(np.arange(12.0), np.arange(12.0))
-        assert np.allclose(out.sx[interior], (xs + 2.0)[interior], atol=1e-12)
-        assert np.allclose(out.sy[interior], (ys + 3.0)[interior], atol=1e-12)
+    @pytest.mark.parametrize("scale", [0.5, 4.0, 40.0])
+    def test_identity_homography_is_the_flow_formula(self, scale):
+        rng = np.random.default_rng(int(scale * 10))
+        flow = FlowField(rng.standard_normal((2, 37, 53)) * scale)
+        want = formula_grid_from_flow(flow)
+        whole = np.ones((37, 53), bool)
+        got = compose_grids(flow, whole, Homography(np.eye(3)), flow.size)
+        assert_same_grid(got, want)
+        assert_same_grid(grid_from_flow(flow), want)
+        assert 0.0 < want.valid.mean() < 1.0
 
-    def test_associative_on_translations(self):
-        a = translation_grid((16, 16), 1.0, 2.0)
-        b = translation_grid((16, 16), 3.0, 0.0)
-        c = translation_grid((16, 16), 0.0, 1.0)
-        left = compose_grids(compose_grids(a, b), c)
-        right = compose_grids(a, compose_grids(b, c))
-        both = left.valid & right.valid
-        assert both.any()
-        assert np.max(np.abs(left.sx[both] - right.sx[both])) < 1e-6
-        assert np.max(np.abs(left.sy[both] - right.sy[both])) < 1e-6
+    def test_translation_homography(self):
+        # source->target shift by (2, -1): the source of p + f is p + f - (2, -1)
+        m = np.eye(3)
+        m[:2, 2] = (2.0, -1.0)
+        flow = FlowField(np.stack([np.full((6, 8), 0.5), np.full((6, 8), -0.25)]))
+        g = compose_grids(flow, np.ones((6, 8), bool), Homography(m), (9, 7))
+        xs, ys = np.meshgrid(np.arange(8.0), np.arange(6.0))
+        want_x, want_y = xs + 0.5 - 2.0, ys - 0.25 + 1.0
+        in_bounds = (want_x >= 0) & (want_x <= 8) & (want_y >= 0) & (want_y <= 6)
+        assert np.array_equal(g.valid, in_bounds)
+        assert np.allclose(g.sx[in_bounds], want_x[in_bounds], atol=1e-12)
+        assert np.allclose(g.sy[in_bounds], want_y[in_bounds], atol=1e-12)
+        assert g.valid.any() and not g.valid.all()
+
+    def test_point_behind_the_source_camera_is_invalid(self):
+        # h^-1 = [[-1, 0, 20], [0, 1, -4], [-0.1, 0, 1]] has determinant 1;
+        # it takes (30, 0) to (5, 2), inside the source, through a negative
+        # denominator (-2): the point is behind the source camera
+        inv = np.array([[-1.0, 0.0, 20.0], [0.0, 1.0, -4.0], [-0.1, 0.0, 1.0]])
+        d = np.zeros((2, 4, 4))
+        d[0, 0, 0] = 30.0  # pixel (0, 0) moves to (30, 0)
+        d[1, 3, 0] = 2.0  # pixel (0, 3) moves to (0, 5), in front: to (20, 1)
+        flow = FlowField(d)
+        for sign in (1.0, -1.0):  # a negated matrix is the same map
+            h = Homography(sign * np.linalg.inv(inv))
+            sx, sy, finite = apply_homography_arrays(invert_homography(h), 30.0, 0.0)
+            assert finite and sx == pytest.approx(5.0) and sy == pytest.approx(2.0)
+            g = compose_grids(flow, np.ones((4, 4), bool), h, (24, 24))
+            assert not g.valid[0, 0]
+            assert g.valid[3, 0]
+            assert (g.sx[3, 0], g.sy[3, 0]) == (pytest.approx(20.0), pytest.approx(1.0))
+
+    def test_source_coordinates_outside_the_source_raster_are_invalid(self):
+        """The source raster's bounds are inclusive; p + f(p) may leave the
+        target raster."""
+        d = np.zeros((2, 3, 5))
+        d[0, 0, 0] = -0.5  # source x -0.5: outside
+        d[0, 0, 1] = -1.0  # source x 0: on the edge
+        d[0, 1, 4] = 3.0  # source x 7: the last column
+        d[0, 2, 4] = 3.5  # source x 7.5: outside
+        d[1, 2, 0] = 3.0  # source y 5, below the 3-row target: inside
+        flow = FlowField(d)
+        g = compose_grids(flow, np.ones((3, 5), bool), Homography(np.eye(3)), (8, 6))
+        want = np.ones((3, 5), bool)
+        want[0, 0] = want[2, 4] = False
+        assert np.array_equal(g.valid, want)
+        assert (g.sx[0, 1], g.sx[1, 4], g.sy[2, 0]) == (0.0, 7.0, 5.0)
+
+    def test_only_the_mask_is_valid(self):
+        mask = np.zeros((5, 7), bool)
+        mask[1:3, 2:6] = True
+        g = compose_grids(FlowField.zero((7, 5)), mask, Homography(np.eye(3)), (7, 5))
+        assert np.array_equal(g.valid, mask)
+        assert not g.sx[~mask].any() and not g.sy[~mask].any()
 
     def test_size_mismatch_rejected(self):
+        zero, ident = FlowField.zero((4, 4)), Homography(np.eye(3))
         with pytest.raises(DimensionError):
-            compose_grids(identity_grid((4, 4)), identity_grid((5, 5)))
+            compose_grids(zero, np.ones((5, 4), bool), ident, (4, 4))
+        with pytest.raises(DimensionError):
+            compose_grids(zero, np.ones((4, 4), bool), ident, (0, 4))
 
 
 class TestWarpRaster:
@@ -484,33 +569,25 @@ class TestFlatIndexKernels:
         assert np.array_equal(mask, grid.valid)
 
     def test_compose_matches_oracle(self, monkeypatch):
-        """Composition evaluates only the box of outer's valid pixels, in row
-        bands; the oracle evaluates every pixel.  No band size changes a
-        bit."""
+        """compose_grids evaluates only the box of the mask's True pixels,
+        in row bands; the oracle evaluates every pixel.  No band size
+        changes a bit."""
         rng = np.random.default_rng(22)
-        inner = edge_heavy_grid(rng, (23, 19), (29, 17), invalid_frac=0.1)
-        outer = edge_heavy_grid(rng, (31, 21), inner.size, invalid_frac=0.05)
-        block = np.zeros(outer.valid.shape, bool)
-        block[3:11, 17:29] = outer.valid[3:11, 17:29]
-        outers = [
-            outer,
-            GridMap(outer.sx, outer.sy, block, outer.source_size),
-            GridMap(outer.sx, outer.sy, np.zeros_like(block), outer.source_size),
-        ]
+        w, h = 31, 21
+        flow = FlowField(rng.standard_normal((2, h, w)) * 6.0)
+        full = rng.random((h, w)) >= 0.05
+        block = np.zeros((h, w), bool)
+        block[3:11, 17:29] = full[3:11, 17:29]
+        hom = projective_homography()
         for band_pixels in BAND_SIZES:
             with monkeypatch.context() as m:
                 m.setattr(raster, "_BAND_PIXELS", band_pixels)
-                for grid in outers:
-                    got = compose_grids(grid, inner)
-                    want = reference_compose(grid, inner)
-                    for name in ("sx", "sy", "valid"):
-                        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        # the zero-weight rule decides some pixels: a neighbor-blind check
-        # that all four corners be valid would reject more
-        got = compose_grids(outer, inner)
-        idx, _, _ = reference_bilinear_support(outer.sx, outer.sy, inner.size)
-        all_corners = outer.valid & inner.valid.reshape(-1)[idx].all(axis=0)
-        assert (got.valid & ~all_corners).sum() > 10
+                for mask in (full, block, np.zeros_like(block)):
+                    want = reference_compose(flow, mask, hom, (29, 17))
+                    assert_same_grid(compose_grids(flow, mask, hom, (29, 17)), want)
+        # bounds decide some pixels of the full mask
+        got = compose_grids(flow, full, hom, (29, 17))
+        assert 0.3 < got.valid.sum() / full.sum() < 0.95
 
 
 class TestValidBox:

@@ -14,12 +14,12 @@ import threading
 import numpy as np
 import pytest
 from test_flow import noise_pair
-from test_raster import edge_heavy_grid
+from test_raster import edge_heavy_grid, projective_homography
 
 from semshare import fusion, raster
 from semshare.flow import FlowConfig, estimate_flow
 from semshare.fusion import VARIANT_KINDS, fuse_forward, new_head
-from semshare.raster import GridMap, LabelMap, ScoreMap, compose_grids, warp_labels
+from semshare.raster import FlowField, GridMap, LabelMap, ScoreMap, compose_grids, warp_labels
 
 PART_COUNTS = (1, 2, 3)
 
@@ -97,19 +97,19 @@ def by_part_count(monkeypatch, outputs, one_row_bands=True):
 
 
 def warp_inputs(seed=41):
-    """Planes, labels and two grids: `grid` warps the planes and labels and
-    composes with `inner`.  Its valid pixels start at row 4, so the box's
-    parts start there too, and its box (238 x 319 pixels) splits into 3
-    parts at the default band size."""
+    """Planes, labels, a grid that warps them, and a flow and homography
+    that compose_grids maps over the grid's mask.  The mask's valid pixels
+    start at row 4, so the box's parts start there too, and its box
+    (238 x 319 pixels) splits into 3 parts at the default band size."""
     rng = np.random.default_rng(seed)
-    inner = edge_heavy_grid(rng, (61, 47), (67, 43), invalid_frac=0.1)
-    grid = edge_heavy_grid(rng, (319, 242), inner.size)
+    grid = edge_heavy_grid(rng, (319, 242), (61, 47))
     valid = grid.valid.copy()
     valid[:4] = False
     grid = GridMap(grid.sx, grid.sy, valid, grid.source_size)
     planes = rng.standard_normal((4, 47, 61))
     labels = LabelMap(rng.integers(0, 5, size=(47, 61)), 5)
-    return planes, labels, grid, inner
+    flow = FlowField(rng.standard_normal((2, 242, 319)) * 4.0)
+    return planes, labels, grid, flow, projective_homography()
 
 
 def fusion_inputs(kind, seed=43):
@@ -137,10 +137,10 @@ class TestPartCount:
     def test_warps_do_not_depend_on_the_part_count(
         self, monkeypatch, fast_switching, one_row_bands
     ):
-        planes, labels, grid, inner = warp_inputs()
+        planes, labels, grid, flow, homography = warp_inputs()
 
         def outputs():
-            composed = compose_grids(grid, inner)
+            composed = compose_grids(flow, grid.valid, homography, (300, 230))
             warped, mask = warp_labels(labels, grid)
             warped_planes = raster._warp_planes(planes, grid, -3.0)
             return warped_planes, composed.sx, composed.sy, composed.valid, warped.data, mask
@@ -227,7 +227,7 @@ class TestFailingPart:
             return kernel(*args, **kwargs)
 
         if stage == "warp":
-            planes, _, grid, _ = warp_inputs()
+            planes, _, grid, _, _ = warp_inputs()
             run = lambda: raster._warp_planes(planes, grid, 0.0)  # noqa: E731
         else:
             inputs = fusion_inputs("residual")
