@@ -288,9 +288,9 @@ def _exit_status(exc) -> tuple[int, str]:
     pipeline stage error exits with the code of its cause."""
     if isinstance(exc, PipelineStageError):
         return _exit_status(exc.cause)[0], "pipeline error"
-    if isinstance(exc, (ConfigError, CalibrationError)):
+    if isinstance(exc, ConfigError):
         return 2, "config error"
-    if isinstance(exc, (DataError, DimensionError, OSError)):
+    if isinstance(exc, (CalibrationError, DataError, DimensionError, OSError)):
         return 3, "data error"
     if isinstance(exc, (PointAtInfinityError, MetricUndefinedError, TrainingError)):
         return 4, "numeric error"

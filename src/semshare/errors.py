@@ -2,8 +2,8 @@
 of its configuration dataclasses.
 
 The CLI maps these onto exit codes (see cli.py): configuration problems
-exit with 2, malformed data or mismatched rasters with 3, and numeric
-failures with 4.
+exit with 2, malformed data, unusable calibrations or mismatched rasters
+with 3, and numeric failures with 4.
 """
 
 import numbers

@@ -111,11 +111,11 @@ class FlowConfig:
     level 1.  It is at most 32: a 33rd level needs a shorter side over
     15 * 2**32 px (halving rounds up), more pixels than an address space
     holds, so the cap changes no reachable output, and it keeps
-    two_stage_map_detailed's box pad 2**(num_levels - 1) small.
-    iterations_per_level is the sweep count of every solved level."""
+    two_stage_map_detailed's box pad 2**(num_levels - 1) small.  The
+    sweep count of every solved level is a class constant."""
 
     num_levels: int = 4
-    iterations_per_level: int = 50
+    iterations_per_level: ClassVar[int] = 50
     # the pyramid stops before a level would drop below this many pixels
     min_level_size: ClassVar[int] = 16
 
@@ -123,8 +123,6 @@ class FlowConfig:
         _check_field_types(self)
         if not 1 <= self.num_levels <= 32:
             raise ConfigError(f"num_levels must be in [1, 32], got {self.num_levels}")
-        if self.iterations_per_level < 1:
-            raise ConfigError(f"iterations_per_level must be >= 1, got {self.iterations_per_level}")
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .camera import CameraRig, TextFields, read_ascii, read_rig, write_rig
 from .errors import ConfigError, DataError, MetricUndefinedError, PipelineStageError, SemShareError
 from .flow import FlowConfig, two_stage_map_detailed
 from .formats import read_image, write_image, write_labels
-from .fusion import VARIANT_KINDS, FusionHead, TrainConfig, fuse_forward, identity_head, new_head
+from .fusion import VARIANT_KINDS, TrainConfig, fuse_forward, identity_head, new_head
 from .fusion import read_head, train_fusion
 from .metrics import ConfusionMatrix, aepe, l1_photometric, smoothness, ssim_loss
 from .raster import (
@@ -73,30 +73,13 @@ ABLATION_SUITES = ("flow", "fusion", "overlap", "flowquality")
 
 @dataclass
 class PipelineConfig:
-    """File-level configuration of the frame loop."""
+    """File-level configuration of the frame loop: run_frame reads the rig
+    and both heads from these paths on every call, and a head path of None
+    is the identity head."""
 
     rig_path: str
     narrow_head_path: str | None = None
     wide_head_path: str | None = None
-
-    def load_rig(self) -> CameraRig:
-        if not os.path.exists(self.rig_path):
-            raise ConfigError(f"rig file {self.rig_path!r} does not exist")
-        return read_rig(self.rig_path)
-
-
-def load_head(path, num_classes) -> FusionHead:
-    """The fusion head stored at `path`, or the identity head if None."""
-    if path is None:
-        return identity_head(num_classes)
-    if not os.path.exists(path):
-        raise ConfigError(f"fusion head file {path!r} does not exist")
-    head = read_head(path)
-    if head.num_classes != num_classes:
-        raise ConfigError(
-            f"head at {path!r} has {head.num_classes} classes, inputs carry {num_classes}"
-        )
-    return head
 
 
 class Shared(NamedTuple):
@@ -167,10 +150,14 @@ def run_frame(
     narrow_scores: ScoreMap,
 ) -> FrameResult:
     """Full closed loop over one synchronized frame pair."""
-    rig = _run_stage("config", cfg.load_rig)
-    c = wide_scores.num_classes
-    narrow_head = _run_stage("config", lambda: load_head(cfg.narrow_head_path, c))
-    wide_head = _run_stage("config", lambda: load_head(cfg.wide_head_path, c))
+    rig = _run_stage("config", lambda: read_rig(cfg.rig_path))
+    narrow_head, wide_head = _run_stage(
+        "config",
+        lambda: [
+            identity_head(wide_scores.num_classes) if path is None else read_head(path)
+            for path in (cfg.narrow_head_path, cfg.wide_head_path)
+        ],
+    )
 
     forward = _run_stage("share_forward", lambda: share(rig, wide_scores, wide_img, narrow_img))
     narrow_fused = _run_stage(

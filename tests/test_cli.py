@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import stat
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from semshare.formats import (
     read_flo, read_image, read_labels, read_scores, write_flo, write_image, write_labels,
     write_mask, write_scores,
 )
+from semshare.fusion import new_head, write_head
 from semshare.metrics import miou, report_to_text
 from semshare.pipeline import FUSION_TRAIN, OVERLAP_TRAIN, AblationTable
 from semshare.raster import LabelMap
@@ -576,28 +578,81 @@ class TestEvalCommand:
         ) == 4
 
 
-class TestDirectoryAsInput:
-    @pytest.mark.parametrize("command", ["eval", "run", "share", "flow", "train-fusion"])
-    def test_directory_input_is_data_error(self, scene_files, tmp_path, capsys, command):
-        folder = tmp_path / "folder"
-        folder.mkdir()
+def run_argv(f, out):
+    """`run` on the scene_files inputs `f` ({name: path}), with no --rig."""
+    return ["run", "--wide-image", f["wide.pgm"], "--narrow-image", f["narrow.pgm"],
+            "--wide-scores", f["wide_scores.bin"], "--narrow-scores", f["narrow_scores.bin"],
+            "--out", str(out)]
+
+
+class TestUnreadableInput:
+    """A missing input file, or a directory in its place, is a data error
+    (exit 3) in every command.  A missing benchmark manifest is not among
+    them: it is a benchmark never generated, a configuration error (exit 2;
+    TestAblateCommand covers it)."""
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            (command, kind)
+            for command in ["eval", "run --rig", "run --narrow-head", "run --wide-head", "share",
+                            "flow", "train-fusion"]
+            for kind in ["missing", "directory"]
+            if (command, kind) != ("train-fusion", "missing")
+        ],
+    )
+    def test_unreadable_input_is_data_error(self, scene_files, tmp_path, capsys, command, kind):
+        bad = tmp_path / "manifest.txt"  # the name train-fusion reads in --bench
+        if kind == "directory":
+            bad.mkdir()
         f = {name: str(scene_files / name) for name in os.listdir(scene_files)}
         images = ["--wide-image", f["wide.pgm"], "--narrow-image", f["narrow.pgm"]]
+        run = run_argv(f, tmp_path / "out")
         argv = {
-            "eval": ["eval", "--pred", str(folder), "--gt", f["narrow_gt.bin"]],
-            "run": ["run", "--rig", str(folder), *images, "--wide-scores", f["wide_scores.bin"],
-                    "--narrow-scores", f["narrow_scores.bin"], "--out", str(tmp_path / "out")],
-            "share": ["share", "--rig", f["rig.txt"], *images, "--scores", str(folder),
+            "eval": ["eval", "--pred", str(bad), "--gt", f["narrow_gt.bin"]],
+            "run --rig": [*run, "--rig", str(bad)],
+            "run --narrow-head": [*run, "--rig", f["rig.txt"], "--narrow-head", str(bad)],
+            "run --wide-head": [*run, "--rig", f["rig.txt"], "--wide-head", str(bad)],
+            "share": ["share", "--rig", f["rig.txt"], *images, "--scores", str(bad),
                       "--out", str(tmp_path / "s.bin")],
-            "flow": ["flow", "--target", str(folder), "--source", f["wide.pgm"],
+            "flow": ["flow", "--target", str(bad), "--source", f["wide.pgm"],
                      "--out", str(tmp_path / "f.flo")],
             "train-fusion": ["train-fusion", "--bench", str(tmp_path), "--out", str(tmp_path / "h.bin")],
         }[command]
-        if command == "train-fusion":
-            (tmp_path / "manifest.txt").mkdir()
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+
+
+def test_head_with_other_class_count_than_the_scores_is_data_error(scene_files, tmp_path, capsys):
+    head = tmp_path / "head.bin"
+    write_head(new_head("basic", 3), head)
+    f = {name: str(scene_files / name) for name in os.listdir(scene_files)}
+    argv = [*run_argv(f, tmp_path / "out"), "--rig", f["rig.txt"], "--narrow-head", str(head)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline error: stage 'fuse_narrow' failed: head expects 3 classes, "
+                          "maps carry 6")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["share", "run"])
+def test_calibration_with_a_singular_homography_is_data_error(scene_files, tmp_path, capsys,
+                                                              command):
+    """A tiny narrow focal builds valid cameras whose homography is
+    singular; the calibration file is then unusable data."""
+    rig = tmp_path / "rig.txt"
+    text = (scene_files / "rig.txt").read_text()
+    rig.write_text(re.sub(r"narrow\.f([xy]) \S+", r"narrow.f\1 1e-05", text))
+    read_rig(rig)  # the file itself parses
+    f = {name: str(scene_files / name) for name in os.listdir(scene_files)}
+    argv = {
+        "share": ["share", "--rig", str(rig), "--wide-image", f["wide.pgm"], "--narrow-image",
+                  f["narrow.pgm"], "--scores", f["wide_scores.bin"], "--out", str(tmp_path / "s.bin")],
+        "run": [*run_argv(f, tmp_path / "out"), "--rig", str(rig)],
+    }[command]
+    assert main(argv) == 3
+    assert "homography is singular" in capsys.readouterr().err
 
 
 def fake_training_suites(monkeypatch):

@@ -93,8 +93,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             FlowConfig(num_levels=33)
         assert FlowConfig(num_levels=32).num_levels == 32
-        with pytest.raises(ConfigError):
-            FlowConfig(iterations_per_level=0)
 
 
 def level_sizes(img, cfg):
@@ -106,16 +104,16 @@ def level_sizes(img, cfg):
 class TestPyramid:
     def test_level_zero_is_source(self):
         img = Image(value_noise((64, 48), 0)[None])
-        assert level_sizes(img, FlowConfig(iterations_per_level=1))[0] == img.size
+        assert level_sizes(img, FlowConfig())[0] == img.size
 
     def test_sizes_halve_with_rounding(self):
         img = Image(value_noise((100, 70), 1)[None])
-        sizes = level_sizes(img, FlowConfig(num_levels=3, iterations_per_level=1))
+        sizes = level_sizes(img, FlowConfig(num_levels=3))
         assert sizes == [(100, 70), (50, 35), (25, 18)]
 
     def test_respects_min_level_size(self):
         img = Image(value_noise((64, 64), 2)[None])
-        sizes = level_sizes(img, FlowConfig(num_levels=8, iterations_per_level=1))
+        sizes = level_sizes(img, FlowConfig(num_levels=8))
         assert len(sizes) == 3  # 64, 32, 16: next would drop below 16
         assert min(sizes[-1]) >= 16
 
@@ -279,7 +277,8 @@ class TestSolvedLevels:
 
     def test_input_level_is_upsampled_from_level_one(self, monkeypatch):
         target, source = noise_pair((64, 64), 1, seed=23)
-        cfg = FlowConfig(num_levels=3, iterations_per_level=6)
+        monkeypatch.setattr(FlowConfig, "iterations_per_level", 6)
+        cfg = FlowConfig(num_levels=3)
         got, solved, _ = self.probe_solve(monkeypatch, target, source, cfg)
         assert [(shape, sweeps) for shape, sweeps, _ in solved] == [((16, 16), 6), ((32, 32), 6)]
         want = flow._resize_bilinear(solved[-1][2], (64, 64))
@@ -291,7 +290,8 @@ class TestSolvedLevels:
     @pytest.mark.parametrize("size, levels", [((64, 64), 1), ((24, 24), 4)])
     def test_one_level_pyramid_is_solved_at_full_size(self, monkeypatch, size, levels):
         target, source = noise_pair(size, 1, seed=29)
-        cfg = FlowConfig(num_levels=levels, iterations_per_level=5)
+        monkeypatch.setattr(FlowConfig, "iterations_per_level", 5)
+        cfg = FlowConfig(num_levels=levels)
         got, solved, _ = self.probe_solve(monkeypatch, target, source, cfg)
         assert len(solved) == 1
         shape, sweeps, result = solved[0]
@@ -385,7 +385,8 @@ class TestSweep:
             zeros.append(np.count_nonzero(d_next[:, 1:-1, 1:-1] == 0.0))
 
         monkeypatch.setattr(flow, "_jacobi_sweep", probe)
-        cfg = FlowConfig(num_levels=3, iterations_per_level=10)
+        monkeypatch.setattr(FlowConfig, "iterations_per_level", 10)
+        cfg = FlowConfig(num_levels=3)
         estimate_flow(Image(t), Image(s), cfg)
         assert len(zeros) == 2 * 10
         assert zeros[0] > 0 and zeros[10] > 0
@@ -444,7 +445,8 @@ class TestFloat32Solve:
 
         monkeypatch.setattr(flow, "_jacobi_sweep", probe)
         target, source = noise_pair((64, 64), 3, seed=13)
-        cfg = FlowConfig(num_levels=3, iterations_per_level=4)
+        monkeypatch.setattr(FlowConfig, "iterations_per_level", 4)
+        cfg = FlowConfig(num_levels=3)
         result, diag = estimate_flow_detailed(target, source, cfg)
         assert len(seen) == 2 * 4  # two of the three levels are solved
         assert all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
@@ -640,7 +642,8 @@ class TestTwoStageMap:
         monkeypatch.setattr(flow, "grid_from_homography", sliver_grid)
         monkeypatch.setattr(flow, "estimate_flow", spy)
         img = Image(value_noise((96, 96), 9)[None])
-        cfg = FlowConfig(num_levels=1, iterations_per_level=5)
+        monkeypatch.setattr(FlowConfig, "iterations_per_level", 5)
+        cfg = FlowConfig(num_levels=1)
         _, _, _, residual = two_stage_map_detailed(identity_rig(), img, img, cfg)
         assert [f.size for f in solved] == [(cfg.min_level_size, 52)]
         x0, x1 = box_cols

@@ -9,7 +9,7 @@ from test_raster import reference_bilinear_support, reference_gather_bilinear
 from test_row_parts import by_part_count
 
 from semshare import cli, flow, pipeline, raster
-from semshare.camera import CameraRig, Rotation3, homography_from_rig, write_rig
+from semshare.camera import CameraRig, Rotation3, homography_from_rig, read_rig, write_rig
 from semshare.cli import main
 from semshare.errors import ConfigError, DataError, MetricUndefinedError, PipelineStageError
 from semshare.flow import FlowConfig, two_stage_map
@@ -218,11 +218,18 @@ class TestRunFrame:
     def test_stage_tagged_errors(self, tmp_path):
         scene, pair, wide_scores, narrow_scores = self.make_inputs(833)
         cfg = PipelineConfig(rig_path=str(tmp_path / "missing.txt"))
-        with pytest.raises(PipelineStageError) as exc:
+        with pytest.raises(FileNotFoundError):  # the reader's own error, as in every command
             run_frame(cfg, pair.wide_image, wide_scores, pair.narrow_image, narrow_scores)
-        assert exc.value.stage == "config"
 
         rig_path = tmp_path / "rig.txt"
+        write_rig(scene.rig, rig_path)
+        with open(rig_path, "a", encoding="ascii") as f:
+            f.write("bogus 1\n")
+        cfg = PipelineConfig(rig_path=str(rig_path))
+        with pytest.raises(PipelineStageError) as exc:
+            run_frame(cfg, pair.wide_image, wide_scores, pair.narrow_image, narrow_scores)
+        assert exc.value.stage == "config" and isinstance(exc.value.cause, DataError)
+
         write_rig(scene.rig, rig_path)
         cfg = PipelineConfig(rig_path=str(rig_path))
         bad_scores = ScoreMap(np.zeros((6, 10, 10)))
@@ -284,7 +291,7 @@ class TestFrameRecords:
         scores backward."""
         cfg, (wide_img, wide_scores, narrow_img, narrow_scores) = guard_frame(tmp_path)
         result = run_frame(cfg, wide_img, wide_scores, narrow_img, narrow_scores)
-        rig = cfg.load_rig()
+        rig = read_rig(cfg.rig_path)
         forward = share(rig, wide_scores, wide_img, narrow_img)
         backward = share(rig, result.narrow_scores, wide_img, narrow_img, direction="backward")
         assert raster_bytes(result.forward) == raster_bytes(forward)

@@ -349,5 +349,6 @@ class TestSolverThreads:
 
         target, source = noise_pair(size, 1, seed=5)
         monkeypatch.setattr(threading.Thread, "start", record)
-        estimate_flow(target, source, FlowConfig(iterations_per_level=2))
+        monkeypatch.setattr(FlowConfig, "iterations_per_level", 2)
+        estimate_flow(target, source, FlowConfig())
         assert started == []
